@@ -108,6 +108,8 @@ impl LintConfig {
                 "crates/serve/src/protocol.rs".to_string(),
                 "crates/serve/src/server.rs".to_string(),
                 "crates/serve/src/main.rs".to_string(),
+                // The request lifecycle both serve backends share.
+                "crates/serve/src/lifecycle.rs".to_string(),
                 // PR 10: the coordinator forwards malformed backend bytes
                 // through the same guarantee — count or ignore, never
                 // unwind.

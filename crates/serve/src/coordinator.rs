@@ -31,15 +31,16 @@
 //! `pending` routing map and a backend `conn` writer are never held at
 //! the same time (collect under one, act under the other).
 
+use crate::lifecycle::{Canceller, SweepBackend, SweepEvents, SweepUpdate, UpdateWait};
 use crate::protocol::{
-    parse_request, parse_response, CacheAction, DeliveryMode, DoneStatus, Request, Response,
-    ShutdownMode, SweepRequest, TraceSource,
+    parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest, TraceSource,
 };
+use crate::server::SubmitError;
 use dae_core::{cache_key_digest, Machine, TraceHash, WindowSpec};
 use dae_isa::Cycle;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
@@ -188,7 +189,7 @@ struct RequestRoute {
     /// The structural content hash placement digests are built from.
     hash: TraceHash,
     /// Events to the request's drainer thread.
-    tx: mpsc::Sender<CoordEvent>,
+    tx: mpsc::Sender<SweepUpdate>,
     /// Set by client `cancel`, deadline expiry and dead-client cleanup;
     /// once set, reclaimed points settle as dropped instead of
     /// re-dispatching.
@@ -219,37 +220,6 @@ struct PendingPoint {
     avoid: Option<usize>,
 }
 
-/// What a point's lifecycle pushes at the request drainer.  Every point
-/// produces exactly one *settlement* — `Settled`, `Failed`, `Skipped` or
-/// `Aborted` — and at most one `Point` (always before its `Settled`).
-#[derive(Debug)]
-enum CoordEvent {
-    /// A finished point: forward the `point` line (stream) or buffer it
-    /// (batch).  Not yet a settlement — the `cached` flag arrives with
-    /// the subrequest's `done`.
-    Point {
-        index: usize,
-        machine: Machine,
-        window: WindowSpec,
-        md: Cycle,
-        cycles: Cycle,
-    },
-    /// A delivered point's subrequest closed; settles the point.
-    Settled {
-        /// The backend answered the point from its sweep-result cache.
-        cached: bool,
-    },
-    /// The point's simulation failed on a backend (worker panic);
-    /// settles the point and produces a client `error` line.
-    Failed { index: usize, message: String },
-    /// The point was dropped before simulating (cancellation, shutdown,
-    /// or no surviving backend under cancel); settles the point.
-    Skipped,
-    /// The point was cooperatively aborted mid-simulation on a backend;
-    /// settles the point.
-    Aborted,
-}
-
 /// Shared coordinator state: the fleet, the ring, and the subrequest
 /// routing map (keyed by coordinator-issued `x<n>` subrequest ids).
 #[derive(Debug)]
@@ -272,12 +242,16 @@ struct CoordInner {
     redispatched_points: AtomicU64,
     backend_deaths: AtomicU64,
     backend_reply_errors: AtomicU64,
+    /// Watchdog re-dispatches of points that sat too long on one backend.
     coordinator_timeouts: AtomicU64,
+    /// Client requests whose `deadline_ms` expired here.
+    timeout_requests: AtomicU64,
 }
 
 /// A shard coordinator over N `dae-serve` backends.  See the module docs
-/// for the protocol and fault model; [`serve_coordinator_connection`] and
-/// [`serve_coordinator_tcp`] are the front ends.
+/// for the protocol and fault model; as a [`SweepBackend`] it is served
+/// by the same front ends as a single server ([`crate::serve_connection`],
+/// [`crate::serve_tcp`], `serve_unix`).
 #[derive(Debug)]
 pub struct Coordinator {
     inner: Arc<CoordInner>,
@@ -317,20 +291,7 @@ impl Coordinator {
                 alive: AtomicBool::new(true),
             });
         }
-        let inner = Arc::new(CoordInner {
-            partitioner: Partitioner::with_vnodes(backends.len(), config.vnodes.max(1)),
-            backends,
-            pending: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(HashMap::new()),
-            next_subid: AtomicU64::new(1),
-            shutting_down: AtomicBool::new(false),
-            retry_timeout: config.retry_timeout,
-            forwarded_points: AtomicU64::new(0),
-            redispatched_points: AtomicU64::new(0),
-            backend_deaths: AtomicU64::new(0),
-            backend_reply_errors: AtomicU64::new(0),
-            coordinator_timeouts: AtomicU64::new(0),
-        });
+        let inner = CoordInner::new(backends, config);
         for (index, read_half) in read_halves.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
@@ -358,20 +319,7 @@ impl Coordinator {
             })
             .collect::<Vec<_>>();
         Coordinator {
-            inner: Arc::new(CoordInner {
-                partitioner: Partitioner::new(backends.len()),
-                backends,
-                pending: Mutex::new(HashMap::new()),
-                hashes: Mutex::new(HashMap::new()),
-                next_subid: AtomicU64::new(1),
-                shutting_down: AtomicBool::new(false),
-                retry_timeout: DEFAULT_RETRY_TIMEOUT,
-                forwarded_points: AtomicU64::new(0),
-                redispatched_points: AtomicU64::new(0),
-                backend_deaths: AtomicU64::new(0),
-                backend_reply_errors: AtomicU64::new(0),
-                coordinator_timeouts: AtomicU64::new(0),
-            }),
+            inner: CoordInner::new(backends, CoordinatorConfig::default()),
         }
     }
 
@@ -385,42 +333,56 @@ impl Coordinator {
         self.inner.handle_backend_reply(line);
     }
 
-    /// Whether a `shutdown` request has been accepted.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::Acquire)
-    }
-
     /// Points dispatched to backends and not yet settled.
     #[must_use]
     pub fn pending_points(&self) -> usize {
         self.inner.lock_pending().len()
     }
+}
 
-    /// Stops admitting sweeps and forwards the shutdown to every backend
-    /// over ephemeral control connections (drain lets their in-flight
-    /// subrequests finish; abort cancels them — either way their `done`
-    /// lines settle this side's accounting).
-    pub fn shutdown(&self, mode: ShutdownMode) {
-        self.inner.shutting_down.store(true, Ordering::Release);
-        let line = format!("shutdown mode={mode}");
-        for backend in &self.inner.backends {
-            let _ = control_roundtrip(&backend.addr, &line);
-        }
-    }
+/// The fleet backend: each grid point is forwarded to the backend owning
+/// its sweep-cache key, and the replies settle through the routing map.
+impl SweepBackend for Coordinator {
+    type Client<'a> = ();
 
-    /// Blocks until every dispatched point has settled or `timeout`
-    /// passes; returns whether the routing map drained.
-    #[must_use]
-    pub fn await_settled(&self, timeout: Duration) -> bool {
-        let give_up = Instant::now() + timeout;
-        while self.pending_points() > 0 {
-            if Instant::now() >= give_up {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
+    fn register(&self) {}
+
+    fn submit_sweep<'a>(
+        &'a self,
+        request: &SweepRequest,
+        _client: &(),
+    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
+        let hash = self
+            .inner
+            .resolve_hash(&request.source, request.iterations)
+            .map_err(SubmitError::Rejected)?;
+        let (tx, rx) = mpsc::channel();
+        let route = Arc::new(RequestRoute {
+            request: request.clone(),
+            hash,
+            tx,
+            cancelled: AtomicBool::new(false),
+        });
+        for (index, (machine, window, md)) in request.grid().enumerate() {
+            self.inner.dispatch(PendingPoint {
+                route: Arc::clone(&route),
+                index,
+                machine,
+                window,
+                md,
+                backend: 0,
+                dispatched: Instant::now(),
+                delivered: false,
+                failure: None,
+                avoid: None,
+            });
         }
-        true
+        Ok(Box::new(RouteEvents {
+            inner: Arc::clone(&self.inner),
+            settled: 0,
+            route,
+            rx,
+        }))
     }
 
     /// The aggregated `stats` reply: the coordinator's own counters
@@ -428,43 +390,30 @@ impl Coordinator {
     /// the per-name *sums* of every live backend's counters (their
     /// per-connection `client_<id>=` fields are dropped — backend-local
     /// connection ids mean nothing fleet-wide).
-    #[must_use]
-    pub fn stats_fields(&self) -> Vec<(String, u64)> {
+    fn stats_fields(&self) -> Vec<(String, u64)> {
         let inner = &self.inner;
         let alive = inner
             .backends
             .iter()
             .filter(|b| b.alive.load(Ordering::Acquire))
             .count();
+        let count = |name: &str, n: &AtomicU64| (name.to_string(), n.load(Ordering::Relaxed));
         let mut fields = vec![
             ("backends_total".to_string(), inner.backends.len() as u64),
             ("backends_alive".to_string(), alive as u64),
-            (
-                "forwarded_points".to_string(),
-                inner.forwarded_points.load(Ordering::Relaxed),
-            ),
-            (
-                "redispatched_points".to_string(),
-                inner.redispatched_points.load(Ordering::Relaxed),
-            ),
-            (
-                "backend_deaths".to_string(),
-                inner.backend_deaths.load(Ordering::Relaxed),
-            ),
-            (
-                "backend_reply_errors".to_string(),
-                inner.backend_reply_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "coordinator_timeouts".to_string(),
-                inner.coordinator_timeouts.load(Ordering::Relaxed),
-            ),
+            count("forwarded_points", &inner.forwarded_points),
+            count("redispatched_points", &inner.redispatched_points),
+            count("backend_deaths", &inner.backend_deaths),
+            count("backend_reply_errors", &inner.backend_reply_errors),
+            count("coordinator_timeouts", &inner.coordinator_timeouts),
             (
                 "coordinator_pending".to_string(),
                 self.pending_points() as u64,
             ),
         ];
-        let mut sums: Vec<(String, u64)> = Vec::new();
+        // Deadlines act here, not on the backends (subrequests carry none),
+        // so the coordinator's expiries seed the fleet's `timeout_requests`.
+        let mut sums = vec![count("timeout_requests", &inner.timeout_requests)];
         for backend in &inner.backends {
             if !backend.alive.load(Ordering::Acquire) {
                 continue;
@@ -492,8 +441,7 @@ impl Coordinator {
     /// acknowledgements: `entries` is summed across the fleet, `limit` is
     /// the (shared, since the action reached every backend) reported
     /// bound.  An error response when no backend answered.
-    #[must_use]
-    pub fn cache_action(&self, action: CacheAction) -> Response {
+    fn cache_action(&self, action: CacheAction) -> Response {
         let line = match action {
             CacheAction::Clear => "cache clear".to_string(),
             CacheAction::Limit(Some(n)) => format!("cache limit={n}"),
@@ -528,9 +476,91 @@ impl Coordinator {
             }
         }
     }
+
+    /// Stops admitting sweeps and forwards the shutdown to every backend
+    /// over ephemeral control connections (drain lets their in-flight
+    /// subrequests finish; abort cancels them — either way their `done`
+    /// lines settle this side's accounting).
+    fn shutdown(&self, mode: ShutdownMode) {
+        self.inner.shutting_down.store(true, Ordering::Release);
+        let line = format!("shutdown mode={mode}");
+        for backend in &self.inner.backends {
+            let _ = control_roundtrip(&backend.addr, &line);
+        }
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.inner.is_shutting_down()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.pending_points()
+    }
+
+    fn note_timeout(&self) {
+        self.inner.timeout_requests.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One coordinated request's settlement channel, as the shared drainer
+/// sees it: exhausted once every point of the grid has settled.
+struct RouteEvents {
+    inner: Arc<CoordInner>,
+    route: Arc<RequestRoute>,
+    rx: mpsc::Receiver<SweepUpdate>,
+    /// Settlements received so far.
+    settled: usize,
+}
+
+impl SweepEvents for RouteEvents {
+    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait {
+        if self.settled == self.route.request.grid().len() {
+            return UpdateWait::Exhausted;
+        }
+        let received = match deadline {
+            Some(at) => self
+                .rx
+                .recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => self.rx.recv().map_err(RecvTimeoutError::from),
+        };
+        let update = match received {
+            Ok(update) => update,
+            Err(RecvTimeoutError::Timeout) => return UpdateWait::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => return UpdateWait::Exhausted,
+        };
+        if !matches!(update, SweepUpdate::Point { .. }) {
+            self.settled += 1;
+        }
+        UpdateWait::Update(update)
+    }
+
+    fn canceller(&self) -> Canceller {
+        let inner = Arc::clone(&self.inner);
+        let route = Arc::clone(&self.route);
+        Arc::new(move || inner.cancel_route(&route))
+    }
 }
 
 impl CoordInner {
+    /// Fresh state over `backends`: an empty routing map, zeroed counters.
+    fn new(backends: Vec<Backend>, config: CoordinatorConfig) -> Arc<CoordInner> {
+        Arc::new(CoordInner {
+            partitioner: Partitioner::with_vnodes(backends.len(), config.vnodes.max(1)),
+            backends,
+            pending: Mutex::new(HashMap::new()),
+            hashes: Mutex::new(HashMap::new()),
+            next_subid: AtomicU64::new(1),
+            shutting_down: AtomicBool::new(false),
+            retry_timeout: config.retry_timeout,
+            forwarded_points: AtomicU64::new(0),
+            redispatched_points: AtomicU64::new(0),
+            backend_deaths: AtomicU64::new(0),
+            backend_reply_errors: AtomicU64::new(0),
+            coordinator_timeouts: AtomicU64::new(0),
+            timeout_requests: AtomicU64::new(0),
+        })
+    }
+
     /// The routing map, recovering from poisoning (every mutation under
     /// it is transactional: whole-entry inserts and removes).
     fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingPoint>> {
@@ -596,7 +626,7 @@ impl CoordInner {
     fn dispatch(&self, mut point: PendingPoint) {
         loop {
             if point.route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                let _ = point.route.tx.send(SweepUpdate::Dropped);
                 return;
             }
             let digest = cache_key_digest(point.route.hash, point.machine, point.window, point.md);
@@ -614,7 +644,7 @@ impl CoordInner {
                 None => self.partitioner.assign_among(digest, eligible),
             };
             let Some(backend) = choice else {
-                let _ = point.route.tx.send(CoordEvent::Failed {
+                let _ = point.route.tx.send(SweepUpdate::Failed {
                     index: point.index,
                     message: "no backends available".to_string(),
                 });
@@ -687,9 +717,9 @@ impl CoordInner {
                 // The point line made it to the client before the backend
                 // died; only the `cached` flag is lost.  Settle it as
                 // delivered, uncached.
-                let _ = point.route.tx.send(CoordEvent::Settled { cached: false });
+                let _ = point.route.tx.send(SweepUpdate::Settled { cached: false });
             } else if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                let _ = point.route.tx.send(SweepUpdate::Dropped);
             } else {
                 self.redispatch(point);
             }
@@ -736,7 +766,7 @@ impl CoordInner {
         if let Some(point) = pending.get_mut(subid) {
             if !point.delivered {
                 point.delivered = true;
-                let _ = point.route.tx.send(CoordEvent::Point {
+                let _ = point.route.tx.send(SweepUpdate::Point {
                     index: point.index,
                     machine: point.machine,
                     window: point.window,
@@ -791,22 +821,22 @@ impl CoordInner {
             let _ = point
                 .route
                 .tx
-                .send(CoordEvent::Settled { cached: cached > 0 });
+                .send(SweepUpdate::Settled { cached: cached > 0 });
         } else if failed > 0 {
             let message = point
                 .failure
                 .take()
                 .map(|m| strip_point_prefix(&m))
                 .unwrap_or_else(|| "backend simulation failed".to_string());
-            let _ = point.route.tx.send(CoordEvent::Failed {
+            let _ = point.route.tx.send(SweepUpdate::Failed {
                 index: point.index,
                 message,
             });
         } else if point.route.cancelled.load(Ordering::Acquire) {
             let event = if aborted > 0 {
-                CoordEvent::Aborted
+                SweepUpdate::Aborted
             } else {
-                CoordEvent::Skipped
+                SweepUpdate::Dropped
             };
             let _ = point.route.tx.send(event);
         } else {
@@ -855,7 +885,7 @@ impl CoordInner {
         for mut point in expired {
             self.coordinator_timeouts.fetch_add(1, Ordering::Relaxed);
             if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                let _ = point.route.tx.send(SweepUpdate::Dropped);
             } else {
                 point.avoid = Some(point.backend);
                 self.redispatch(point);
@@ -939,376 +969,5 @@ fn control_roundtrip(addr: &str, line: &str) -> Option<String> {
         None
     } else {
         Some(reply)
-    }
-}
-
-/// One in-flight request of a coordinator connection, as its reader loop
-/// tracks it.
-struct ActiveRoute {
-    route: Arc<RequestRoute>,
-    finished: Arc<AtomicBool>,
-}
-
-/// The request's grid in canonical order (machines outermost, then
-/// windows, then MDs) — the same order a backend's
-/// [`SweepRequest::points`] produces, minus the pinned trace id the
-/// coordinator never has.
-fn grid(request: &SweepRequest) -> Vec<(Machine, WindowSpec, Cycle)> {
-    let mut points =
-        Vec::with_capacity(request.machines.len() * request.windows.len() * request.mds.len());
-    for &machine in &request.machines {
-        for &window in &request.windows {
-            for &md in &request.mds {
-                points.push((machine, window, md));
-            }
-        }
-    }
-    points
-}
-
-/// Serves one client connection of the coordinator: the same protocol as
-/// [`crate::serve_connection`], with sweeps fanned out across the backend
-/// fleet instead of submitted to a local session.  Several sweeps may be
-/// in flight at once (each merges on its own drainer thread); the call
-/// returns once the input is exhausted *and* every request has written
-/// its `done` line.
-///
-/// # Errors
-///
-/// Propagates read errors on the request stream; client-side write errors
-/// only cancel the affected request.
-pub fn serve_coordinator_connection<R, W>(
-    coordinator: &Arc<Coordinator>,
-    reader: R,
-    writer: W,
-) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let writer = Mutex::new(writer);
-    std::thread::scope(|scope| {
-        let mut active: HashMap<String, ActiveRoute> = HashMap::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_request(&line) {
-                Err(e) => {
-                    crate::server::write_line(
-                        &writer,
-                        &Response::Error {
-                            id: e.id,
-                            message: e.message,
-                        },
-                    );
-                }
-                Ok(Request::Stats) => {
-                    crate::server::write_line(
-                        &writer,
-                        &Response::Stats {
-                            fields: coordinator.stats_fields(),
-                        },
-                    );
-                }
-                Ok(Request::Cache { action }) => {
-                    crate::server::write_line(&writer, &coordinator.cache_action(action));
-                }
-                Ok(Request::Shutdown { mode }) => {
-                    coordinator.shutdown(mode);
-                    crate::server::write_line(&writer, &Response::Shutdown { mode });
-                    // Stop reading: nothing this connection could send
-                    // would be admitted.  The scope still joins the
-                    // in-flight drainers, so their `done` lines land.
-                    break;
-                }
-                Ok(Request::Cancel { id }) => match active.get(&id) {
-                    Some(request) if !request.finished.load(Ordering::Acquire) => {
-                        coordinator.inner.cancel_route(&request.route);
-                        crate::server::write_line(&writer, &Response::Cancelled { id });
-                    }
-                    _ => {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(id),
-                                message: "no such active request".to_string(),
-                            },
-                        );
-                    }
-                },
-                Ok(Request::Sweep(request)) => {
-                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
-                    if active.contains_key(&request.id) {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "request id already active".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    if coordinator.is_shutting_down() {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "server is shutting down; not accepting new sweeps"
-                                    .to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    let hash = match coordinator
-                        .inner
-                        .resolve_hash(&request.source, request.iterations)
-                    {
-                        Ok(hash) => hash,
-                        Err(message) => {
-                            crate::server::write_line(
-                                &writer,
-                                &Response::Error {
-                                    id: Some(request.id),
-                                    message,
-                                },
-                            );
-                            continue;
-                        }
-                    };
-                    let (tx, rx) = mpsc::channel();
-                    let route = Arc::new(RequestRoute {
-                        request: request.clone(),
-                        hash,
-                        tx,
-                        cancelled: AtomicBool::new(false),
-                    });
-                    let finished = Arc::new(AtomicBool::new(false));
-                    active.insert(
-                        request.id.clone(),
-                        ActiveRoute {
-                            route: Arc::clone(&route),
-                            finished: Arc::clone(&finished),
-                        },
-                    );
-                    for (index, (machine, window, md)) in grid(&request).into_iter().enumerate() {
-                        coordinator.inner.dispatch(PendingPoint {
-                            route: Arc::clone(&route),
-                            index,
-                            machine,
-                            window,
-                            md,
-                            backend: 0,
-                            dispatched: Instant::now(),
-                            delivered: false,
-                            failure: None,
-                            avoid: None,
-                        });
-                    }
-                    let writer = &writer;
-                    let coordinator = Arc::clone(coordinator);
-                    scope.spawn(move || {
-                        coordinator_drain(&coordinator, &route, &rx, &request, writer);
-                        finished.store(true, Ordering::Release);
-                    });
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-/// Merges one request's point events into the client's response stream:
-/// `point` lines as they arrive (stream) or in grid order at the end
-/// (batch), `error` lines for failed points, and the closing `done` line
-/// with balanced accounting.  A client deadline bounds the whole merge
-/// (expiry cancels the route, residue settles as dropped/aborted,
-/// `status=timeout`); a failed client write cancels the route the same
-/// way dead-client cleanup does on a single server.
-fn coordinator_drain<W: Write>(
-    coordinator: &Arc<Coordinator>,
-    route: &Arc<RequestRoute>,
-    rx: &mpsc::Receiver<CoordEvent>,
-    request: &SweepRequest,
-    writer: &Mutex<W>,
-) {
-    let total = request.machines.len() * request.windows.len() * request.mds.len();
-    let deadline = request
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let mut settled = 0usize;
-    let mut delivered = 0usize;
-    let mut delivered_unsettled = 0usize;
-    let mut dropped = 0usize;
-    let mut aborted = 0usize;
-    let mut failed = 0usize;
-    let mut cached = 0u64;
-    let mut batched: Vec<Response> = Vec::new();
-    let mut failures: Vec<Response> = Vec::new();
-    while settled < total {
-        let event = match deadline.filter(|_| !timed_out) {
-            Some(at) => {
-                let budget = at.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(budget) {
-                    Ok(event) => event,
-                    Err(RecvTimeoutError::Timeout) => {
-                        timed_out = true;
-                        coordinator
-                            .inner
-                            .coordinator_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        coordinator.inner.cancel_route(route);
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            None => match rx.recv() {
-                Ok(event) => event,
-                Err(_) => break,
-            },
-        };
-        match event {
-            CoordEvent::Point {
-                index,
-                machine,
-                window,
-                md,
-                cycles,
-            } => {
-                delivered += 1;
-                delivered_unsettled += 1;
-                let line = Response::Point {
-                    id: request.id.clone(),
-                    index,
-                    machine,
-                    window,
-                    md,
-                    cycles,
-                };
-                match request.mode {
-                    DeliveryMode::Stream => {
-                        if !crate::server::write_line(writer, &line) {
-                            // The client is gone: stop the fleet working
-                            // on what no one will read.
-                            coordinator.inner.cancel_route(route);
-                        }
-                    }
-                    DeliveryMode::Batch => batched.push(line),
-                }
-            }
-            CoordEvent::Settled { cached: was_cached } => {
-                settled += 1;
-                delivered_unsettled = delivered_unsettled.saturating_sub(1);
-                cached += u64::from(was_cached);
-            }
-            CoordEvent::Failed { index, message } => {
-                settled += 1;
-                failed += 1;
-                let line = Response::Error {
-                    id: Some(request.id.clone()),
-                    message: format!("point {index} failed: {message}"),
-                };
-                match request.mode {
-                    DeliveryMode::Stream => {
-                        if !crate::server::write_line(writer, &line) {
-                            coordinator.inner.cancel_route(route);
-                        }
-                    }
-                    DeliveryMode::Batch => failures.push(line),
-                }
-            }
-            CoordEvent::Skipped => {
-                settled += 1;
-                dropped += 1;
-            }
-            CoordEvent::Aborted => {
-                settled += 1;
-                aborted += 1;
-            }
-        }
-    }
-    // Channel loss (every sender dropped with points unsettled) cannot
-    // happen while the route is registered, but the accounting must
-    // balance even then: the shortfall minus the already-delivered
-    // stragglers counts as dropped.
-    if settled < total {
-        let shortfall = total - settled;
-        dropped += shortfall.saturating_sub(delivered_unsettled);
-    }
-    if request.mode == DeliveryMode::Batch {
-        batched.sort_by_key(|line| match line {
-            Response::Point { index, .. } => *index,
-            _ => usize::MAX,
-        });
-        for line in &batched {
-            crate::server::write_line(writer, line);
-        }
-        for line in &failures {
-            crate::server::write_line(writer, line);
-        }
-    }
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    let _ = crate::server::write_line(
-        writer,
-        &Response::Done {
-            id: request.id.clone(),
-            points: total,
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
-            status,
-        },
-    );
-}
-
-/// Accepts TCP connections for the coordinator until a `shutdown` request
-/// arrives (from any connection), serving each on its own thread — the
-/// coordinator-mode sibling of [`crate::serve_tcp`].
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-pub fn serve_coordinator_tcp(
-    coordinator: &Arc<Coordinator>,
-    listener: &TcpListener,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if coordinator.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let coordinator = Arc::clone(coordinator);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_coordinator_connection(&coordinator, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(e),
-        }
     }
 }

@@ -10,13 +10,16 @@
 //! * [`protocol`] — the wire format: [`Request`] / [`Response`] parsing
 //!   and printing shared by the server, the clients and the tests, plus
 //!   the inline-kernel grammar ([`parse_kernel`]).
-//! * [`server`] — [`SweepServer`] (the shared session behind one brief
-//!   mutex), [`serve_connection`] (one client: concurrent tagged sweeps,
-//!   per-request cancellation), and the stdin / TCP / Unix-socket accept
-//!   loops.
-//! * [`coordinator`] — the shard coordinator: the same wire protocol over
-//!   a fleet of backend `dae-serve` processes, with each grid point placed
-//!   by consistent hashing on its sweep-cache key
+//! * [`lifecycle`] — the request lifecycle every serving mode shares,
+//!   generic over a [`SweepBackend`]: [`serve_connection`] (one client:
+//!   concurrent tagged sweeps, per-request cancellation and deadlines,
+//!   balanced `done` accounting), [`serve_local`], and the TCP /
+//!   Unix-socket accept loop.
+//! * [`server`] — [`SweepServer`], the local backend: the shared session
+//!   behind one brief mutex, with admission control.
+//! * [`coordinator`] — [`Coordinator`], the fleet backend: the same wire
+//!   protocol over backend `dae-serve` processes, with each grid point
+//!   placed by consistent hashing on its sweep-cache key
 //!   ([`dae_core::cache_key_digest`]) so every shard's result cache stays
 //!   hot, and with undelivered points re-dispatched when a backend dies.
 //!
@@ -47,13 +50,14 @@
 //! ```
 
 pub mod coordinator;
+pub mod lifecycle;
 pub mod protocol;
 pub mod server;
 
-pub use coordinator::{
-    serve_coordinator_connection, serve_coordinator_tcp, Coordinator, CoordinatorConfig,
-    Partitioner,
-};
+pub use coordinator::{Coordinator, CoordinatorConfig, Partitioner};
+#[cfg(unix)]
+pub use lifecycle::serve_unix;
+pub use lifecycle::{await_drained, serve_connection, serve_local, serve_tcp, SweepBackend};
 
 pub use protocol::{
     machine_token, parse_kernel, parse_request, parse_response, window_token, CacheAction,
@@ -64,9 +68,4 @@ pub use protocol::{
 /// The scheduling band of a sweep request's point jobs (the wire
 /// `priority=` field), re-exported from `dae_core` for clients.
 pub use dae_core::Priority;
-#[cfg(unix)]
-pub use server::serve_unix;
-pub use server::{
-    await_drained, serve_connection, serve_local, serve_tcp, ClientGuard, ServerLimits, Submission,
-    SubmitError, SweepServer,
-};
+pub use server::{ClientGuard, ServerLimits, Submission, SubmitError, SweepServer};

@@ -1,0 +1,543 @@
+//! The request lifecycle shared by every serving mode: one connection
+//! loop, one drainer and one accept loop, generic over a [`SweepBackend`].
+//!
+//! A backend turns a parsed [`SweepRequest`] into a stream of per-point
+//! [`SweepUpdate`]s: the local [`crate::SweepServer`] submits the grid to
+//! its shared session, the [`crate::Coordinator`] fans it out over a
+//! fleet of backend processes.  Everything between the socket and that
+//! submission lives here exactly once — request parsing, active-id
+//! tracking, cancellation, deadlines, stream/batch ordering, dead-client
+//! cleanup, balanced `done` accounting and shutdown.
+//!
+//! Lock order: the per-connection writer mutex is taken only inside
+//! `write_line`, which never calls into the backend, so it is never
+//! held together with a backend lock (the server's state, the
+//! coordinator's `pending` routing map).
+
+use crate::protocol::{
+    parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
+    SweepRequest,
+};
+use crate::server::SubmitError;
+use dae_core::{Machine, WindowSpec};
+use dae_isa::Cycle;
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
+
+/// The refusal written for a sweep that arrives after `shutdown`.
+pub(crate) const SHUTTING_DOWN: &str = "server is shutting down; not accepting new sweeps";
+
+/// How often the accept loop wakes to check for shutdown.
+const ACCEPT_POLL: Duration = Duration::from_millis(50);
+
+/// One update of a submitted sweep, as the shared drainer consumes it.
+///
+/// Every point produces exactly one *settlement* — `Settled`, `Failed`,
+/// `Dropped` or `Aborted` — and at most one `Point`, always before its
+/// `Settled`.
+#[derive(Debug)]
+pub enum SweepUpdate {
+    /// A finished point: its `point` line is written now (stream mode) or
+    /// held for grid order (batch mode).  Not yet a settlement.
+    Point {
+        /// Index in the request's canonical grid order.
+        index: usize,
+        /// The point's machine.
+        machine: Machine,
+        /// The point's window size.
+        window: WindowSpec,
+        /// The point's memory differential.
+        md: Cycle,
+        /// The simulated execution time.
+        cycles: Cycle,
+    },
+    /// A delivered point settled.
+    Settled {
+        /// The point was answered from a sweep-result cache.
+        cached: bool,
+    },
+    /// The point's simulation failed (worker panic, or no backend left to
+    /// run it); settles the point and produces an `error` line.
+    Failed {
+        /// Index in the request's canonical grid order.
+        index: usize,
+        /// Why the point failed.
+        message: String,
+    },
+    /// The point was dropped before simulating (cancellation, shutdown).
+    Dropped,
+    /// The point was cooperatively aborted mid-simulation.
+    Aborted,
+}
+
+/// The outcome of waiting on a [`SweepEvents`] source.
+#[derive(Debug)]
+pub enum UpdateWait {
+    /// The next update arrived.
+    Update(SweepUpdate),
+    /// The deadline passed first; the sweep is still live.
+    TimedOut,
+    /// Every point has settled.
+    Exhausted,
+}
+
+/// Cancels one submitted sweep from any thread: pending points are
+/// dropped, running points abort.  Idempotent.
+pub type Canceller = Arc<dyn Fn() + Send + Sync>;
+
+/// The update source of one submitted sweep.
+pub trait SweepEvents: Send {
+    /// The next update, waiting at most until `deadline` when one is
+    /// given.
+    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait;
+
+    /// A handle that cancels this sweep.
+    fn canceller(&self) -> Canceller;
+}
+
+/// What serves sweeps behind the shared lifecycle: a local session
+/// ([`crate::SweepServer`]) or a fleet ([`crate::Coordinator`]).
+pub trait SweepBackend: Send + Sync {
+    /// One connection's registration, held while the connection lives.
+    type Client<'a>
+    where
+        Self: 'a;
+
+    /// Registers a connection.
+    fn register(&self) -> Self::Client<'_>;
+
+    /// Submits a parsed sweep and returns its update source.  Returns as
+    /// soon as the points are queued; results arrive on the source.
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Busy`] when admission control refuses the grid;
+    /// [`SubmitError::Rejected`] for an invalid trace source or a sweep
+    /// after shutdown began.
+    fn submit_sweep<'a>(
+        &'a self,
+        request: &SweepRequest,
+        client: &Self::Client<'_>,
+    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError>;
+
+    /// The counters behind the `stats` reply.
+    fn stats_fields(&self) -> Vec<(String, u64)>;
+
+    /// Applies a `cache` administration request and reports the cache's
+    /// state afterwards.
+    fn cache_action(&self, action: CacheAction) -> Response;
+
+    /// Stops admitting sweeps.  `Drain` lets in-flight work finish;
+    /// `Abort` cancels it (its `done` lines still arrive, with the usual
+    /// balanced accounting).  Returns once the shutdown has reached
+    /// everything the backend forwards work to.
+    fn shutdown(&self, mode: ShutdownMode);
+
+    /// Whether a `shutdown` request has been accepted (new sweeps are
+    /// refused from then on).
+    fn is_shutting_down(&self) -> bool;
+
+    /// Points queued, running or dispatched and not yet settled.
+    fn in_flight(&self) -> usize;
+
+    /// Counts one request whose `deadline_ms` expired (`timeout_requests`
+    /// in `stats`).
+    fn note_timeout(&self);
+}
+
+/// Writes one response line and flushes it.  `false` means the client
+/// went away; callers use the signal to cancel the work they relay.
+pub(crate) fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
+    // Poison recovery: a writer is a byte sink whose worst torn state is a
+    // partial line on a connection that is being abandoned anyway.
+    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
+    writeln!(writer, "{response}")
+        .and_then(|()| writer.flush())
+        .is_ok()
+}
+
+/// Drains one submitted sweep to the connection writer: `point` lines
+/// (immediately in stream mode, sorted into grid order in batch mode),
+/// `error` lines for points whose simulation failed, and finally the
+/// request's `done` accounting line with its terminal status.
+///
+/// A deadline, when present, bounds the whole drain: on expiry the sweep
+/// is cancelled (running points abort mid-simulation) and the residue is
+/// collected with `status=timeout`.  A failed client write likewise
+/// cancels the sweep — dead-client cleanup stops simulating what no one
+/// will read, *including* the points already running.
+fn drain<B: SweepBackend, W: Write>(
+    backend: &B,
+    mut events: Box<dyn SweepEvents + '_>,
+    request: &SweepRequest,
+    writer: &Mutex<W>,
+) {
+    let (id, mode) = (&request.id, request.mode);
+    let total = request.grid().len();
+    let cancel = events.canceller();
+    let mut deadline = request
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let mut timed_out = false;
+    let (mut delivered, mut aborted, mut failed, mut cached) = (0usize, 0usize, 0usize, 0u64);
+    let mut batched: Vec<Response> = Vec::new();
+    let mut failures: Vec<Response> = Vec::new();
+    // Stream mode writes each line now, batch mode holds it for the end.
+    // A failed write cancels the sweep; its updates still drain, keeping
+    // the accounting consistent.
+    let emit = |line: Response, held: &mut Vec<Response>| match mode {
+        DeliveryMode::Stream => {
+            if !write_line(writer, &line) {
+                cancel();
+            }
+        }
+        DeliveryMode::Batch => held.push(line),
+    };
+    loop {
+        let update = match events.next_update(deadline) {
+            UpdateWait::Update(update) => update,
+            UpdateWait::Exhausted => break,
+            UpdateWait::TimedOut => {
+                // Budget spent: cancel (running points abort at their next
+                // engine poll) and drain the residue without a deadline —
+                // it settles in microseconds.
+                timed_out = true;
+                deadline = None;
+                backend.note_timeout();
+                cancel();
+                continue;
+            }
+        };
+        match update {
+            SweepUpdate::Point {
+                index,
+                machine,
+                window,
+                md,
+                cycles,
+            } => {
+                delivered += 1;
+                let line = Response::Point {
+                    id: id.to_string(),
+                    index,
+                    machine,
+                    window,
+                    md,
+                    cycles,
+                };
+                emit(line, &mut batched);
+            }
+            SweepUpdate::Settled { cached: hit } => cached += u64::from(hit),
+            SweepUpdate::Failed { index, message } => {
+                failed += 1;
+                let line = Response::Error {
+                    id: Some(id.to_string()),
+                    message: format!("point {index} failed: {message}"),
+                };
+                emit(line, &mut failures);
+            }
+            SweepUpdate::Dropped => {}
+            SweepUpdate::Aborted => aborted += 1,
+        }
+    }
+    batched.sort_by_key(|line| match line {
+        Response::Point { index, .. } => *index,
+        _ => usize::MAX,
+    });
+    for line in batched.iter().chain(&failures) {
+        write_line(writer, line);
+    }
+    // Every point settles exactly once, so whatever was neither delivered,
+    // aborted nor failed was dropped — which also keeps the accounting
+    // balanced should a source end short of its total.
+    let dropped = total.saturating_sub(delivered + aborted + failed);
+    // One status per request, by severity (see `DoneStatus`).
+    let status = if timed_out {
+        DoneStatus::Timeout
+    } else if failed > 0 {
+        DoneStatus::Error
+    } else if dropped + aborted > 0 {
+        DoneStatus::Cancelled
+    } else {
+        DoneStatus::Ok
+    };
+    write_line(
+        writer,
+        &Response::Done {
+            id: id.to_string(),
+            points: total,
+            delivered,
+            dropped,
+            aborted,
+            failed,
+            cached,
+            status,
+        },
+    );
+}
+
+/// One in-flight request of a connection, as the reader loop tracks it.
+struct Active {
+    cancel: Canceller,
+    finished: Arc<AtomicBool>,
+}
+
+/// Serves one client connection: reads newline-delimited requests from
+/// `reader` until end of file, writes tagged responses to `writer`.
+/// Several sweeps may be in flight at once (each drains on its own
+/// thread); the call returns once the input is exhausted *and* every
+/// submitted sweep has written its `done` line.
+///
+/// The connection registers with the backend (on a single server: for
+/// per-client admission control, with its live point count in `stats` as
+/// `client_<id>=`).  A `shutdown` request stops the whole backend
+/// admitting new sweeps and, in abort mode, cancels in-flight work
+/// everywhere; this connection then stops reading further requests (its
+/// in-flight drainers still finish).
+///
+/// # Errors
+///
+/// Propagates read errors on the request stream; client-side write errors
+/// only stop the affected response stream.
+pub fn serve_connection<B, R, W>(backend: &Arc<B>, reader: R, writer: W) -> io::Result<()>
+where
+    B: SweepBackend,
+    R: BufRead,
+    W: Write + Send,
+{
+    serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), false)
+}
+
+/// Runs the same requests *sequentially in-process* — each sweep drains to
+/// completion, in grid order, before the next line is read — producing the
+/// canonical output the streamed server paths are diffed against (the
+/// `--local` mode of the binary, used by `scripts/serve_smoke.sh`).
+/// `cancel` finds nothing in flight; `shutdown` stops reading.
+///
+/// # Errors
+///
+/// Propagates read errors.
+pub fn serve_local<B, R, W>(backend: &Arc<B>, reader: R, writer: W) -> io::Result<()>
+where
+    B: SweepBackend,
+    R: BufRead,
+    W: Write + Send,
+{
+    serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), true)
+}
+
+/// The reader loop behind [`serve_connection`] and [`serve_local`].
+/// `acking` counts the accept loop's connections still acknowledging a
+/// `shutdown`: raised before the backend is told to stop, lowered once the
+/// ack line is written.  `sequential` drains each sweep in grid order, with
+/// no deadline, before reading on.
+fn serve_requests<B, R, W>(
+    backend: &B,
+    reader: R,
+    writer: W,
+    acking: &AtomicUsize,
+    sequential: bool,
+) -> io::Result<()>
+where
+    B: SweepBackend,
+    R: BufRead,
+    W: Write + Send,
+{
+    let writer = Mutex::new(writer);
+    let client = backend.register();
+    let error = |id: String, message: String| Response::Error {
+        id: Some(id),
+        message,
+    };
+    // Scoped drainer threads: every submitted sweep is joined (its `done`
+    // line written) before this call returns, even on a read error.
+    std::thread::scope(|scope| {
+        let mut active: HashMap<String, Active> = HashMap::new();
+        for line in reader.lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            let response = match parse_request(&line) {
+                Err(e) => Response::Error {
+                    id: e.id,
+                    message: e.message,
+                },
+                Ok(Request::Stats) => Response::Stats {
+                    fields: backend.stats_fields(),
+                },
+                Ok(Request::Cache { action }) => backend.cache_action(action),
+                Ok(Request::Shutdown { mode }) => {
+                    acking.fetch_add(1, Ordering::SeqCst);
+                    backend.shutdown(mode);
+                    write_line(&writer, &Response::Shutdown { mode });
+                    acking.fetch_sub(1, Ordering::SeqCst);
+                    // Stop reading: nothing this connection could send
+                    // would be admitted.  The scope still joins the
+                    // in-flight drainers, so their `done` lines land.
+                    break;
+                }
+                Ok(Request::Cancel { id }) => match active.get(&id) {
+                    Some(request) if !request.finished.load(Ordering::Acquire) => {
+                        (request.cancel)();
+                        Response::Cancelled { id }
+                    }
+                    _ => error(id, "no such active request".to_string()),
+                },
+                Ok(Request::Sweep(mut request)) => {
+                    if sequential {
+                        // Local output is the order-independent oracle:
+                        // batch order, no deadline.
+                        request.mode = DeliveryMode::Batch;
+                        request.deadline_ms = None;
+                    }
+                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
+                    let submitted = if active.contains_key(&request.id) {
+                        Err(SubmitError::Rejected(
+                            "request id already active".to_string(),
+                        ))
+                    } else if backend.is_shutting_down() {
+                        Err(SubmitError::Rejected(SHUTTING_DOWN.to_string()))
+                    } else {
+                        backend.submit_sweep(&request, &client)
+                    };
+                    match submitted {
+                        Err(SubmitError::Busy {
+                            queued,
+                            limit,
+                            retry_after_ms,
+                        }) => Response::Busy {
+                            id: request.id,
+                            queued,
+                            limit,
+                            retry_after_ms,
+                        },
+                        Err(SubmitError::Rejected(message)) => error(request.id, message),
+                        Ok(events) if sequential => {
+                            drain(backend, events, &request, &writer);
+                            continue;
+                        }
+                        Ok(events) => {
+                            let finished = Arc::new(AtomicBool::new(false));
+                            let cancel = events.canceller();
+                            let tracked = Arc::clone(&finished);
+                            active.insert(request.id.clone(), Active { cancel, finished });
+                            let writer = &writer;
+                            scope.spawn(move || {
+                                drain(backend, events, &request, writer);
+                                tracked.store(true, Ordering::Release);
+                            });
+                            continue;
+                        }
+                    }
+                }
+            };
+            write_line(&writer, &response);
+        }
+        Ok(())
+    })
+}
+
+/// The accept loop behind [`serve_tcp`] and [`serve_unix`]: serves each
+/// connection `accept` yields on its own thread (`split` makes it blocking
+/// and clones its read half) until shutdown begins *and* every connection
+/// that sent `shutdown` has written its ack — so the process cannot exit
+/// between a backend's stop and the client's acknowledgement.
+fn accept_loop<B, S>(
+    backend: &Arc<B>,
+    mut accept: impl FnMut() -> io::Result<S>,
+    split: fn(&S) -> io::Result<S>,
+) -> io::Result<()>
+where
+    B: SweepBackend + 'static,
+    S: Read + Write + Send + 'static,
+{
+    let acking = Arc::new(AtomicUsize::new(0));
+    loop {
+        if backend.is_shutting_down() && acking.load(Ordering::SeqCst) == 0 {
+            return Ok(());
+        }
+        match accept() {
+            Ok(connection) => {
+                let backend = Arc::clone(backend);
+                let acking = Arc::clone(&acking);
+                std::thread::spawn(move || {
+                    if let Ok(read_half) = split(&connection) {
+                        let reader = BufReader::new(read_half);
+                        let _ = serve_requests(&*backend, reader, connection, &acking, false);
+                    }
+                });
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Accepts TCP connections until a `shutdown` request arrives (from any
+/// connection), serving each on its own thread over the shared backend.
+/// Returns once shutdown begins and its ack is written; the binary then
+/// waits for in-flight work to settle ([`await_drained`]) before exiting.
+///
+/// # Errors
+///
+/// Propagates accept errors (per-connection I/O errors only end that
+/// connection).
+pub fn serve_tcp<B: SweepBackend + 'static>(
+    backend: &Arc<B>,
+    listener: &TcpListener,
+) -> io::Result<()> {
+    // Non-blocking accept so the loop can observe shutdown: with no libc
+    // binding available there is no signal handling, and a blocking accept
+    // would pin the process past the shutdown verb.
+    listener.set_nonblocking(true)?;
+    accept_loop(
+        backend,
+        || listener.accept().map(|(connection, _)| connection),
+        |connection: &TcpStream| {
+            connection.set_nonblocking(false)?;
+            connection.try_clone()
+        },
+    )
+}
+
+/// Accepts Unix-domain connections until shutdown, serving each on its own
+/// thread over the shared backend (see [`serve_tcp`]).
+///
+/// # Errors
+///
+/// Propagates accept errors (per-connection I/O errors only end that
+/// connection).
+#[cfg(unix)]
+pub fn serve_unix<B: SweepBackend + 'static>(
+    backend: &Arc<B>,
+    listener: &std::os::unix::net::UnixListener,
+) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    accept_loop(
+        backend,
+        || listener.accept().map(|(connection, _)| connection),
+        |connection: &std::os::unix::net::UnixStream| {
+            connection.set_nonblocking(false)?;
+            connection.try_clone()
+        },
+    )
+}
+
+/// Blocks until the backend has no in-flight work (every point settled)
+/// or `timeout` passes — the exit path of the socket modes after shutdown.
+/// Returns whether the backend drained.
+pub fn await_drained<B: SweepBackend>(backend: &Arc<B>, timeout: Duration) -> bool {
+    let give_up = Instant::now() + timeout;
+    while backend.in_flight() > 0 {
+        if Instant::now() >= give_up {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    true
+}

@@ -23,7 +23,7 @@
 //!                                backends by consistent hashing on each
 //!                                point's sweep-cache key, and points lost to
 //!                                a dead backend are re-dispatched to the
-//!                                survivors (composes with --stdin or --tcp;
+//!                                survivors (composes with every mode above;
 //!                                the session flags do not apply — caching
 //!                                happens on the backends)
 //!       --retry-timeout-ms N     coordinator only: re-dispatch a point that
@@ -41,10 +41,10 @@
 
 use dae_core::SweepSession;
 use dae_serve::{
-    await_drained, serve_connection, serve_coordinator_connection, serve_coordinator_tcp,
-    serve_local, serve_tcp, Coordinator, CoordinatorConfig, SweepServer,
+    await_drained, serve_connection, serve_local, serve_tcp, Coordinator, CoordinatorConfig,
+    SweepBackend, SweepServer,
 };
-use std::io::BufReader;
+use std::io::{self, BufReader};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -75,7 +75,6 @@ fn main() -> ExitCode {
     let mut cache_dir: Option<String> = None;
     let mut backends: Option<Vec<String>> = None;
     let mut retry_timeout_ms: Option<u64> = None;
-    let mut session_flags = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -92,15 +91,9 @@ fn main() -> ExitCode {
                 Some(path) => mode = Mode::Local(path),
                 None => return usage(),
             },
-            "--no-cache" => {
-                cache = false;
-                session_flags = true;
-            }
+            "--no-cache" => cache = false,
             "--cache-dir" => match args.next() {
-                Some(dir) => {
-                    cache_dir = Some(dir);
-                    session_flags = true;
-                }
+                Some(dir) => cache_dir = Some(dir),
                 None => return usage(),
             },
             "--coordinator" => match args.next() {
@@ -129,19 +122,27 @@ fn main() -> ExitCode {
 
     if let Some(backends) = backends {
         // Coordinator mode owns no session: the session flags belong to the
-        // backends, and the file-driven oracle / unix modes are not wired.
-        if session_flags {
+        // backends.
+        if !cache || cache_dir.is_some() {
             eprintln!(
-                "dae-serve: --coordinator composes with --stdin or --tcp only; \
+                "dae-serve: --coordinator owns no session; \
                  pass --no-cache / --cache-dir to the backends instead"
             );
             return ExitCode::from(2);
         }
-        if matches!(mode, Mode::Unix(_) | Mode::Local(_)) {
-            eprintln!("dae-serve: --coordinator composes with --stdin or --tcp only");
-            return ExitCode::from(2);
+        let mut config = CoordinatorConfig::default();
+        if let Some(ms) = retry_timeout_ms {
+            config.retry_timeout = Duration::from_millis(ms);
         }
-        return run_coordinator(&backends, retry_timeout_ms, &mode);
+        let coordinator = match Coordinator::connect_with(&backends, config) {
+            Ok(coordinator) => Arc::new(coordinator),
+            Err(e) => {
+                eprintln!("dae-serve: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let what = format!("coordinating {} backends", backends.len());
+        return run(&coordinator, mode, &what);
     }
     if retry_timeout_ms.is_some() {
         eprintln!("dae-serve: --retry-timeout-ms needs --coordinator");
@@ -166,108 +167,55 @@ fn main() -> ExitCode {
             }
         }
     }
-
-    let result = match mode {
-        Mode::Stdin => {
-            eprintln!("dae-serve: serving stdin (cache {})", on_off(cache));
-            serve_connection(&server, std::io::stdin().lock(), std::io::stdout())
-        }
-        Mode::Tcp(addr) => match TcpListener::bind(&addr) {
-            Ok(listener) => {
-                eprintln!(
-                    "dae-serve: listening on tcp {} (cache {})",
-                    listener.local_addr().map_or(addr, |a| a.to_string()),
-                    on_off(cache)
-                );
-                serve_tcp(&server, &listener)
-            }
-            Err(e) => {
-                eprintln!("dae-serve: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Mode::Unix(path) => serve_unix_at(&server, &path, cache),
-        Mode::Local(path) => match std::fs::File::open(&path) {
-            Ok(file) => serve_local(&server, BufReader::new(file), std::io::stdout()),
-            Err(e) => {
-                eprintln!("dae-serve: cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    // Socket modes return from their accept loops when a `shutdown`
-    // request arrives; give the in-flight drainers a bounded window to
-    // write their final `done` lines before the process exits.
-    if server.is_shutting_down() && !await_drained(&server, DRAIN_TIMEOUT) {
-        eprintln!("dae-serve: shutdown drain timed out with work still queued");
-        return ExitCode::FAILURE;
-    }
+    let code = run(&server, mode, if cache { "cache on" } else { "cache off" });
     // Compact the persistent log down to the resident entries so the next
-    // launch replays exactly the warm set.  Every exit path above has
-    // settled in-flight work by now.
+    // launch replays exactly the warm set.
     if cache_dir.is_some() {
         if let Err(e) = server.persist_cache() {
             eprintln!("dae-serve: cache store compaction failed: {e}");
             return ExitCode::FAILURE;
         }
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dae-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    code
 }
 
-/// Runs the binary as a shard coordinator over `backends` (see the crate
-/// docs and `docs/PROTOCOL.md` § "Shard coordinator").
-fn run_coordinator(backends: &[String], retry_timeout_ms: Option<u64>, mode: &Mode) -> ExitCode {
-    let mut config = CoordinatorConfig::default();
-    if let Some(ms) = retry_timeout_ms {
-        config.retry_timeout = Duration::from_millis(ms);
-    }
-    let coordinator = match Coordinator::connect_with(backends, config) {
-        Ok(coordinator) => Arc::new(coordinator),
-        Err(e) => {
-            eprintln!("dae-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Serves `mode` over `backend` (a local server or a coordinator; `what`
+/// describes it in the startup banner), then gives in-flight work a
+/// bounded window to settle after a `shutdown`.  Failures are reported on
+/// stderr.
+fn run<B: SweepBackend + 'static>(backend: &Arc<B>, mode: Mode, what: &str) -> ExitCode {
     let result = match mode {
         Mode::Stdin => {
-            eprintln!(
-                "dae-serve: coordinating {} backends on stdin",
-                backends.len()
-            );
-            serve_coordinator_connection(&coordinator, std::io::stdin().lock(), std::io::stdout())
+            eprintln!("dae-serve: serving stdin ({what})");
+            serve_connection(backend, io::stdin().lock(), io::stdout())
         }
-        Mode::Tcp(addr) => match TcpListener::bind(addr) {
+        Mode::Tcp(addr) => match TcpListener::bind(&addr) {
             Ok(listener) => {
                 eprintln!(
-                    "dae-serve: listening on tcp {} (coordinating {} backends)",
-                    listener
-                        .local_addr()
-                        .map_or_else(|_| addr.clone(), |a| a.to_string()),
-                    backends.len()
+                    "dae-serve: listening on tcp {} ({what})",
+                    listener.local_addr().map_or(addr, |a| a.to_string())
                 );
-                serve_coordinator_tcp(&coordinator, &listener)
+                serve_tcp(backend, &listener)
             }
             Err(e) => {
                 eprintln!("dae-serve: cannot bind {addr}: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        // main() refused these combinations already.
-        Mode::Unix(_) | Mode::Local(_) => {
-            eprintln!("dae-serve: --coordinator composes with --stdin or --tcp only");
-            return ExitCode::from(2);
-        }
+        Mode::Unix(path) => serve_unix_at(backend, &path, what),
+        Mode::Local(path) => match std::fs::File::open(&path) {
+            Ok(file) => serve_local(backend, BufReader::new(file), io::stdout()),
+            Err(e) => {
+                eprintln!("dae-serve: cannot open {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
     };
-    // Mirror the single-server drain: give re-dispatches and in-flight
-    // backend work a bounded window to settle before exiting.
-    if coordinator.is_shutting_down() && !coordinator.await_settled(DRAIN_TIMEOUT) {
-        eprintln!("dae-serve: shutdown drain timed out with points still pending");
+    // Socket modes return from their accept loops once a `shutdown` has
+    // been acknowledged; the drainers' final `done` lines and the
+    // coordinator's re-dispatches still need a bounded window to land.
+    if backend.is_shutting_down() && !await_drained(backend, DRAIN_TIMEOUT) {
+        eprintln!("dae-serve: shutdown drain timed out with work still in flight");
         return ExitCode::FAILURE;
     }
     match result {
@@ -279,29 +227,26 @@ fn run_coordinator(backends: &[String], retry_timeout_ms: Option<u64>, mode: &Mo
     }
 }
 
-fn on_off(enabled: bool) -> &'static str {
-    if enabled {
-        "on"
-    } else {
-        "off"
-    }
-}
-
 #[cfg(unix)]
-fn serve_unix_at(server: &Arc<SweepServer>, path: &str, cache: bool) -> std::io::Result<()> {
+fn serve_unix_at<B: SweepBackend + 'static>(
+    backend: &Arc<B>,
+    path: &str,
+    what: &str,
+) -> io::Result<()> {
     // A previous run's socket file would make the bind fail.
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)?;
-    eprintln!(
-        "dae-serve: listening on unix {path} (cache {})",
-        on_off(cache)
-    );
-    dae_serve::serve_unix(server, &listener)
+    eprintln!("dae-serve: listening on unix {path} ({what})");
+    dae_serve::serve_unix(backend, &listener)
 }
 
 #[cfg(not(unix))]
-fn serve_unix_at(_server: &Arc<SweepServer>, _path: &str, _cache: bool) -> std::io::Result<()> {
-    Err(std::io::Error::other(
+fn serve_unix_at<B: SweepBackend + 'static>(
+    _backend: &Arc<B>,
+    _path: &str,
+    _what: &str,
+) -> io::Result<()> {
+    Err(io::Error::other(
         "unix-domain sockets are not available on this platform",
     ))
 }

@@ -229,20 +229,27 @@ pub struct SweepRequest {
 
 impl SweepRequest {
     /// The request's grid in canonical order — machines outermost, then
-    /// windows, then memory differentials — addressed at the pinned
-    /// lowering `id`.  `point` responses carry this order's index.
+    /// windows, then memory differentials.  `point` responses carry this
+    /// order's index, on a single server and through the coordinator alike.
+    pub fn grid(&self) -> impl ExactSizeIterator<Item = (Machine, WindowSpec, Cycle)> + '_ {
+        let (windows, mds) = (self.windows.len(), self.mds.len());
+        // Index `i` is row-major over (machine, window, md).
+        (0..self.machines.len() * windows * mds).map(move |i| {
+            (
+                self.machines[i / (windows * mds)],
+                self.windows[i / mds % windows],
+                self.mds[i % mds],
+            )
+        })
+    }
+
+    /// The canonical grid ([`SweepRequest::grid`]) addressed at the pinned
+    /// lowering `id`.
     #[must_use]
     pub fn points(&self, id: TraceId) -> Vec<SweepPoint> {
-        let mut points =
-            Vec::with_capacity(self.machines.len() * self.windows.len() * self.mds.len());
-        for &machine in &self.machines {
-            for &window in &self.windows {
-                for &md in &self.mds {
-                    points.push((id, machine, window, md));
-                }
-            }
-        }
-        points
+        self.grid()
+            .map(|(machine, window, md)| (id, machine, window, md))
+            .collect()
     }
 }
 

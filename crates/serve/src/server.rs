@@ -12,13 +12,13 @@
 //! connection's client id: the pool serves interactive jobs before queued
 //! bulk grids and interleaves clients round-robin within a band.
 //!
-//! Each connection runs [`serve_connection`]: a reader loop that parses
-//! request lines and, per sweep, a detached *drainer* thread that copies
-//! the stream's results to the connection writer as tagged `point` lines
-//! (stream mode) or in grid order once complete (batch mode), followed by
-//! a `done` line.  Because every line is tagged with its request id, a
-//! client may keep several sweeps in flight and cancel any of them
-//! mid-flight ([`CancelToken`]).
+//! The server is the local [`SweepBackend`]: connections run the shared
+//! lifecycle ([`crate::serve_connection`]), whose per-sweep drainer
+//! threads copy each stream's results to the connection writer as tagged
+//! `point` lines (stream mode) or in grid order once complete (batch
+//! mode), followed by a `done` line.  Because every line is tagged with
+//! its request id, a client may keep several sweeps in flight and cancel
+//! any of them mid-flight ([`CancelToken`]).
 //!
 //! ## Fault tolerance
 //!
@@ -45,20 +45,19 @@
 //!   either drains or aborts in-flight work; the accept loops exit and the
 //!   binary terminates once the queue is empty.
 
-use crate::protocol::{
-    parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
-    SweepRequest,
+use crate::lifecycle::{
+    Canceller, SweepBackend, SweepEvents, SweepUpdate, UpdateWait, SHUTTING_DOWN,
 };
+use crate::protocol::{CacheAction, Response, ShutdownMode, SweepRequest};
 use dae_core::{
     CancelToken, RequestClass, StreamWait, SweepEvent, SweepSession, SweepStream, TraceId,
 };
 use dae_machines::pool_diagnostics;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Admission-control bounds for a [`SweepServer`].
 ///
@@ -107,8 +106,8 @@ pub enum SubmitError {
 /// A long-lived sweep service over one shared [`SweepSession`].
 ///
 /// Clone-free sharing: wrap it in an [`Arc`] and hand it to any number of
-/// connection handlers ([`serve_connection`], [`serve_tcp`],
-/// [`serve_unix`]).
+/// connection handlers ([`crate::serve_connection`], [`crate::serve_tcp`],
+/// `serve_unix`).
 #[derive(Debug)]
 pub struct SweepServer {
     state: Mutex<ServerState>,
@@ -271,13 +270,6 @@ impl SweepServer {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// Whether a `shutdown` request has been accepted (new sweeps are
-    /// refused from then on).
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
     /// The server state, recovering from mutex poisoning.  Every mutation
     /// under this lock is transactional (insertions of whole entries,
     /// counter bumps), so a panicking holder cannot leave torn state — and
@@ -303,34 +295,6 @@ impl SweepServer {
         }
     }
 
-    /// Stops admitting sweeps.  `Drain` lets in-flight work finish;
-    /// `Abort` additionally cancels every live submission (their `done`
-    /// lines still arrive, with the usual balanced accounting).
-    pub fn shutdown(&self, mode: ShutdownMode) {
-        self.shutting_down.store(true, Ordering::Release);
-        if mode == ShutdownMode::Abort {
-            let mut state = self.lock_state();
-            state.active.retain(|(live, token)| {
-                if live.upgrade().is_some() {
-                    token.cancel();
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-    }
-
-    /// [`SweepServer::submit_for`] without a client registration —
-    /// admission is checked against the global queue only.
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepServer::submit_for`].
-    pub fn submit(&self, request: &SweepRequest) -> Result<Submission, SubmitError> {
-        self.submit_for(request, None)
-    }
-
     /// Submits a sweep request: checks admission, resolves (pinning on
     /// first sight) the trace source, enqueues the grid on the shared
     /// session, and returns the result stream with its cancellation
@@ -349,11 +313,9 @@ impl SweepServer {
         client: Option<&ClientGuard<'_>>,
     ) -> Result<Submission, SubmitError> {
         if self.is_shutting_down() {
-            return Err(SubmitError::Rejected(
-                "server is shutting down; not accepting new sweeps".to_string(),
-            ));
+            return Err(SubmitError::Rejected(SHUTTING_DOWN.to_string()));
         }
-        let points = request.machines.len() * request.windows.len() * request.mds.len();
+        let points = request.grid().len();
         let key = (request.source.key(), request.iterations);
         // Admission + fast-path submit under one brief lock.  Only
         // submissions (which hold the lock) increment the depth counters,
@@ -458,22 +420,6 @@ impl SweepServer {
         }
     }
 
-    /// Applies a `cache` administration request and reports the cache's
-    /// state afterwards.  `Clear` empties the map, truncates the attached
-    /// store, and fences out every in-flight sweep's inserts; `Limit`
-    /// (re)bounds the resident set, evicting down immediately.
-    pub fn cache_action(&self, action: CacheAction) -> Response {
-        let mut state = self.lock_state();
-        match action {
-            CacheAction::Clear => state.session.clear_cache(),
-            CacheAction::Limit(limit) => state.session.set_cache_limit(limit),
-        }
-        Response::Cache {
-            entries: state.session.cache_stats().entries,
-            limit: state.session.cache_limit(),
-        }
-    }
-
     /// Attaches a persistent cache store rooted at `dir` to the shared
     /// session (see [`SweepSession::attach_cache_store`]), returning the
     /// number of records replayed into the cache.
@@ -497,19 +443,41 @@ impl SweepServer {
     pub fn persist_cache(&self) -> io::Result<()> {
         self.lock_state().session.persist_cache()
     }
+}
+
+/// The local backend: sweeps run on the shared session's worker pool.
+impl SweepBackend for SweepServer {
+    type Client<'a> = ClientGuard<'a>;
+
+    fn register(&self) -> ClientGuard<'_> {
+        self.register_client()
+    }
+
+    fn submit_sweep<'a>(
+        &'a self,
+        request: &SweepRequest,
+        client: &ClientGuard<'_>,
+    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
+        let submission = self.submit_for(request, Some(client))?;
+        Ok(Box::new(LocalEvents {
+            server: self,
+            submission,
+            settle: None,
+        }))
+    }
 
     /// The counters behind the `stats` reply: session activity, pin and
     /// sweep-result cache state, queue depth and per-client in-flight
     /// points, the fault-path counters, and the process-wide
     /// simulation-pool diagnostics (`dae_machines::pool_diagnostics`), in
     /// one flat list.
-    #[must_use]
-    pub fn stats_fields(&self) -> Vec<(String, u64)> {
+    fn stats_fields(&self) -> Vec<(String, u64)> {
         let state = self.lock_state();
         let stats = state.session.stats();
         let cache = state.session.cache_stats();
         let pools = pool_diagnostics();
         let pool_stats = rayon::global_pool_stats();
+        let count = |name: &str, n: &AtomicU64| (name.to_string(), n.load(Ordering::Relaxed));
         let mut fields = vec![
             ("pinned".to_string(), stats.pinned_traces),
             ("pin_hits".to_string(), stats.pin_hits),
@@ -526,27 +494,12 @@ impl SweepServer {
             ("warm_unit_takes".to_string(), pools.warm_unit_takes),
             ("fresh_unit_takes".to_string(), pools.fresh_unit_takes),
             ("template_hits".to_string(), pools.template_hits),
-            (
-                "queue_depth".to_string(),
-                self.queue_depth.load(Ordering::Relaxed) as u64,
-            ),
+            ("queue_depth".to_string(), self.queue_depth() as u64),
             ("clients".to_string(), state.clients.len() as u64),
-            (
-                "aborted_points".to_string(),
-                self.aborted_points.load(Ordering::Relaxed),
-            ),
-            (
-                "failed_points".to_string(),
-                self.failed_points.load(Ordering::Relaxed),
-            ),
-            (
-                "timeout_requests".to_string(),
-                self.timeout_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "busy_rejections".to_string(),
-                self.busy_rejections.load(Ordering::Relaxed),
-            ),
+            count("aborted_points", &self.aborted_points),
+            count("failed_points", &self.failed_points),
+            count("timeout_requests", &self.timeout_requests),
+            count("busy_rejections", &self.busy_rejections),
             ("worker_task_panics".to_string(), pool_stats.task_panics),
             // Work-stealing scheduler counters: steal traffic, claim-time
             // drops of cancelled jobs, and the per-band queue-depth gauges.
@@ -571,470 +524,110 @@ impl SweepServer {
         }
         fields
     }
-}
 
-/// One in-flight request of a connection, as the reader loop tracks it.
-struct Active {
-    token: CancelToken,
-    finished: Arc<AtomicBool>,
-}
-
-pub(crate) fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
-    // Poison recovery: a writer is a byte sink whose worst torn state is a
-    // partial line on a connection that is being abandoned anyway.
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    // A failed write means the client went away; callers use the signal to
-    // cancel the work they were relaying.
-    writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_ok()
-}
-
-/// Drains one submission to the shared connection writer: `point` lines
-/// (immediately in stream mode, sorted into grid order in batch mode),
-/// `error` lines for points whose simulation failed, and finally the
-/// request's `done` accounting line with its terminal status.
-///
-/// A deadline, when present, bounds the whole drain: on expiry the token
-/// is cancelled (running points abort mid-simulation) and the residue is
-/// collected with `status=timeout`.  A failed client write likewise
-/// cancels the token — dead-client cleanup stops simulating what no one
-/// will read, *including* the points already running.
-fn drain<W: Write>(
-    server: &SweepServer,
-    mut submission: Submission,
-    id: &str,
-    mode: DeliveryMode,
-    deadline_ms: Option<u64>,
-    writer: &Mutex<W>,
-) {
-    let total = submission.stream.total();
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let mut delivered = 0usize;
-    let mut cached = 0u64;
-    let mut batched: Vec<dae_core::StreamedPoint> = Vec::new();
-    let mut failures: Vec<Response> = Vec::new();
-    let point_line = |p: &dae_core::StreamedPoint| {
-        let (_, machine, window, md) = p.point;
-        Response::Point {
-            id: id.to_string(),
-            index: p.index,
-            machine,
-            window,
-            md,
-            cycles: p.cycles,
+    /// Applies a `cache` administration request and reports the cache's
+    /// state afterwards.  `Clear` empties the map, truncates the attached
+    /// store, and fences out every in-flight sweep's inserts; `Limit`
+    /// (re)bounds the resident set, evicting down immediately.
+    fn cache_action(&self, action: CacheAction) -> Response {
+        let mut state = self.lock_state();
+        match action {
+            CacheAction::Clear => state.session.clear_cache(),
+            CacheAction::Limit(limit) => state.session.set_cache_limit(limit),
         }
-    };
-    loop {
-        let event = match deadline.filter(|_| !timed_out) {
-            // Deadline armed: wait only for the remaining budget.
-            Some(at) => {
-                let budget = at.saturating_duration_since(Instant::now());
-                match submission.stream.next_event_timeout(budget) {
-                    StreamWait::Event(event) => event,
-                    StreamWait::Exhausted => break,
-                    StreamWait::TimedOut => {
-                        // Budget spent: cancel (running points abort at
-                        // their next engine poll) and drain the residue
-                        // without a deadline — it settles in microseconds.
-                        timed_out = true;
-                        server.timeout_requests.fetch_add(1, Ordering::Relaxed);
-                        submission.token.cancel();
-                        continue;
-                    }
+        Response::Cache {
+            entries: state.session.cache_stats().entries,
+            limit: state.session.cache_limit(),
+        }
+    }
+
+    /// Stops admitting sweeps.  `Drain` lets in-flight work finish;
+    /// `Abort` additionally cancels every live submission (their `done`
+    /// lines still arrive, with the usual balanced accounting).
+    fn shutdown(&self, mode: ShutdownMode) {
+        self.shutting_down.store(true, Ordering::Release);
+        if mode == ShutdownMode::Abort {
+            let mut state = self.lock_state();
+            state.active.retain(|(live, token)| {
+                if live.upgrade().is_some() {
+                    token.cancel();
+                    true
+                } else {
+                    false
                 }
-            }
-            None => match submission.stream.next_event() {
-                Some(event) => event,
-                None => break,
-            },
+            });
+        }
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.queue_depth()
+    }
+
+    fn note_timeout(&self) {
+        self.timeout_requests.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// A [`Submission`] as the shared drainer sees it: each settled event
+/// releases one point of admission and bumps the fault counters, and each
+/// delivered point is reported as its `Point` update followed by its
+/// `Settled` one.
+struct LocalEvents<'a> {
+    server: &'a SweepServer,
+    submission: Submission,
+    /// The cached flag of the point just reported, settled on the next
+    /// call.
+    settle: Option<bool>,
+}
+
+impl SweepEvents for LocalEvents<'_> {
+    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait {
+        if let Some(cached) = self.settle.take() {
+            return UpdateWait::Update(SweepUpdate::Settled { cached });
+        }
+        let stream = &mut self.submission.stream;
+        let wait = match deadline {
+            Some(at) => stream.next_event_timeout(at.saturating_duration_since(Instant::now())),
+            None => stream
+                .next_event()
+                .map_or(StreamWait::Exhausted, StreamWait::Event),
         };
-        submission.guard.release(1);
-        match event {
+        let event = match wait {
+            StreamWait::Event(event) => event,
+            StreamWait::TimedOut => return UpdateWait::TimedOut,
+            StreamWait::Exhausted => return UpdateWait::Exhausted,
+        };
+        self.submission.guard.release(1);
+        UpdateWait::Update(match event {
             SweepEvent::Point(point) => {
-                delivered += 1;
-                cached += u64::from(point.cached);
-                match mode {
-                    DeliveryMode::Stream => {
-                        if !write_line(writer, &point_line(&point)) {
-                            // The client is gone: stop simulating what no
-                            // one will read — pending points skip, running
-                            // points abort.  The stream still drains,
-                            // keeping the accounting consistent.
-                            submission.token.cancel();
-                        }
-                    }
-                    DeliveryMode::Batch => batched.push(point),
+                self.settle = Some(point.cached);
+                let (_, machine, window, md) = point.point;
+                SweepUpdate::Point {
+                    index: point.index,
+                    machine,
+                    window,
+                    md,
+                    cycles: point.cycles,
                 }
             }
-            SweepEvent::Skipped { .. } => {}
+            SweepEvent::Skipped { .. } => SweepUpdate::Dropped,
             SweepEvent::Aborted { .. } => {
-                server.aborted_points.fetch_add(1, Ordering::Relaxed);
+                self.server.aborted_points.fetch_add(1, Ordering::Relaxed);
+                SweepUpdate::Aborted
             }
             SweepEvent::Failed { index, message } => {
-                server.failed_points.fetch_add(1, Ordering::Relaxed);
-                let error = Response::Error {
-                    id: Some(id.to_string()),
-                    message: format!("point {index} failed: {message}"),
-                };
-                match mode {
-                    DeliveryMode::Stream => {
-                        if !write_line(writer, &error) {
-                            submission.token.cancel();
-                        }
-                    }
-                    DeliveryMode::Batch => failures.push(error),
-                }
+                self.server.failed_points.fetch_add(1, Ordering::Relaxed);
+                SweepUpdate::Failed { index, message }
             }
-        }
+        })
     }
-    if mode == DeliveryMode::Batch {
-        batched.sort_by_key(|p| p.index);
-        for point in &batched {
-            write_line(writer, &point_line(point));
-        }
-        for error in &failures {
-            write_line(writer, error);
-        }
+
+    fn canceller(&self) -> Canceller {
+        let token = self.submission.token.clone();
+        Arc::new(move || token.cancel())
     }
-    let aborted = submission.stream.aborted();
-    let failed = submission.stream.failed();
-    let dropped = submission.stream.skipped();
-    // One status per request, by severity (see `DoneStatus`).
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    let _ = write_line(
-        writer,
-        &Response::Done {
-            id: id.to_string(),
-            points: total,
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
-            status,
-        },
-    );
-}
-
-/// Serves one client connection: reads newline-delimited requests from
-/// `reader` until end of file, writes tagged responses to `writer`.
-/// Several sweeps may be in flight at once (each drains on its own
-/// thread); the call returns once the input is exhausted *and* every
-/// submitted sweep has written its `done` line.
-///
-/// The connection registers as a client for admission control: its sweeps
-/// are bounded by [`ServerLimits::max_client_in_flight`] and its live
-/// point count appears in `stats` as `client_<id>=`.  A `shutdown`
-/// request stops the whole server admitting new sweeps and, in abort
-/// mode, cancels in-flight work everywhere; this connection then stops
-/// reading further requests (its in-flight drainers still finish).
-///
-/// # Errors
-///
-/// Propagates read errors on the request stream; client-side write errors
-/// only stop the affected response stream.
-pub fn serve_connection<R, W>(server: &Arc<SweepServer>, reader: R, writer: W) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let writer = Mutex::new(writer);
-    let client = server.register_client();
-    // Scoped drainer threads: every submitted sweep is joined (its `done`
-    // line written) before this call returns, even on a read error.
-    std::thread::scope(|scope| {
-        let mut active: HashMap<String, Active> = HashMap::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_request(&line) {
-                Err(e) => {
-                    write_line(
-                        &writer,
-                        &Response::Error {
-                            id: e.id,
-                            message: e.message,
-                        },
-                    );
-                }
-                Ok(Request::Stats) => {
-                    write_line(
-                        &writer,
-                        &Response::Stats {
-                            fields: server.stats_fields(),
-                        },
-                    );
-                }
-                Ok(Request::Cache { action }) => {
-                    write_line(&writer, &server.cache_action(action));
-                }
-                Ok(Request::Shutdown { mode }) => {
-                    server.shutdown(mode);
-                    write_line(&writer, &Response::Shutdown { mode });
-                    // Stop reading: nothing this connection could send
-                    // would be admitted.  The scope still joins the
-                    // in-flight drainers, so their `done` lines land.
-                    break;
-                }
-                Ok(Request::Cancel { id }) => match active.get(&id) {
-                    Some(request) if !request.finished.load(Ordering::Acquire) => {
-                        request.token.cancel();
-                        write_line(&writer, &Response::Cancelled { id });
-                    }
-                    _ => {
-                        write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(id),
-                                message: "no such active request".to_string(),
-                            },
-                        );
-                    }
-                },
-                Ok(Request::Sweep(request)) => {
-                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
-                    if active.contains_key(&request.id) {
-                        write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "request id already active".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    match server.submit_for(&request, Some(&client)) {
-                        Err(SubmitError::Busy {
-                            queued,
-                            limit,
-                            retry_after_ms,
-                        }) => {
-                            write_line(
-                                &writer,
-                                &Response::Busy {
-                                    id: request.id,
-                                    queued,
-                                    limit,
-                                    retry_after_ms,
-                                },
-                            );
-                        }
-                        Err(SubmitError::Rejected(message)) => {
-                            write_line(
-                                &writer,
-                                &Response::Error {
-                                    id: Some(request.id),
-                                    message,
-                                },
-                            );
-                        }
-                        Ok(submission) => {
-                            let finished = Arc::new(AtomicBool::new(false));
-                            active.insert(
-                                request.id.clone(),
-                                Active {
-                                    token: submission.token.clone(),
-                                    finished: Arc::clone(&finished),
-                                },
-                            );
-                            let writer = &writer;
-                            let server = Arc::clone(server);
-                            let finished = Arc::clone(&finished);
-                            scope.spawn(move || {
-                                drain(
-                                    &server,
-                                    submission,
-                                    &request.id,
-                                    request.mode,
-                                    request.deadline_ms,
-                                    writer,
-                                );
-                                finished.store(true, Ordering::Release);
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-/// Runs the same requests *sequentially in-process* — each sweep drains to
-/// completion, in grid order, before the next line is read — producing the
-/// canonical output the streamed server paths are diffed against (the
-/// `--local` mode of the binary, used by `scripts/serve_smoke.sh`).
-/// `cancel` is rejected (nothing is ever in flight here); `shutdown` stops
-/// reading.
-///
-/// # Errors
-///
-/// Propagates read and write errors.
-pub fn serve_local<R, W>(server: &Arc<SweepServer>, reader: R, mut writer: W) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write,
-{
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line) {
-            Err(e) => Some(Response::Error {
-                id: e.id,
-                message: e.message,
-            }),
-            Ok(Request::Stats) => Some(Response::Stats {
-                fields: server.stats_fields(),
-            }),
-            Ok(Request::Cache { action }) => Some(server.cache_action(action)),
-            Ok(Request::Shutdown { mode }) => {
-                server.shutdown(mode);
-                writeln!(writer, "{}", Response::Shutdown { mode })?;
-                return Ok(());
-            }
-            Ok(Request::Cancel { id }) => Some(Response::Error {
-                id: Some(id),
-                message: "local mode runs requests to completion; nothing to cancel".to_string(),
-            }),
-            Ok(Request::Sweep(request)) => match server.submit(&request) {
-                Err(SubmitError::Busy { queued, limit, .. }) => Some(Response::Error {
-                    id: Some(request.id),
-                    message: format!("server busy ({queued} of {limit} points queued)"),
-                }),
-                Err(SubmitError::Rejected(message)) => Some(Response::Error {
-                    id: Some(request.id),
-                    message,
-                }),
-                Ok(submission) => {
-                    // Batch-order delivery regardless of the requested
-                    // mode: local output is the order-independent oracle.
-                    // Deadlines are ignored here for the same reason.
-                    let lock = Mutex::new(&mut writer);
-                    drain(
-                        server,
-                        submission,
-                        &request.id,
-                        DeliveryMode::Batch,
-                        None,
-                        &lock,
-                    );
-                    None
-                }
-            },
-        };
-        if let Some(response) = response {
-            writeln!(writer, "{response}")?;
-        }
-    }
-    Ok(())
-}
-
-/// How often the accept loops wake to check for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
-
-/// Accepts TCP connections until a `shutdown` request arrives (from any
-/// connection), serving each on its own thread over the shared server.
-/// Returns once shutdown begins; the binary then waits for the queue to
-/// drain ([`await_drained`]) before exiting.
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-pub fn serve_tcp(server: &Arc<SweepServer>, listener: &TcpListener) -> io::Result<()> {
-    // Non-blocking accept so the loop can observe shutdown: with no libc
-    // binding available there is no signal handling, and a blocking accept
-    // would pin the process past the shutdown verb.
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_connection(&server, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Accepts Unix-domain connections until shutdown, serving each on its own
-/// thread over the shared server (see [`serve_tcp`]).
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-#[cfg(unix)]
-pub fn serve_unix(
-    server: &Arc<SweepServer>,
-    listener: &std::os::unix::net::UnixListener,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_connection(&server, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Blocks until the server's queue is empty (every in-flight point
-/// settled) or `timeout` passes — the exit path of the socket modes after
-/// shutdown.  Returns whether the queue drained.
-pub fn await_drained(server: &SweepServer, timeout: Duration) -> bool {
-    let give_up = Instant::now() + timeout;
-    while server.queue_depth() > 0 {
-        if Instant::now() >= give_up {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    true
 }

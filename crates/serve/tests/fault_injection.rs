@@ -10,8 +10,8 @@
 
 use dae_core::{fault, SweepSession};
 use dae_serve::{
-    await_drained, parse_request, parse_response, serve_connection, serve_coordinator_connection,
-    serve_tcp, Coordinator, DoneStatus, Request, Response, ServerLimits, ShutdownMode, SweepServer,
+    await_drained, parse_request, parse_response, serve_connection, serve_tcp, Coordinator,
+    DoneStatus, Request, Response, ServerLimits, ShutdownMode, SweepBackend, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -573,7 +573,7 @@ fn spawn_backend(envs: &[(&str, &str)]) -> (Child, String) {
 }
 
 /// A connected loopback byte-stream pair (client half, server half), so a
-/// blocking `serve_coordinator_connection` can run on a thread while the
+/// blocking `serve_connection` can run on a thread while the
 /// test reads its output incrementally.
 fn socket_pair() -> (TcpStream, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind pair");
@@ -612,7 +612,7 @@ fn killing_a_backend_mid_grid_completes_the_sweep_bit_for_bit() {
     let serve = {
         let coordinator = Arc::clone(&coordinator);
         let reader = BufReader::new(server_half.try_clone().expect("clone server half"));
-        std::thread::spawn(move || serve_coordinator_connection(&coordinator, reader, server_half))
+        std::thread::spawn(move || serve_connection(&coordinator, reader, server_half))
     };
     let mut replies = BufReader::new(client.try_clone().expect("clone client half"));
 

@@ -5,8 +5,8 @@
 
 use dae_core::{SweepSession, TraceId};
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_coordinator_connection, serve_local,
-    serve_tcp, Coordinator, Request, Response, SweepServer,
+    parse_request, parse_response, serve_connection, serve_local, serve_tcp, Coordinator, Request,
+    Response, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -375,11 +375,17 @@ fn stdin_shaped_connections_serve_tagged_requests_and_stats() {
 }
 
 /// Spawns one real `dae-serve` backend process on an ephemeral TCP port
-/// and returns the child plus its dialable address (parsed from the
-/// binary's "listening on tcp" stderr line).
+/// and returns the child plus its dialable address.
 fn spawn_backend() -> (Child, String) {
+    spawn_serve(&["--tcp", "127.0.0.1:0"])
+}
+
+/// Spawns a `dae-serve` process with `args` (which must include a `--tcp`
+/// listener) and returns the child plus its dialable address (parsed from
+/// the binary's "listening on tcp" stderr line).
+fn spawn_serve(args: &[&str]) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dae-serve"))
-        .args(["--tcp", "127.0.0.1:0"])
+        .args(args)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -447,8 +453,7 @@ fn a_two_backend_coordinator_matches_single_server_and_session_bit_for_bit() {
         Arc::new(Coordinator::connect(&[addr_one, addr_two]).expect("connect the fleet"));
 
     let mut sharded = Vec::new();
-    serve_coordinator_connection(&coordinator, input.as_bytes(), &mut sharded)
-        .expect("coordinated serve");
+    serve_connection(&coordinator, input.as_bytes(), &mut sharded).expect("coordinated serve");
 
     let mut single = Vec::new();
     let server = Arc::new(SweepServer::new());
@@ -548,7 +553,7 @@ fn a_two_backend_coordinator_matches_single_server_and_session_bit_for_bit() {
     // A shutdown through the coordinator is acknowledged and fans out:
     // both backend processes exit.
     let mut shutdown_out = Vec::new();
-    serve_coordinator_connection(&coordinator, "shutdown\n".as_bytes(), &mut shutdown_out)
+    serve_connection(&coordinator, "shutdown\n".as_bytes(), &mut shutdown_out)
         .expect("shutdown path");
     let ack = String::from_utf8(shutdown_out).expect("utf8");
     assert!(
@@ -562,6 +567,31 @@ fn a_two_backend_coordinator_matches_single_server_and_session_bit_for_bit() {
     );
     await_exit(&mut backend_one, Duration::from_secs(20), "backend one");
     await_exit(&mut backend_two, Duration::from_secs(20), "backend two");
+}
+
+/// A `shutdown` sent over TCP to a `--tcp` coordinator is acknowledged
+/// before the coordinator exits, and it reaches both backends first: all
+/// three processes exit on their own.  Repeated, because an exit that
+/// raced the fan-out and the ack would lose the ack only some of the time.
+#[test]
+fn a_tcp_coordinator_acknowledges_shutdown_and_its_fleet_exits() {
+    for round in 0..12 {
+        let (mut backend_one, addr_one) = spawn_backend();
+        let (mut backend_two, addr_two) = spawn_backend();
+        let fleet = format!("{addr_one},{addr_two}");
+        let (mut coordinator, addr) =
+            spawn_serve(&["--coordinator", &fleet, "--tcp", "127.0.0.1:0"]);
+        let mut client = TcpStream::connect(&addr).expect("connect to the coordinator");
+        writeln!(client, "shutdown").expect("send shutdown");
+        let mut ack = String::new();
+        BufReader::new(client)
+            .read_line(&mut ack)
+            .expect("read the ack");
+        assert_eq!(ack.trim_end(), "shutdown mode=drain", "round {round}");
+        await_exit(&mut coordinator, Duration::from_secs(20), "coordinator");
+        await_exit(&mut backend_one, Duration::from_secs(20), "backend one");
+        await_exit(&mut backend_two, Duration::from_secs(20), "backend two");
+    }
 }
 
 /// The `cache` verb and `--cache-dir` persistence, end to end: a cold
