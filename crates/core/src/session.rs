@@ -17,11 +17,16 @@
 //!   so the second sweep on a session rebuilds no simulator buffers at all
 //!   (`dae_machines::pool_diagnostics` counts the warm checkouts, and the
 //!   session-vs-per-call benchmark entry pins the win).
-//! * **Batched and streaming delivery.**  [`SweepSession::sweep`] returns
-//!   results in point order after the grid completes;
+//! * **Batched and streaming delivery, one execution path.**
 //!   [`SweepSession::stream`] delivers each point the moment its worker
 //!   finishes — an iterator in *completion* order, no full-grid barrier —
 //!   which is the shape a resident service reports progress in.
+//!   [`SweepSession::sweep`] is that stream collected back into point
+//!   order ([`SweepStream::collect_ordered`]), so every grid shares one
+//!   submission, one per-point job (cancellation, panic isolation, fault
+//!   hooks) and one delivery accounting.  With the cache on, a point that
+//!   repeats an earlier miss of its grid is counted as a hit and rides
+//!   that point's simulation instead of running its own.
 //! * **Simulated scalar sweeps.**  A session carries a
 //!   [`ScalarMode`](crate::ScalarMode): figures default to the exact O(1)
 //!   analytic formula, ablations (functional-unit limits, caches) switch to
@@ -80,8 +85,8 @@
 //! * **Fault isolation.**  A panicking point is reported as a
 //!   [`SweepEvent::Failed`] through [`SweepStream::next_event`] (servers),
 //!   or re-thrown on the consuming thread by the plain [`Iterator`] path
-//!   (figure generators); either way the cache is never populated with a
-//!   partial result and the worker pool survives.
+//!   (figure generators and the batched API); either way the cache is
+//!   never populated with a partial result and the worker pool survives.
 //!
 //! Streamed, batched, one-shot (`LoweredTrace::sweep`), cached and
 //! naive-reference results are bit-for-bit identical —
@@ -281,21 +286,6 @@ struct CacheInner {
     store: Option<CacheStore>,
 }
 
-/// What a batched grid resolved against the cache in one locked pass (see
-/// [`SweepCache::resolve_batch`]).
-struct BatchResolution {
-    /// Per point: the cached figure, or `None` if it must be simulated.
-    resolved: Vec<Option<Cycle>>,
-    /// Per point: index into the deduplicated miss list (`usize::MAX` for
-    /// cache-resolved points).
-    slots: Vec<usize>,
-    /// Indices (into the submitted grid) of the distinct misses to
-    /// simulate, in first-occurrence order.
-    missing: Vec<usize>,
-    /// The generation to stamp the resulting inserts with.
-    generation: u64,
-}
-
 /// The shared half of the sweep-result cache: the session and every
 /// in-flight streamed job hold an `Arc` to it, so results computed after
 /// the submitting call returned still populate the cache.
@@ -316,27 +306,29 @@ impl SweepCache {
     }
 
     /// The current clear-fence generation (captured at submit time by
-    /// streamed grids, re-checked by [`SweepCache::insert`]).
+    /// every grid, re-checked by [`SweepCache::insert`]).
     fn generation(&self) -> u64 {
         self.inner().generation
     }
 
     /// The cached execution time of `key`, classifying the consultation
-    /// as a hit or a miss under the same lock that reads the map.
-    fn lookup(&self, key: &CacheKey) -> Option<Cycle> {
+    /// under the same lock that reads the map.  A resident entry is a hit;
+    /// so is a `repeat` — a point whose key an earlier point of the same
+    /// grid already missed on, which rides that point's simulation instead
+    /// of dispatching its own.  Anything else is a miss.
+    fn lookup(&self, key: &CacheKey, repeat: bool) -> Option<Cycle> {
         let inner = &mut *self.inner();
         inner.lookups += 1;
-        match inner.map.get(key).copied() {
-            Some(entry) => {
+        let entry = inner.map.get(key).copied();
+        match entry {
+            Some(_) => {
                 inner.hits += 1;
                 inner.map.touch(key);
-                Some(entry.cycles)
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
+            None if repeat => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        entry.map(|entry| entry.cycles)
     }
 
     /// Second-chance lookup for a worker that already holds a counted
@@ -349,45 +341,6 @@ impl SweepCache {
             inner.map.touch(key);
         }
         entry.map(|entry| entry.cycles)
-    }
-
-    /// Resolves a whole grid in one locked pass: cache hits, repeats
-    /// *within* the grid (deduplicated against the distinct-miss list)
-    /// and genuine misses are classified together, so the counters and
-    /// the map cannot diverge mid-grid.
-    fn resolve_batch(&self, keys: &[CacheKey]) -> BatchResolution {
-        let inner = &mut *self.inner();
-        let mut resolved = Vec::with_capacity(keys.len());
-        let mut slots = Vec::with_capacity(keys.len());
-        let mut missing = Vec::new();
-        let mut slot_of: HashMap<CacheKey, usize> = HashMap::new();
-        for (index, key) in keys.iter().enumerate() {
-            inner.lookups += 1;
-            if let Some(entry) = inner.map.get(key).copied() {
-                inner.hits += 1;
-                inner.map.touch(key);
-                resolved.push(Some(entry.cycles));
-                slots.push(usize::MAX);
-            } else if let Some(&slot) = slot_of.get(key) {
-                // A repeat of an unresolved point earlier in this grid:
-                // it rides that point's simulation, so it is a hit.
-                inner.hits += 1;
-                resolved.push(None);
-                slots.push(slot);
-            } else {
-                inner.misses += 1;
-                slot_of.insert(*key, missing.len());
-                resolved.push(None);
-                slots.push(missing.len());
-                missing.push(index);
-            }
-        }
-        BatchResolution {
-            resolved,
-            slots,
-            missing,
-            generation: inner.generation,
-        }
     }
 
     /// Records a simulated result, unless the cache was cleared since the
@@ -744,6 +697,7 @@ impl SweepSession {
 
     /// Runs a grid of `(machine, window, MD)` points against one pinned
     /// program, returning execution times in point order (batched API).
+    /// See [`SweepSession::sweep_multi`]; this blocks the same way.
     #[must_use]
     pub fn sweep(&mut self, id: TraceId, points: &[(Machine, WindowSpec, Cycle)]) -> Vec<Cycle> {
         let full: Vec<SweepPoint> = points
@@ -756,56 +710,24 @@ impl SweepSession {
     /// Runs a grid of points addressing any mix of pinned programs,
     /// returning execution times in point order (batched API).
     ///
-    /// With the cache enabled, points already resident are answered without
-    /// simulating, repeats *within* the grid are deduplicated, and only the
-    /// distinct misses are dispatched to the workers.
+    /// A batched grid is a streamed one collected in grid order
+    /// ([`SweepStream::collect_ordered`]): the same submission, per-point
+    /// job and cache accounting as [`SweepSession::stream`], counted in
+    /// [`SessionStats::batched_points`] instead.  The calling thread
+    /// blocks until every point has settled without running points
+    /// itself, so calling this from inside a worker-pool job ties up that
+    /// worker for the whole grid.
     ///
     /// # Panics
     ///
-    /// Panics if a point names a `TraceId` not pinned in this session.
+    /// Panics if a point names a `TraceId` not pinned in this session, and
+    /// re-throws (with the panic's message) a panic raised while
+    /// simulating a point.
     #[must_use]
     pub fn sweep_multi(&mut self, points: &[SweepPoint]) -> Vec<Cycle> {
         self.stats.batched_points += points.len() as u64;
-        let traces = &self.traces;
-        let scalar_mode = self.scalar_mode;
-        if !self.cache_enabled {
-            return points
-                .par_iter()
-                .map(|&(id, machine, window, md)| {
-                    traces[id.0].machine_cycles_in(machine, window, md, scalar_mode)
-                })
-                .collect();
-        }
-
-        // Resolve the whole grid against the cache in one locked pass
-        // (hits, in-grid repeats and distinct misses classified together);
-        // only the distinct misses are simulated, each timed so its entry
-        // carries the cost the eviction policy weighs.
-        let keys: Vec<CacheKey> = points
-            .iter()
-            .map(|&(id, machine, window, md)| (traces[id.0].content_hash(), machine, window, md))
-            .collect();
-        let resolution = self.cache.resolve_batch(&keys);
-        let computed: Vec<(Cycle, u64)> = resolution
-            .missing
-            .par_iter()
-            .map(|&index| {
-                let (id, machine, window, md) = points[index];
-                let started = Instant::now();
-                let cycles = traces[id.0].machine_cycles_in(machine, window, md, scalar_mode);
-                (cycles, started.elapsed().as_nanos() as u64)
-            })
-            .collect();
-        for (&index, &(cycles, cost_nanos)) in resolution.missing.iter().zip(&computed) {
-            self.cache
-                .insert(keys[index], cycles, cost_nanos, resolution.generation);
-        }
-        resolution
-            .resolved
-            .into_iter()
-            .zip(resolution.slots)
-            .map(|(cached, slot)| cached.unwrap_or_else(|| computed[slot].0))
-            .collect()
+        self.submit(points, &CancelToken::new(), RequestClass::default())
+            .collect_ordered()
     }
 
     /// Submits a grid of points and returns immediately with a stream that
@@ -833,7 +755,9 @@ impl SweepSession {
     /// returns they are already queued on the stream, marked
     /// [`StreamedPoint::cached`]); misses simulate on the workers and
     /// populate the cache as they finish, including after the submitting
-    /// call has returned.
+    /// call has returned.  A point repeating an earlier miss of the same
+    /// grid rides that point's simulation: it is delivered with the same
+    /// outcome when the simulation settles, marked cached if it finished.
     ///
     /// # Panics
     ///
@@ -868,87 +792,69 @@ impl SweepSession {
         class: RequestClass,
     ) -> SweepStream {
         self.stats.streamed_points += points.len() as u64;
+        self.submit(points, token, class)
+    }
+
+    /// The one submission path every grid takes.  With the cache on, each
+    /// point is classified once: a resident entry is delivered at once, the
+    /// first miss on a key becomes a job, and later points with that key
+    /// ride the job as followers.  Jobs are spawned only after the whole
+    /// grid is classified, so no job can settle before its followers are
+    /// known.  With the cache off every point is its own job.
+    fn submit(
+        &self,
+        points: &[SweepPoint],
+        token: &CancelToken,
+        class: RequestClass,
+    ) -> SweepStream {
         // Jobs carry the generation current at submit time; a clear_cache
         // between now and a job's completion bumps it, fencing the stale
         // insert out (the result still streams to the caller).
         let generation = self.cache.generation();
         let (tx, rx) = mpsc::channel();
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut job_of: HashMap<CacheKey, usize> = HashMap::new();
         for (index, &point) in points.iter().enumerate() {
-            let (id, machine, window, md) = point;
             if token.is_cancelled() {
-                let _ = tx.send(Delivery::Skipped(index));
+                let _ = tx.send((index, point, Outcome::Skipped));
                 continue;
             }
+            let (id, machine, window, md) = point;
             let key = (self.traces[id.0].content_hash(), machine, window, md);
             if self.cache_enabled {
-                if let Some(cycles) = self.cache.lookup(&key) {
-                    let _ = tx.send(Delivery::Done(StreamedPoint {
-                        index,
-                        point,
-                        cycles,
-                        cached: true,
-                    }));
+                let leader = job_of.get(&key).copied();
+                if let Some(cycles) = self.cache.lookup(&key, leader.is_some()) {
+                    let _ = tx.send((index, point, Outcome::Cached(cycles)));
                     continue;
                 }
+                if let Some(leader) = leader {
+                    jobs[leader].followers.push((index, point));
+                    continue;
+                }
+                job_of.insert(key, jobs.len());
             }
-            let trace = Arc::clone(&self.traces[id.0]);
+            jobs.push(Job {
+                index,
+                point,
+                key,
+                trace: Arc::clone(&self.traces[id.0]),
+                followers: Vec::new(),
+            });
+        }
+        for job in jobs {
             let scalar_mode = self.scalar_mode;
             let cache = self.cache_enabled.then(|| Arc::clone(&self.cache));
             let token = token.clone();
             let tx = tx.clone();
             let flag = token.flag();
             rayon::spawn_prioritized(class.priority, class.client, Some(flag), move || {
-                if token.is_cancelled() {
-                    let _ = tx.send(Delivery::Skipped(index));
-                    return;
+                let outcome = job.run(scalar_mode, &token, cache.as_deref(), generation);
+                // A send can only fail if the stream was dropped early; the
+                // remaining points are simply discarded then.
+                for &(index, point) in &job.followers {
+                    let _ = tx.send((index, point, outcome.for_follower()));
                 }
-                // Second-chance lookup: an identical point earlier in this
-                // (or a concurrent) grid may have finished in the meantime.
-                // `revisit` classifies nothing — this point was already
-                // counted as a miss at submit time.
-                if let Some(cycles) = cache.as_deref().and_then(|c| c.revisit(&key)) {
-                    let _ = tx.send(Delivery::Done(StreamedPoint {
-                        index,
-                        point,
-                        cycles,
-                        cached: true,
-                    }));
-                    return;
-                }
-                // The token doubles as the engine-facing abort flag: the
-                // run loop polls it and unwinds with `AbortedSimulation` if
-                // it is set, which the catch below tells apart from a real
-                // panic.  Fault-injection hooks (test-only, see
-                // [`crate::fault`]) fire inside the catch so an injected
-                // panic takes the same path a genuine one would.
-                let abort = token.abort_token();
-                let started = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    fault::on_point_start();
-                    with_abort_token(&abort, || {
-                        trace.machine_cycles_in(machine, window, md, scalar_mode)
-                    })
-                }));
-                // A send can only fail if the stream was dropped early;
-                // the remaining points are simply discarded then.  The
-                // cache is only written for completed points — an aborted
-                // or panicked simulation leaves no trace in it.
-                let _ = tx.send(match result {
-                    Ok(cycles) => {
-                        if let Some(cache) = &cache {
-                            let cost_nanos = started.elapsed().as_nanos() as u64;
-                            cache.insert(key, cycles, cost_nanos, generation);
-                        }
-                        Delivery::Done(StreamedPoint {
-                            index,
-                            point,
-                            cycles,
-                            cached: false,
-                        })
-                    }
-                    Err(payload) if payload.is::<AbortedSimulation>() => Delivery::Aborted(index),
-                    Err(payload) => Delivery::Panicked(index, payload),
-                });
+                let _ = tx.send((job.index, job.point, outcome));
             });
         }
         SweepStream {
@@ -960,12 +866,69 @@ impl SweepSession {
             failed: 0,
         }
     }
+}
 
-    /// Streams a grid and invokes `deliver` for every finished point (in
-    /// completion order) — the callback flavour of [`SweepSession::stream`].
-    pub fn stream_with(&mut self, points: &[SweepPoint], mut deliver: impl FnMut(StreamedPoint)) {
-        for point in self.stream(points) {
-            deliver(point);
+/// One simulation job of a submitted grid: the first point to miss on
+/// `key`, plus the later points of the same grid that ride its outcome.
+struct Job {
+    index: usize,
+    point: SweepPoint,
+    key: CacheKey,
+    trace: Arc<LoweredTrace>,
+    /// `(grid index, point)` of every in-grid repeat of `key`.
+    followers: Vec<(usize, SweepPoint)>,
+}
+
+impl Job {
+    /// The per-point job body: skip if cancelled, answer from the cache if
+    /// a concurrent grid finished the same point meanwhile, else simulate
+    /// under the token's abort flag with panics contained, and cache a
+    /// finished result (`cache` is `None` for cache-off sessions).
+    fn run(
+        &self,
+        scalar_mode: ScalarMode,
+        token: &CancelToken,
+        cache: Option<&SweepCache>,
+        generation: u64,
+    ) -> Outcome {
+        if token.is_cancelled() {
+            return Outcome::Skipped;
+        }
+        // Second-chance lookup: an identical point of a concurrent grid
+        // may have finished in the meantime.  `revisit` classifies nothing
+        // — this point was already counted as a miss at submit time.
+        if let Some(cycles) = cache.and_then(|c| c.revisit(&self.key)) {
+            return Outcome::Cached(cycles);
+        }
+        // The token doubles as the engine-facing abort flag: the run loop
+        // polls it and unwinds with `AbortedSimulation` if it is set, which
+        // the match below tells apart from a real panic.  Fault-injection
+        // hooks (test-only, see [`crate::fault`]) fire inside the catch so
+        // an injected panic takes the same path a genuine one would.
+        let (_, machine, window, md) = self.point;
+        let abort = token.abort_token();
+        let started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            fault::on_point_start();
+            with_abort_token(&abort, || {
+                self.trace
+                    .machine_cycles_in(machine, window, md, scalar_mode)
+            })
+        }));
+        // The cache is only written for completed points — an aborted or
+        // panicked simulation leaves no trace in it.
+        match result {
+            Ok(cycles) => {
+                if let Some(cache) = cache {
+                    let cost_nanos = started.elapsed().as_nanos() as u64;
+                    cache.insert(self.key, cycles, cost_nanos, generation);
+                }
+                Outcome::Simulated(cycles)
+            }
+            Err(payload) if payload.is::<AbortedSimulation>() => Outcome::Aborted,
+            // `as_ref` matters: `&payload` would unsize the Box itself into
+            // `dyn Any` and the downcasts would miss.
+            Err(payload) => Outcome::Failed(panic_message(payload.as_ref())),
         }
     }
 }
@@ -984,15 +947,31 @@ pub struct StreamedPoint {
     pub cached: bool,
 }
 
-/// What a streamed job sends back: a finished point, a cancellation skip,
-/// a mid-simulation abort, or a panic payload (with the point's grid index
-/// attached so event consumers can attribute the failure).
-enum Delivery {
-    Done(StreamedPoint),
-    Skipped(usize),
-    Aborted(usize),
-    Panicked(usize, Box<dyn std::any::Any + Send>),
+/// How one point settled: simulated, answered from the cache, skipped by
+/// cancellation, aborted mid-simulation, or failed with its panic's
+/// message.
+#[derive(Debug, Clone)]
+enum Outcome {
+    Simulated(Cycle),
+    Cached(Cycle),
+    Skipped,
+    Aborted,
+    Failed(String),
 }
+
+impl Outcome {
+    /// The outcome an in-grid repeat of this point is delivered with: the
+    /// same, except that a simulated result reaches it as a cached one.
+    fn for_follower(&self) -> Outcome {
+        match *self {
+            Outcome::Simulated(cycles) => Outcome::Cached(cycles),
+            ref other => other.clone(),
+        }
+    }
+}
+
+/// What a job (or the submitting call) sends back for one grid index.
+type Delivery = (usize, SweepPoint, Outcome);
 
 /// One stream outcome as seen by [`SweepStream::next_event`]: every
 /// submitted point produces exactly one event, so a consumer that counts
@@ -1037,11 +1016,12 @@ pub enum StreamWait {
 /// finishes.  Dropping the stream early abandons undelivered results (the
 /// in-flight simulations still complete on the workers).
 ///
-/// Two consumption styles exist.  The plain [`Iterator`] yields finished
-/// points only, silently accounting skips and aborts and **re-throwing** a
-/// worker panic on the consuming thread — the right semantics for figure
-/// generators, where a panicking simulation is a bug that should fail the
-/// run.  [`SweepStream::next_event`] yields every outcome as a
+/// Two consumption styles exist, accounted by the same code.  The plain
+/// [`Iterator`] yields finished points only, silently accounting skips and
+/// aborts and **re-throwing** a worker panic (as a `String` payload
+/// carrying its message) on the consuming thread — the right semantics
+/// for figure generators, where a panicking simulation is a bug that
+/// should fail the run.  [`SweepStream::next_event`] yields every outcome as a
 /// [`SweepEvent`] and never unwinds — the right semantics for a server,
 /// which must keep serving other clients when one request's point panics.
 #[derive(Debug)]
@@ -1075,8 +1055,8 @@ impl SweepStream {
         self.aborted
     }
 
-    /// Points whose simulation panicked, so far.  Only advanced by the
-    /// event API — the [`Iterator`] path re-throws the panic instead.
+    /// Points whose simulation panicked, so far (the [`Iterator`] path
+    /// counts the failure, then re-throws it).
     #[must_use]
     pub fn failed(&self) -> usize {
         self.failed
@@ -1084,26 +1064,30 @@ impl SweepStream {
 
     /// Accounts one delivery into the stream's counters and maps it to the
     /// public event.
-    fn account(&mut self, delivery: Delivery) -> SweepEvent {
+    fn account(&mut self, (index, point, outcome): Delivery) -> SweepEvent {
         self.remaining -= 1;
-        match delivery {
-            Delivery::Done(point) => SweepEvent::Point(point),
-            Delivery::Skipped(index) => {
+        let done = |cycles, cached| {
+            SweepEvent::Point(StreamedPoint {
+                index,
+                point,
+                cycles,
+                cached,
+            })
+        };
+        match outcome {
+            Outcome::Simulated(cycles) => done(cycles, false),
+            Outcome::Cached(cycles) => done(cycles, true),
+            Outcome::Skipped => {
                 self.skipped += 1;
                 SweepEvent::Skipped { index }
             }
-            Delivery::Aborted(index) => {
+            Outcome::Aborted => {
                 self.aborted += 1;
                 SweepEvent::Aborted { index }
             }
-            Delivery::Panicked(index, payload) => {
+            Outcome::Failed(message) => {
                 self.failed += 1;
-                SweepEvent::Failed {
-                    index,
-                    // `as_ref` matters: `&payload` would unsize the Box
-                    // itself into `dyn Any` and the downcasts would miss.
-                    message: panic_message(payload.as_ref()),
-                }
+                SweepEvent::Failed { index, message }
             }
         }
     }
@@ -1168,28 +1152,16 @@ impl Iterator for SweepStream {
     type Item = StreamedPoint;
 
     fn next(&mut self) -> Option<StreamedPoint> {
-        while self.remaining > 0 {
-            match self.rx.recv().expect("sweep workers disappeared") {
-                Delivery::Done(point) => {
-                    self.remaining -= 1;
-                    return Some(point);
-                }
-                // A cancelled point: account for it and keep draining.
-                Delivery::Skipped(_) => {
-                    self.remaining -= 1;
-                    self.skipped += 1;
-                }
-                // An abort mid-simulation: likewise accounted, not yielded.
-                Delivery::Aborted(_) => {
-                    self.remaining -= 1;
-                    self.aborted += 1;
-                }
+        loop {
+            match self.next_event()? {
+                SweepEvent::Point(point) => return Some(point),
+                // Cancelled or aborted points are accounted, not yielded.
+                SweepEvent::Skipped { .. } | SweepEvent::Aborted { .. } => {}
                 // A point's simulation panicked on its worker: re-throw
                 // here, on the thread consuming the stream.
-                Delivery::Panicked(_, payload) => resume_unwind(payload),
+                SweepEvent::Failed { message, .. } => resume_unwind(Box::new(message)),
             }
         }
-        None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1236,12 +1208,12 @@ mod tests {
         let id = session.pin_trace(&stream().trace(100));
         let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
         let mut seen = vec![false; full.len()];
-        session.stream_with(&full, |point| {
+        for point in session.stream(&full) {
             assert!(!seen[point.index], "point delivered twice");
             seen[point.index] = true;
             assert_eq!(point.point, full[point.index]);
             assert!(point.cycles > 0);
-        });
+        }
         assert!(seen.iter().all(|&s| s));
     }
 

@@ -1,7 +1,7 @@
 //! Session-level fault tolerance: cancellation aborts running points with
 //! balanced accounting, worker panics surface as events instead of
-//! unwinding the consumer, and neither ever leaves a partial result in the
-//! sweep cache.
+//! unwinding the consumer (or re-throw on a batched caller), and neither
+//! ever leaves a partial result in the sweep cache.
 //!
 //! The fault-injection hooks (`dae_core::fault`) are process-global, so
 //! every test in this binary serializes on [`FAULT_LOCK`] — including the
@@ -9,6 +9,7 @@
 
 use dae_core::{fault, CancelToken, Machine, SweepEvent, SweepPoint, SweepSession, WindowSpec};
 use dae_workloads::PerfectProgram;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -276,4 +277,88 @@ fn jobs_cancelled_while_queued_are_dropped_at_claim_time() {
     let clean: Vec<u64> = session.stream(&points).collect_ordered();
     let reference = session.sweep_multi(&points);
     assert_eq!(clean, reference);
+}
+
+/// A panicking point inside a *batched* sweep re-throws on the caller with
+/// its message, leaves no cache entry, and the next grid on the same
+/// session is bit-for-bit correct.  The grid repeats one point, so its one
+/// simulation job is the only one that can start — and fail.
+#[test]
+fn a_panicking_point_in_a_batched_sweep_rethrows_and_spares_the_cache() {
+    let _guard = faults();
+    let mut session = SweepSession::new();
+    let points = grid(&mut session);
+    let repeated = vec![points[0]; 3];
+
+    fault::panic_on_nth_start(1);
+    let thrown = catch_unwind(AssertUnwindSafe(|| session.sweep_multi(&repeated)))
+        .expect_err("the injected panic must reach the caller");
+    let message = thrown
+        .downcast_ref::<String>()
+        .expect("re-thrown with the panic's message");
+    assert!(message.contains("injected fault"), "message: {message}");
+    let stats = session.cache_stats();
+    assert_eq!(stats.entries, 0, "the failed point must not be cached");
+    assert_eq!(
+        (stats.lookups, stats.hits, stats.misses),
+        (3, 2, 1),
+        "the repeats rode the failed point's job"
+    );
+
+    // Post-fault: the next grid re-simulates the failed point and matches a
+    // cache-off reference session bit for bit.
+    fault::reset();
+    let mut reference = SweepSession::new();
+    reference.set_cache_enabled(false);
+    let reference_points = grid(&mut reference);
+    let expected = reference.sweep_multi(&reference_points);
+    assert_eq!(session.sweep_multi(&points), expected);
+    assert_eq!(session.cache_stats().entries, points.len());
+    assert_eq!(session.cache_stats().misses, 1 + points.len() as u64);
+}
+
+/// Cancelling a stream whose grid repeats points: followers settle with
+/// their job's skip or abort, every index is accounted exactly once and
+/// the totals balance.
+#[test]
+fn a_cancelled_stream_with_repeated_points_balances() {
+    let _guard = faults();
+    let mut session = SweepSession::new();
+    let distinct = grid(&mut session);
+    let points: Vec<SweepPoint> = (0..3).flat_map(|_| distinct.iter().copied()).collect();
+
+    fault::slow_every_point_ms(120);
+    let token = CancelToken::new();
+    let mut stream = session.stream_cancellable(&points, &token);
+    std::thread::sleep(Duration::from_millis(30));
+    token.cancel();
+
+    let mut seen = vec![false; points.len()];
+    let mut delivered = 0;
+    while let Some(event) = stream.next_event() {
+        let index = match event {
+            SweepEvent::Point(point) => {
+                delivered += 1;
+                point.index
+            }
+            SweepEvent::Skipped { index } | SweepEvent::Aborted { index } => index,
+            SweepEvent::Failed { index, message } => {
+                panic!("point {index} failed unexpectedly: {message}")
+            }
+        };
+        assert!(!seen[index], "point {index} settled twice");
+        seen[index] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "every point settles");
+    assert_eq!(delivered, 0, "no point can finish through the sleep");
+    assert_eq!(
+        delivered + stream.skipped() + stream.aborted() + stream.failed(),
+        stream.total(),
+        "accounting must balance"
+    );
+    assert_eq!(session.cache_stats().entries, 0);
+
+    fault::reset();
+    let clean: Vec<u64> = session.stream(&points).collect_ordered();
+    assert_eq!(clean, session.sweep_multi(&points));
 }

@@ -3,6 +3,7 @@
 
 struct Sim {
     data: Vec<u64>,
+    shared: std::sync::Arc<Vec<u64>>,
 }
 
 impl Sim {
@@ -13,6 +14,8 @@ impl Sim {
         self.data = mapped;
         let boxed = Box::new(0u64);
         let _ = *boxed;
+        let shared = Arc::clone(&self.shared);
+        let _ = shared.len();
         // lint:allow(hot-path-alloc): scratch label built once per sweep, not per event
         let label = format!("sim");
         let _ = label;

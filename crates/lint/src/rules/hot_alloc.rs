@@ -4,7 +4,11 @@
 //! with reuse counters; this rule pins the property statically.  Each
 //! [`HotRegion`](crate::config::HotRegion) names a file and the functions
 //! inside it that run per-event or per-cycle; any allocating construct in
-//! one of those bodies is a finding.  A designation that no longer matches
+//! one of those bodies is a finding, and so is an `Arc::clone` /
+//! `Rc::clone`: it allocates nothing, but its atomic (or plain) refcount
+//! write lands on a cache line every clone of the pointer shares, so a
+//! per-cycle clone of a program-wide list bounces that line between the
+//! cores simulating the same program.  A designation that no longer matches
 //! a function is *also* a finding ("stale hot-region designation"), so the
 //! config cannot silently rot as code is renamed.
 
@@ -12,6 +16,13 @@ use crate::config::LintConfig;
 use crate::diag::Diagnostic;
 use crate::lexer::SourceFile;
 use crate::rules::{suffix_match, Rule};
+
+/// Shared-refcount writes: no allocation, but a store to the pointee's
+/// count, which every clone of the pointer shares.
+const REFCOUNT_PATTERNS: &[(&[&str], &str)] = &[
+    (&["Arc", ":", ":", "clone"], "Arc::clone"),
+    (&["Rc", ":", ":", "clone"], "Rc::clone"),
+];
 
 /// Allocating token sequences.  `::` lexes as two `:` puncts.
 const PATTERNS: &[(&[&str], &str)] = &[
@@ -98,19 +109,23 @@ fn scan_body(file: &SourceFile, func: &str, start: usize, end: usize, out: &mut 
             i += 1;
             continue;
         }
-        let mut hit = None;
-        for (pat, name) in PATTERNS {
-            if file.match_seq(i, pat) && i + pat.len() <= end {
-                hit = Some(*name);
-                break;
-            }
-        }
-        if let Some(name) = hit {
+        let matching = |patterns: &[(&[&str], &'static str)]| {
+            patterns
+                .iter()
+                .find(|(pat, _)| file.match_seq(i, pat) && i + pat.len() <= end)
+                .map(|&(_, name)| name)
+        };
+        let hit = matching(PATTERNS)
+            .map(|name| format!("allocating construct `{name}`"))
+            .or_else(|| {
+                matching(REFCOUNT_PATTERNS).map(|name| format!("shared-refcount write `{name}`"))
+            });
+        if let Some(what) = hit {
             out.push(Diagnostic::new(
                 &file.path,
                 file.tokens[i].line,
                 "hot-path-alloc",
-                format!("allocating construct `{name}` in designated hot region `{func}`"),
+                format!("{what} in designated hot region `{func}`"),
             ));
             // Skip past the match so `.collect::<…>` does not double-report
             // via the `.collect(` pattern.

@@ -706,15 +706,17 @@ impl UnitSim {
             // into the cycle being drained — the detached chains are safe
             // to walk while handlers push.)
             let (mut complete, mut reeval) = self.events.take_at(at);
-            // Cheap pointer clone so the consumer walk does not re-borrow
-            // `self` (the list itself is immutable and shared).
-            let wakeups = Arc::clone(&self.wakeups);
             while complete != NIL_EVENT {
                 let (next, idx) = self.events.chain_next(complete);
                 complete = next;
-                // `idx` completed at `at`: wake its local consumers.
-                for &consumer in wakeups.of(idx as usize) {
-                    let consumer = consumer as usize;
+                // `idx` completed at `at`: wake its local consumers.  The
+                // list is re-indexed per consumer rather than held across
+                // `evaluate`'s `&mut self`; cloning the `Arc` instead would
+                // write its shared refcount every cycle, and that cache
+                // line bounces between workers simulating one program.
+                let idx = idx as usize;
+                for k in 0..self.wakeups.of(idx).len() {
+                    let consumer = self.wakeups.of(idx)[k] as usize;
                     self.remaining_local[consumer] -= 1;
                     if self.remaining_local[consumer] == 0
                         && self.state[consumer] == InstState::Waiting

@@ -3,7 +3,6 @@
 use crate::{classify, Dep, DepList, DepRole, ExecKind, MachineInst, MemTag, Trace, WakeupList};
 use dae_isa::{OpKind, UnitClass};
 use serde::{Deserialize, Serialize};
-use smallvec::SmallVec;
 use std::sync::Arc;
 
 /// How the partitioner decides which unit an instruction belongs to.
@@ -361,15 +360,10 @@ fn resolve_deps(
     sites: &mut [ValueSites],
     stats: &mut PartitionStats,
 ) -> DepList {
-    let producers: SmallVec<[usize; 2]> = inst
-        .deps
+    inst.deps
         .iter()
         .filter(|d| d.role == role)
-        .map(|d| d.producer)
-        .collect();
-    producers
-        .iter()
-        .map(|&p| resolve_value(p, target, au, du, sites, stats))
+        .map(|d| resolve_value(d.producer, target, au, du, sites, stats))
         .collect()
 }
 
@@ -383,10 +377,9 @@ fn resolve_all_deps(
     sites: &mut [ValueSites],
     stats: &mut PartitionStats,
 ) -> DepList {
-    let producers: SmallVec<[usize; 2]> = inst.deps.iter().map(|d| d.producer).collect();
-    producers
+    inst.deps
         .iter()
-        .map(|&p| resolve_value(p, target, au, du, sites, stats))
+        .map(|d| resolve_value(d.producer, target, au, du, sites, stats))
         .collect()
 }
 

@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
 # Records the simulator-throughput baseline.
 #
-# Runs the `cargo bench` suite (the criterion-stub harness dumps raw
-# per-benchmark timings when CRITERION_STUB_JSON is set) and the dedicated
-# event-vs-reference comparison binary, which writes
+# Runs the event-vs-reference comparison binary, which writes
 # BENCH_simulator_throughput.json at the repository root (stamped with the
 # commit hash it was measured at) and fails if any enforced speedup floor
 # is broken: DM 3.4x pipeline / 2.4x scheduler-only, SWSM 3.0x / 2.5x,
@@ -19,9 +17,4 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export CRITERION_STUB_JSON="target/criterion-raw.jsonl"
-rm -f "$CRITERION_STUB_JSON"
-cargo bench -q -p dae-bench --bench simulator_throughput
-
 cargo run --release -q -p dae-bench --bin bench_throughput
-echo "raw criterion timings: $CRITERION_STUB_JSON"

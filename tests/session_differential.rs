@@ -3,7 +3,8 @@
 //! `LoweredTrace::sweep`, and to the naive reference scheduler
 //! (`run_reference`) — on randomized point grids across all three
 //! machines, and across session reuse (multiple grids, multiple traces,
-//! back to back on one session).
+//! back to back on one session).  Grids that repeat points must also leave
+//! the same cache accounting whichever shape ran them.
 
 use dae::core::{
     dm_config, swsm_config, LoweredTrace, Machine, ScalarMode, SweepPoint, SweepSession, WindowSpec,
@@ -13,6 +14,7 @@ use dae::trace::Trace;
 use dae::workloads::random_kernel;
 use dae::PerfectProgram;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The naive-reference execution time of one sweep point: the retained
 /// seed scheduler driven cycle by cycle, constructed from scratch.
@@ -89,6 +91,47 @@ proptest! {
             .map(|(m, w, md)| decode_point(m, w, md))
             .collect();
         assert_all_paths_agree(&trace, &points);
+    }
+
+    /// Randomized grids that repeat points: batched and streamed sessions
+    /// agree with each other and the naive reference, and from equal fresh
+    /// sessions both shapes classify the grid identically — one miss per
+    /// distinct point, every repeat a hit riding that point's simulation.
+    #[test]
+    fn repeated_points_classify_alike_in_both_shapes(
+        seed in 0u64..4000,
+        raw_distinct in proptest::collection::vec((0u8..6, 0u8..10, 0u64..80), 1..4),
+        picks in proptest::collection::vec(0usize..4, 2..9)
+    ) {
+        let trace = dae::trace::expand(&random_kernel(seed, 12), 25);
+        prop_assume!(!trace.is_empty());
+        let distinct: Vec<_> = raw_distinct
+            .into_iter()
+            .map(|(m, w, md)| decode_point(m, w, md))
+            .collect();
+        let points: Vec<_> = picks.iter().map(|&i| distinct[i % distinct.len()]).collect();
+
+        let mut batched_session = SweepSession::new();
+        let b = batched_session.pin_trace(&trace);
+        let batched = batched_session.sweep(b, &points);
+        let mut streamed_session = SweepSession::new();
+        let s = streamed_session.pin_trace(&trace);
+        let full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (s, m, w, md)).collect();
+        let streamed = streamed_session.stream(&full).collect_ordered();
+
+        prop_assert_eq!(&batched, &streamed);
+        for (&(machine, window, md), &cycles) in points.iter().zip(&batched) {
+            prop_assert_eq!(cycles, reference_cycles(&trace, machine, window, md));
+        }
+        let (by_batch, by_stream) = (batched_session.cache_stats(), streamed_session.cache_stats());
+        prop_assert_eq!(
+            (by_batch.lookups, by_batch.hits, by_batch.misses, by_batch.entries),
+            (by_stream.lookups, by_stream.hits, by_stream.misses, by_stream.entries)
+        );
+        let unique: HashSet<_> = points.iter().collect();
+        prop_assert_eq!(by_stream.lookups, points.len() as u64);
+        prop_assert_eq!(by_stream.misses, unique.len() as u64);
+        prop_assert_eq!(by_stream.hits, (points.len() - unique.len()) as u64);
     }
 
     /// Randomized grids over the PERFECT workloads.
