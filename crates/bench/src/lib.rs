@@ -1,27 +1,22 @@
-//! # dae-bench — benchmark harness and experiment binaries
+//! # dae-bench — the experiment binaries
 //!
-//! This crate hosts two things:
+//! The binaries in `src/bin/` regenerate the paper's tables and figures
+//! and print them in the same rows/series shape the paper reports:
 //!
-//! * **Criterion benchmarks** (in `benches/`) that measure the throughput of
-//!   the simulators themselves and the cost of regenerating each table and
-//!   figure of the paper — `cargo bench -p dae-bench`;
-//! * **experiment binaries** (in `src/bin/`) that regenerate the paper's
-//!   tables and figures and print them in the same rows/series shape the
-//!   paper reports — for example:
-//!
-//!   ```text
-//!   cargo run --release -p dae-bench --bin table1_lhe
-//!   cargo run --release -p dae-bench --bin fig_speedup -- flo52q
-//!   cargo run --release -p dae-bench --bin fig_ewr -- mdg
-//!   cargo run --release -p dae-bench --bin claim_window_ratio
-//!   cargo run --release -p dae-bench --bin ablation_complexity
-//!   cargo run --release -p dae-bench --bin ablation_resources
-//!   cargo run --release -p dae-bench --bin ablation_bypass
-//!   ```
+//! ```text
+//! cargo run --release -p dae-bench --bin table1_lhe
+//! cargo run --release -p dae-bench --bin fig_speedup -- flo52q
+//! cargo run --release -p dae-bench --bin fig_ewr -- mdg
+//! cargo run --release -p dae-bench --bin claim_window_ratio
+//! cargo run --release -p dae-bench --bin ablation_complexity
+//! cargo run --release -p dae-bench --bin ablation_resources
+//! cargo run --release -p dae-bench --bin ablation_bypass
+//! ```
 //!
 //! This library part only provides the small amount of shared plumbing the
-//! binaries and benches need (argument parsing and the experiment
-//! configurations used at "paper scale" and "bench scale").
+//! binaries need: argument parsing and the paper-scale experiment
+//! configuration.  The repository benchmark (`perfbench/`) times the same
+//! figures at the same configuration.
 
 use dae_core::ExperimentConfig;
 use dae_workloads::PerfectProgram;
@@ -33,19 +28,6 @@ pub fn paper_config() -> ExperimentConfig {
     ExperimentConfig {
         iterations: 800,
         ..ExperimentConfig::paper_scale()
-    }
-}
-
-/// A lighter configuration used by the criterion benches so that a bench
-/// iteration stays in the tens-of-milliseconds range.
-#[must_use]
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig {
-        iterations: 200,
-        dm_windows: vec![8, 32, 128],
-        swsm_windows: vec![8, 32, 128],
-        equivalence_search_windows: vec![8, 16, 32, 64, 128, 256],
-        memory_differentials: vec![0, 60],
     }
 }
 
@@ -95,10 +77,10 @@ mod tests {
     #[test]
     fn configs_are_consistent() {
         let paper = paper_config();
-        let bench = bench_config();
-        assert!(paper.iterations > bench.iterations);
-        assert!(paper.memory_differentials.len() >= bench.memory_differentials.len());
-        assert!(!bench.dm_windows.is_empty());
+        let full = ExperimentConfig::paper_scale();
+        assert!(paper.iterations < full.iterations);
+        assert_eq!(paper.memory_differentials, full.memory_differentials);
+        assert!(!paper.dm_windows.is_empty());
     }
 
     #[test]

@@ -9,12 +9,11 @@ use dae_trace::{
     expand_swsm, lower_scalar, partition, ContentHasher, DecoupledProgram, ScalarProgram,
     SwsmProgram, Trace, TraceHash,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A window size: a finite number of entries or the paper's idealised
 /// unlimited window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WindowSpec {
     /// A finite window with this many entries (per unit, for the DM).
     Entries(usize),
@@ -43,7 +42,7 @@ impl fmt::Display for WindowSpec {
 }
 
 /// Which machine to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Machine {
     /// The access decoupled machine.
     Decoupled,
@@ -73,7 +72,7 @@ impl fmt::Display for Machine {
 /// what the formula describes (functional-unit limits, caches) switch a
 /// sweep session to [`ScalarMode::Simulated`], which runs the lowered
 /// scalar program through the pooled simulator like the other machines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ScalarMode {
     /// Evaluate the affine analytic formula, O(1) per point.
     #[default]
@@ -392,7 +391,7 @@ pub fn dm_window_curve(
 /// which grids are swept.  The defaults trade a few percent of fidelity for
 /// run time; `ExperimentConfig::paper_scale` uses the workloads' full
 /// default traces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Iterations each workload kernel is expanded for.
     pub iterations: u64,

@@ -17,7 +17,6 @@ use crate::{
 };
 use dae_isa::Cycle;
 use dae_workloads::PerfectProgram;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 // Every generator runs over a [`SweepSession`]: the public one-shot entry
@@ -34,7 +33,7 @@ use std::fmt;
 
 /// One row of Table 1: a program's latency-hiding effectiveness across DM
 /// window sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// The program.
     pub program: PerfectProgram,
@@ -43,7 +42,7 @@ pub struct Table1Row {
 }
 
 /// The reproduction of Table 1 of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// The memory differential the table was measured at (60 in the paper).
     pub memory_differential: Cycle,
@@ -159,7 +158,7 @@ impl fmt::Display for Table1 {
 // ---------------------------------------------------------------------------
 
 /// One curve of a speedup figure: a machine at a memory differential.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupSeries {
     /// The machine the curve belongs to.
     pub machine: Machine,
@@ -171,7 +170,7 @@ pub struct SpeedupSeries {
 
 /// The reproduction of one of figures 4–6: speedup against window size for
 /// the DM and the SWSM at MD = 0 and MD = 60.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupFigure {
     /// The program the figure is plotted for.
     pub program: PerfectProgram,
@@ -338,7 +337,7 @@ impl fmt::Display for SpeedupFigure {
 // ---------------------------------------------------------------------------
 
 /// One curve of an equivalent-window-ratio figure: one memory differential.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EwrSeries {
     /// The memory differential of the curve.
     pub memory_differential: Cycle,
@@ -350,7 +349,7 @@ pub struct EwrSeries {
 /// The reproduction of one of figures 7–9: the SWSM window size needed for
 /// performance equivalent to the DM, as a multiple of the DM window size,
 /// for a range of memory differentials.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EwrFigure {
     /// The program the figure is plotted for.
     pub program: PerfectProgram,
@@ -471,7 +470,7 @@ impl fmt::Display for EwrFigure {
 
 /// The equivalent-window ratios at a realistic DM window size for the whole
 /// suite (the paper's headline claim in §5/§6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowRatioClaim {
     /// The DM window size examined (the paper discusses 32–64).
     pub dm_window: usize,

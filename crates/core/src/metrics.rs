@@ -2,7 +2,6 @@
 //! equivalent window ratio.
 
 use dae_isa::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// `speedup = T_reference / T_machine`.
 ///
@@ -34,7 +33,7 @@ pub fn latency_hiding_effectiveness(perfect_cycles: Cycle, actual_cycles: Cycle)
 /// An execution-time-versus-window-size curve for one machine at one memory
 /// differential, used to answer "what window size would this machine need to
 /// match a given execution time?".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowCurve {
     /// `(window size, execution cycles)` points, sorted by window size.
     points: Vec<(usize, Cycle)>,

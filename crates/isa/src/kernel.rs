@@ -1,7 +1,6 @@
 //! Static kernels: the loop-body description used by workload generators.
 
 use crate::{Address, KernelError, OpKind, UnitClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a statement within a [`Kernel`].
@@ -14,7 +13,7 @@ pub type StmtId = usize;
 /// iteration (loop-carried), or values defined before the loop started
 /// (invariants).  There are no architectural registers: the paper assumes
 /// perfect renaming, so only true data dependences are represented.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// The value produced by an earlier statement of the *same* iteration.
     Local(StmtId),
@@ -65,7 +64,7 @@ impl Operand {
 /// an address is available from pure address arithmetic (strided patterns) or
 /// depends on a loaded value (indirect), because indirect addressing forces
 /// the address unit to wait on memory and erodes decoupling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressPattern {
     /// `base + iteration * stride` — a fully predictable affine stream.
     Strided {
@@ -131,7 +130,7 @@ impl AddressPattern {
 }
 
 /// The address specification attached to a load or store statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddressSpec {
     /// How the effective address evolves across iterations.
     pub pattern: AddressPattern,
@@ -175,7 +174,7 @@ impl AddressSpec {
 
 /// One statement of a kernel: an operation, its intended unit class, its
 /// operands and (for memory operations) its address behaviour.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement {
     /// The operation performed.
     pub op: OpKind,
@@ -236,7 +235,7 @@ impl Statement {
 /// These are *static* counts (per iteration of the loop body); dynamic
 /// counts are obtained by multiplying by the iteration count when the kernel
 /// is expanded into a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Total statements per iteration.
     pub statements: usize,
@@ -301,7 +300,7 @@ impl KernelStats {
 /// assert!(kernel.statements()[acc].has_carried_input());
 /// # Ok::<(), dae_isa::KernelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Kernel {
     name: String,
     description: String,

@@ -1,7 +1,6 @@
 //! Functional-unit latencies of the idealised machine.
 
 use crate::{Cycle, OpKind};
-use serde::{Deserialize, Serialize};
 
 /// Fixed execution latencies for arithmetic operations.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(lat.latency_of(OpKind::FpDiv) > lat.latency_of(OpKind::FpMul));
 /// assert_eq!(lat.latency_of(OpKind::Load), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyModel {
     /// Latency of integer / address arithmetic.
     pub int_alu: Cycle,

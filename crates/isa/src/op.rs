@@ -1,6 +1,5 @@
 //! Operation kinds of the idealised instruction set.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The operation classes distinguished by the paper's idealised machines.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert!(!OpKind::IntAlu.is_fp());
 /// assert_eq!(OpKind::Store.mnemonic(), "store");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
     /// Integer / address arithmetic (adds, shifts, compares, induction
     /// updates).  Single-cycle.

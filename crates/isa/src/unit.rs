@@ -1,6 +1,5 @@
 //! The access / compute partition classes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which instruction stream of the access decoupled machine an operation
@@ -28,7 +27,7 @@ use std::fmt;
 /// assert_eq!(UnitClass::Compute.other(), UnitClass::Access);
 /// assert_eq!(format!("{}", UnitClass::Access), "AU");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum UnitClass {
     /// The access stream, executed on the Address Unit (AU).
     Access,

@@ -4,7 +4,6 @@ use dae_isa::{Cycle, LatencyModel};
 use dae_mem::{DecoupledMemoryConfig, PrefetchBufferConfig};
 use dae_ooo::UnitConfig;
 use dae_trace::PartitionMode;
-use serde::{Deserialize, Serialize};
 
 /// Issue widths used throughout the paper: a combined issue width of 9,
 /// split 4/5 between the AU and DU of the decoupled machine (the paper's
@@ -17,7 +16,7 @@ pub const PAPER_DU_ISSUE_WIDTH: usize = 5;
 pub const PAPER_SWSM_ISSUE_WIDTH: usize = 9;
 
 /// Configuration of the access decoupled machine (DM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmConfig {
     /// The Address Unit (access stream) pipeline.
     pub au: UnitConfig,
@@ -100,7 +99,7 @@ impl Default for DmConfig {
 }
 
 /// Configuration of the single-window superscalar machine (SWSM).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwsmConfig {
     /// The single out-of-order pipeline.
     pub unit: UnitConfig,
@@ -170,7 +169,7 @@ impl Default for SwsmConfig {
 
 /// Configuration of the scalar reference machine used as the speedup
 /// denominator (1-wide, in-order, window of one, no prefetching).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalarConfig {
     /// The memory differential (extra cycles per memory access).
     pub memory_differential: Cycle,

@@ -4,10 +4,9 @@ use dae_isa::Cycle;
 use dae_mem::{DecoupledMemoryStats, PrefetchBufferStats};
 use dae_ooo::UnitStats;
 use dae_trace::{PartitionStats, SwsmStats};
-use serde::{Deserialize, Serialize};
 
 /// The part of a simulation result every machine shares.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutionSummary {
     /// Total execution time in cycles.
     pub cycles: Cycle,
@@ -48,7 +47,7 @@ impl ExecutionSummary {
 /// a single-window machine would need to cover the same set of in-flight
 /// instructions.  Because the AU slips ahead of the DU, the ESW can be much
 /// larger than the sum of the two physical windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EswStats {
     /// Largest effective single window observed (architectural
     /// instructions).
@@ -65,7 +64,7 @@ pub struct EswStats {
 }
 
 /// Result of running the access decoupled machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmResult {
     /// Shared execution summary.
     pub summary: ExecutionSummary,
@@ -90,7 +89,7 @@ impl DmResult {
 }
 
 /// Result of running the single-window superscalar machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwsmResult {
     /// Shared execution summary.
     pub summary: ExecutionSummary,
@@ -111,7 +110,7 @@ impl SwsmResult {
 }
 
 /// Result of running the scalar reference machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalarResult {
     /// Shared execution summary.
     pub summary: ExecutionSummary,

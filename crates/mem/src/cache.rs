@@ -8,10 +8,9 @@
 //! insensitive to that choice.
 
 use dae_isa::{Address, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a single cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be a power of two).
     pub sets: usize,
@@ -50,7 +49,7 @@ impl CacheConfig {
 }
 
 /// Hit / miss counters of a [`Cache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses.
     pub accesses: u64,
@@ -161,7 +160,7 @@ impl Cache {
 }
 
 /// Latencies of a two-level hierarchy terminating in main memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyLatency {
     /// Extra cycles for an L1 hit (beyond the register-access cycle).
     pub l1_hit: Cycle,

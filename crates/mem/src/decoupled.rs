@@ -2,7 +2,6 @@
 
 use crate::LruMap;
 use dae_isa::{Address, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the optional bypass in front of the decoupled memory.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// captures the temporal locality exposed by decoupling": if the AU requests
 /// an address whose data was fetched recently, the value can be supplied
 /// from the bypass instead of paying the full memory differential.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BypassConfig {
     /// How many recently returned cache-line addresses the bypass remembers.
     pub entries: usize,
@@ -28,7 +27,7 @@ impl Default for BypassConfig {
 }
 
 /// Configuration of the [`DecoupledMemory`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DecoupledMemoryConfig {
     /// Maximum number of load transactions resident at once (in flight from
     /// memory plus buffered awaiting consumption).  `None` models the
@@ -39,7 +38,7 @@ pub struct DecoupledMemoryConfig {
 }
 
 /// Counters of a [`DecoupledMemory`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecoupledMemoryStats {
     /// Load addresses received from the AU.
     pub load_requests: u64,

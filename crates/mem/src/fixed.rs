@@ -1,10 +1,9 @@
 //! The fixed-cost memory system (the paper's "memory differential" model).
 
 use dae_isa::{Address, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Access counters of a [`FixedLatencyMemory`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Total requests sent to the memory system.
     pub requests: u64,
@@ -39,7 +38,7 @@ pub struct MemoryStats {
 /// assert_eq!(arrival, 71); // 10 + 1 + 60
 /// assert_eq!(memory.stats().requests, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FixedLatencyMemory {
     differential: Cycle,
     stats: MemoryStats,

@@ -2,10 +2,9 @@
 
 use crate::{FxHashMap, LruMap};
 use dae_isa::{Address, Cycle};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`PrefetchBuffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PrefetchBufferConfig {
     /// Maximum number of entries; `None` models the paper's idealised
     /// (unbounded) buffer, `Some(n)` enables LRU replacement for the
@@ -14,7 +13,7 @@ pub struct PrefetchBufferConfig {
 }
 
 /// Counters of a [`PrefetchBuffer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefetchBufferStats {
     /// Prefetches inserted.
     pub prefetches: u64,

@@ -9,8 +9,6 @@
 //! module provides the parametric delay model used by the complexity
 //! ablation to turn the measured equivalent-window ratios into delay ratios.
 
-use serde::{Deserialize, Serialize};
-
 /// A quadratic model of the critical wakeup + selection delay of an issue
 /// window.
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// a delay of roughly 1.0 (arbitrary units); only *ratios* between
 /// configurations are ever used by the experiments, which is all the paper's
 /// argument needs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IssueLogicModel {
     /// Constant term (decode / drive overhead).
     pub c_fixed: f64,

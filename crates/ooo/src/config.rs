@@ -1,7 +1,5 @@
 //! Configuration of a single out-of-order unit.
 
-use serde::{Deserialize, Serialize};
-
 /// When an instruction's window slot is released.
 ///
 /// The paper's machines have no speculation and no precise-exception
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// reorder-buffer behaviour (in-order release at completion); the
 /// free-at-issue alternative is exercised by the resource-sensitivity
 /// ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RetirePolicy {
     /// Slots are released in program order, once the instruction (and every
     /// older one) has completed.
@@ -26,7 +24,7 @@ pub enum RetirePolicy {
 /// The paper's environment is idealised ("to provide the best opportunity
 /// for prefetching data"), so every limit defaults to unlimited; the
 /// restricted-issue ablation sets them to small numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FuConfig {
     /// Integer / address ALUs (also used by cross-unit copies); `None` is
     /// unlimited.
@@ -58,7 +56,7 @@ impl FuConfig {
 
 /// Configuration of one out-of-order unit (the AU, the DU, the SWSM's single
 /// pipeline, or the scalar reference).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitConfig {
     /// Instruction-window capacity; `None` models an unlimited window.
     pub window_size: Option<usize>,

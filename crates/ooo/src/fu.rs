@@ -3,10 +3,9 @@
 use crate::FuConfig;
 use dae_isa::OpKind;
 use dae_trace::{ExecKind, MachineInst};
-use serde::{Deserialize, Serialize};
 
 /// The three resource classes distinguished by the functional-unit model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuClass {
     /// Integer / address ALUs (also used for cross-unit copies).
     Int,

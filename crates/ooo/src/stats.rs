@@ -1,11 +1,10 @@
 //! Per-unit execution statistics.
 
 use dae_isa::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Counters accumulated by a [`UnitSim`](crate::UnitSim) while it executes a
 /// stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
     /// Cycles the unit was stepped.
     pub cycles: Cycle,

@@ -3,8 +3,7 @@
 //! Every figure of the paper is a (machine × window × memory-differential)
 //! sweep, and the reproduction's north star is a resident service rather
 //! than a batch tool.  This crate is the serving front end: a line-based
-//! protocol (newline-delimited requests and responses; the vendored serde
-//! stub has no real serialization, so the format is hand-written text —
+//! protocol (newline-delimited, hand-written text requests and responses —
 //! see `docs/PROTOCOL.md`) over one shared sweep session.
 //!
 //! * [`protocol`] — the wire format: [`Request`] / [`Response`] parsing

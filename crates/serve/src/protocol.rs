@@ -1,10 +1,8 @@
 //! The wire format of the sweep server.
 //!
-//! Everything is newline-delimited UTF-8 text — the vendored serde stub has
-//! no real serialization, so the protocol is a hand-written line format
-//! (swapping in a binary framing once the real crates are available is a
-//! contained change; see `docs/PROTOCOL.md` for the full specification and
-//! a worked transcript).  A request or response is one line; fields are
+//! Everything is newline-delimited UTF-8 text in a hand-written line format
+//! (see `docs/PROTOCOL.md` for the full specification and a worked
+//! transcript).  A request or response is one line; fields are
 //! space-separated `key=value` tokens after a leading verb, and only the
 //! trailing `msg=` field of an error may contain spaces.
 //!

@@ -2,7 +2,6 @@
 
 use crate::Trace;
 use dae_isa::{Cycle, LatencyModel};
-use serde::{Deserialize, Serialize};
 
 /// Results of the dataflow-limit analysis of a trace.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// the critical (longest dependence) path bounds how fast *any* machine with
 /// the given latencies can run the trace, and the ideal ILP is the average
 /// parallelism available if resources were infinite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataflowSummary {
     /// Length of the longest dependence chain, in cycles, when every memory
     /// access costs `1 + memory_differential` cycles.

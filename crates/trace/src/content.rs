@@ -7,12 +7,10 @@
 //! persisted to disk.  [`TraceHash`] is that key component: a 128-bit
 //! digest over a canonical word encoding of the lowered streams.
 //!
-//! The encoding is hand-rolled (no serde — the workspace's serde is a
-//! vendored stub with no real serialization) and deliberately exhaustive
-//! over everything the simulators read: per instruction the trace
-//! position, operation kind, execution kind, every dependence edge with
-//! its cross-unit flag, and the memory tag / effective address when
-//! present.  Wakeup lists and per-stream statistics are *derived* from
+//! The encoding is hand-rolled and deliberately exhaustive over
+//! everything the simulators read: per instruction the trace position,
+//! operation kind, execution kind, every dependence edge with its
+//! cross-unit flag, and the memory tag / effective address when present.  Wakeup lists and per-stream statistics are *derived* from
 //! the instruction streams deterministically at lowering time, so hashing
 //! the streams covers them.  Stream boundaries and lengths are folded in
 //! explicitly so concatenations cannot collide with splits.

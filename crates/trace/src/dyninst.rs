@@ -1,7 +1,6 @@
 //! Dynamic (architectural) instructions.
 
 use dae_isa::{Address, OpKind, UnitClass};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a dynamic instruction: its position in program order within
 /// a [`Trace`](crate::Trace).
@@ -14,7 +13,7 @@ pub type InstId = usize;
 /// consumed as *data*.  Memory operations are the only instructions that
 /// distinguish the two: every operand of a load is an address input, while a
 /// store consumes the value it writes as data and everything else as address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepRole {
     /// The value is used to form an effective address.
     Address,
@@ -23,7 +22,7 @@ pub enum DepRole {
 }
 
 /// A true data dependence of a dynamic instruction on an earlier one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DepEdge {
     /// The producing instruction (always earlier in program order).
     pub producer: InstId,
@@ -59,7 +58,7 @@ impl DepEdge {
 /// instruction also carries the workload generator's intended unit class
 /// (`unit_hint`), which the partitioner may use directly or cross-check
 /// against its own classification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynInst {
     /// Program-order position.
     pub id: InstId,

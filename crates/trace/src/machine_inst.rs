@@ -18,7 +18,6 @@
 //! `dae-ooo` and the machines in `dae-machines` share one instruction format.
 
 use dae_isa::{Address, OpKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Deref;
 
@@ -28,7 +27,7 @@ use std::ops::Deref;
 pub type MemTag = u32;
 
 /// How a lowered instruction executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecKind {
     /// A fixed-latency arithmetic operation (latency given by the
     /// [`LatencyModel`](dae_isa::LatencyModel) for [`MachineInst::op`]).
@@ -108,7 +107,7 @@ impl fmt::Display for ExecKind {
 /// whole instruction fits in 56 (asserted by a test below).  Streams are
 /// bounded far below 2³¹ — `UnitSim` already asserts `u32` index range —
 /// so the narrowing loses nothing.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dep(u32);
 
 /// Bit 31 of a packed [`Dep`]: set for cross-unit dependences.
@@ -182,7 +181,7 @@ impl fmt::Debug for Dep {
 /// the rare long list costs one extra indirection instead of widening every
 /// instruction by a full `Vec` header: with packed [`Dep`]s the whole list
 /// is 16 bytes, and `MachineInst` size is simulator cache pressure.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DepList(DepListRepr);
 
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -292,7 +291,7 @@ impl<'a> IntoIterator for &'a DepList {
 
 /// One lowered instruction, as dispatched into an instruction window by the
 /// simulators.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineInst {
     /// Program-order position of the architectural instruction this was
     /// lowered from (used for slippage and effective-single-window
@@ -361,7 +360,7 @@ impl MachineInst {
 }
 
 /// Simple aggregate counts over a lowered stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Number of lowered instructions.
     pub instructions: usize,

@@ -2,11 +2,10 @@
 
 use crate::{classify, Dep, DepList, DepRole, ExecKind, MachineInst, MemTag, Trace, WakeupList};
 use dae_isa::{OpKind, UnitClass};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How the partitioner decides which unit an instruction belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PartitionMode {
     /// Use the workload generator's per-statement unit tags (the "static
     /// partition by the compiler" of the paper).
@@ -19,7 +18,7 @@ pub enum PartitionMode {
 }
 
 /// Counters describing the structure of a partitioned program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionStats {
     /// Architectural instructions in the source trace.
     pub trace_instructions: usize,
@@ -81,7 +80,7 @@ impl PartitionStats {
 /// drivers can lower a trace once and share the result across every
 /// (window, memory-differential) simulation point without re-partitioning
 /// or deep-copying per run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecoupledProgram {
     /// The address-unit instruction stream, in program order.
     pub au: Arc<Vec<MachineInst>>,

@@ -2,12 +2,11 @@
 
 use crate::{Dep, DepList, ExecKind, MachineInst, MemTag, Trace, WakeupList};
 use dae_isa::OpKind;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A trace lowered for the scalar reference machine: loads block for the
 /// full memory latency, nothing is prefetched.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarProgram {
     /// The single instruction stream, in program order (reference counted
     /// so sweep drivers can share one lowering across simulation points).

@@ -3,11 +3,10 @@
 
 use crate::{Dep, DepList, DepRole, ExecKind, MachineInst, MemTag, Trace, WakeupList};
 use dae_isa::OpKind;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Counters describing an SWSM-lowered program.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwsmStats {
     /// Architectural instructions in the source trace.
     pub trace_instructions: usize,
@@ -34,7 +33,7 @@ impl SwsmStats {
 }
 
 /// A trace lowered for the single-window superscalar machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwsmProgram {
     /// The single instruction stream, in program order (reference counted
     /// so sweep drivers can share one lowering across simulation points).

@@ -2,12 +2,11 @@
 
 use crate::{DynInst, InstId};
 use dae_isa::{OpKind, UnitClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// Aggregate statistics of a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Total dynamic instructions.
     pub instructions: usize,
@@ -77,7 +76,7 @@ impl TraceStats {
 /// assert_eq!(trace.stats().stores, 100);
 /// # Ok::<(), dae_isa::KernelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     name: String,
     iterations: u64,

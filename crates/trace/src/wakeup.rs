@@ -16,11 +16,10 @@
 //!   machine to forward issue events between its two units.
 
 use crate::{Dep, MachineInst};
-use serde::{Deserialize, Serialize};
 
 /// An inverted dependence graph in compressed sparse row form: for each
 /// producer index, the consumer indices it must wake.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WakeupList {
     /// `offsets[p]..offsets[p + 1]` delimits producer `p`'s consumers in
     /// [`WakeupList::targets`].

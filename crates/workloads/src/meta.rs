@@ -2,7 +2,6 @@
 
 use dae_isa::Kernel;
 use dae_trace::{expand, Trace};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three latency-hiding-effectiveness bands of Table 1 of the paper.
@@ -11,7 +10,7 @@ use std::fmt;
 /// PERFECT programs split into programs that hide latency almost completely,
 /// a middle band, and programs that hide very little.  The workload models
 /// in this crate are calibrated to land in the same bands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LatencyHidingBand {
     /// Latency is almost completely hidden (LHE close to 1).
     High,
@@ -33,7 +32,7 @@ impl fmt::Display for LatencyHidingBand {
 }
 
 /// Descriptive metadata attached to a workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadMeta {
     /// Short name (the PERFECT program name for the suite workloads).
     pub name: String,
@@ -61,7 +60,7 @@ pub struct WorkloadMeta {
 /// assert_eq!(trace.iterations(), 100);
 /// assert!(trace.stats().loads > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     kernel: Kernel,
     meta: WorkloadMeta,

@@ -27,7 +27,6 @@
 
 use crate::{LatencyHidingBand, Workload, WorkloadMeta};
 use dae_isa::{Kernel, KernelBuilder, Operand, StmtId, UnitClass};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Base addresses of the simulated data regions, spaced far apart so the
@@ -358,7 +357,7 @@ pub fn track() -> Workload {
 
 /// The seven PERFECT Club programs modelled by this crate, in the order of
 /// Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PerfectProgram {
     /// Two-electron integral transformation.
     Trfd,

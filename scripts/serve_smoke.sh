@@ -6,9 +6,8 @@
 # grid-order output).  Sorting both sides removes the completion-order
 # nondeterminism; the cycles must match bit for bit.
 #
-# Scripts index: bench.sh records the throughput baseline, lint.sh runs
-# the dae-lint static analysis gate (docs/LINTS.md), and this file smokes
-# the server; CI runs all three.
+# Scripts index: lint.sh runs the dae-lint static analysis gate
+# (docs/LINTS.md), and this file smokes the server; CI runs both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

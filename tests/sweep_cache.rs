@@ -17,6 +17,7 @@ use dae::trace::Trace;
 use dae::workloads::random_kernel;
 use dae::PerfectProgram;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The naive-reference execution time of one sweep point: the retained
 /// seed scheduler driven cycle by cycle, constructed from scratch.
@@ -51,9 +52,10 @@ fn decode_point(machine: u8, window: u8, md: u64) -> (Machine, WindowSpec, u64) 
     (machine, window, md)
 }
 
-/// Runs `points` three ways — a caching session (twice, so the second run
-/// is answered from the cache), an uncached session, and the naive
-/// reference per point — and asserts bit-for-bit equality everywhere.
+/// Runs `points` four ways — a caching session (twice, so the second run
+/// is answered from the cache), a session whose cache is bounded at two
+/// entries, an uncached session, and the naive reference per point — and
+/// asserts bit-for-bit equality everywhere.
 fn assert_cached_uncached_and_reference_agree(
     trace: &Trace,
     points: &[(Machine, WindowSpec, u64)],
@@ -70,6 +72,32 @@ fn assert_cached_uncached_and_reference_agree(
     uncached.set_cache_enabled(false);
     let u = uncached.pin_trace(trace);
     let plain = uncached.sweep(u, points);
+
+    // A cache bounded well below the grid evicts on nearly every insert;
+    // eviction churn must never change a result.
+    let mut bounded = SweepSession::new();
+    bounded.set_cache_limit(Some(2));
+    let b = bounded.pin_trace(trace);
+    let bounded_full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (b, m, w, md)).collect();
+    for pass in [
+        bounded.sweep(b, points),
+        bounded.sweep(b, points),
+        bounded.stream(&bounded_full).collect_ordered(),
+    ] {
+        assert_eq!(pass, plain, "bounded-cache pass != uncached run");
+    }
+    let bounded_stats = bounded.cache_stats();
+    let distinct = points.iter().collect::<HashSet<_>>().len();
+    assert!(bounded_stats.entries <= 2, "the bound holds after eviction");
+    assert!(
+        bounded_stats.evictions >= distinct.saturating_sub(2) as u64,
+        "populating {distinct} distinct points through a bound of 2 evicts"
+    );
+    assert_eq!(
+        bounded_stats.hits + bounded_stats.misses,
+        bounded_stats.lookups,
+        "lookup classification is exact under eviction"
+    );
 
     assert_eq!(first, plain, "cached first run != uncached run");
     assert_eq!(second, plain, "cache-served repeat != uncached run");
