@@ -13,7 +13,7 @@
 //! ```
 
 use dae_bench::paper_config;
-use dae_core::{dm_cycles, swsm_window_curve, TextTable, WindowSpec};
+use dae_core::{Machine, SweepPoint, SweepSession, TextTable, WindowCurve, WindowSpec};
 use dae_machines::{PAPER_AU_ISSUE_WIDTH, PAPER_DU_ISSUE_WIDTH, PAPER_SWSM_ISSUE_WIDTH};
 use dae_ooo::IssueLogicModel;
 use dae_workloads::PerfectProgram;
@@ -31,11 +31,22 @@ fn main() {
         "issue-delay ratio".into(),
     ]);
 
-    for program in PerfectProgram::REPRESENTATIVE {
-        let trace = program.workload().trace(config.iterations);
-        let curve = swsm_window_curve(&trace, &config.equivalence_search_windows, md);
-        for dm_window in [16usize, 32, 64] {
-            let dm = dm_cycles(&trace, WindowSpec::Entries(dm_window), md);
+    let dm_windows = [16usize, 32, 64];
+    let search = &config.equivalence_search_windows;
+    let mut session = SweepSession::new();
+    let ids = session.pin_programs(&PerfectProgram::REPRESENTATIVE, config.iterations);
+    for (program, id) in PerfectProgram::REPRESENTATIVE.into_iter().zip(ids) {
+        // The SWSM search grid, then the DM windows, in one sweep.
+        let point = |machine, w| (id, machine, WindowSpec::Entries(w), md);
+        let mut points: Vec<SweepPoint> = search
+            .iter()
+            .map(|&w| point(Machine::Superscalar, w))
+            .collect();
+        points.extend(dm_windows.iter().map(|&w| point(Machine::Decoupled, w)));
+        let cycles = session.sweep_multi(&points);
+        let (swsm, dm) = cycles.split_at(search.len());
+        let curve = WindowCurve::new(search.iter().copied().zip(swsm.iter().copied()).collect());
+        for (&dm_window, &dm) in dm_windows.iter().zip(dm) {
             match curve.window_for_cycles(dm) {
                 Some(swsm_window) => {
                     let ratio = swsm_window / dm_window as f64;

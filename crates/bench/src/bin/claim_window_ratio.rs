@@ -7,12 +7,15 @@
 //! ```
 
 use dae_bench::paper_config;
-use dae_core::window_ratio_claim;
+use dae_core::{window_ratio_claim_in, SweepSession};
 
 fn main() {
     let config = paper_config();
+    // One session: the second claim reuses the suite's lowerings and the
+    // SWSM search grid the first one simulated.
+    let mut session = SweepSession::new();
     for dm_window in [32usize, 64] {
-        let claim = window_ratio_claim(&config, dm_window, 60);
+        let claim = window_ratio_claim_in(&mut session, &config, dm_window, 60);
         println!("{claim}\n");
         if let Some((min, max)) = claim.range() {
             println!(

@@ -8,7 +8,7 @@
 //! ```
 
 use dae_bench::{paper_config, program_from_args};
-use dae_core::equivalent_window_figure;
+use dae_core::{equivalent_window_figure_in, SweepSession};
 use dae_workloads::PerfectProgram;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     let program = program_from_args(PerfectProgram::Flo52q);
     let config = paper_config();
 
-    let figure = equivalent_window_figure(program, &config);
+    let figure = equivalent_window_figure_in(&mut SweepSession::new(), program, &config);
     if csv {
         print!("{}", figure.to_csv());
         return;

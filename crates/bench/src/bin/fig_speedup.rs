@@ -9,7 +9,7 @@
 //! PERFECT program name is also accepted.
 
 use dae_bench::{paper_config, program_from_args};
-use dae_core::speedup_figure;
+use dae_core::{speedup_figure_in, SweepSession};
 use dae_workloads::PerfectProgram;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
     let program = program_from_args(PerfectProgram::Flo52q);
     let config = paper_config();
 
-    let figure = speedup_figure(program, &config, &[0, 60]);
+    let figure = speedup_figure_in(&mut SweepSession::new(), program, &config, &[0, 60]);
     if csv {
         print!("{}", figure.to_csv());
         return;

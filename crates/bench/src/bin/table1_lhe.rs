@@ -8,14 +8,14 @@
 //! ```
 
 use dae_bench::paper_config;
-use dae_core::table1;
+use dae_core::{table1_in, SweepSession};
 
 fn main() {
     let csv = std::env::args().any(|a| a == "--csv");
     let mut config = paper_config();
     config.dm_windows = vec![8, 16, 32, 64, 128, 256];
 
-    let table = table1(&config, 60);
+    let table = table1_in(&mut SweepSession::new(), &config, 60);
     if csv {
         print!("{}", table.to_csv());
     } else {

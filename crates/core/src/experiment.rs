@@ -1,13 +1,12 @@
 //! Convenience layer for running the paper's machines over workloads.
 
-use crate::{SweepSession, WindowCurve};
 use dae_isa::Cycle;
 use dae_machines::{
     DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SuperscalarMachine, SwsmConfig,
 };
 use dae_trace::{
-    expand_swsm, lower_scalar, partition, ContentHasher, DecoupledProgram, ScalarProgram,
-    SwsmProgram, Trace, TraceHash,
+    expand_swsm, lower_scalar, partition, ContentHasher, DecoupledProgram, SwsmProgram, Trace,
+    TraceHash,
 };
 use std::fmt;
 
@@ -63,24 +62,6 @@ impl fmt::Display for Machine {
     }
 }
 
-/// How sweep points evaluate the scalar reference.
-///
-/// The analytic formula (`base + loads × MD`) is exact — the simulated
-/// machine matches it bit for bit on every trace (pinned by property tests
-/// on random kernels and the whole PERFECT suite) — so figures default to
-/// the O(1) evaluation.  Ablations that perturb the machine model beyond
-/// what the formula describes (functional-unit limits, caches) switch a
-/// sweep session to [`ScalarMode::Simulated`], which runs the lowered
-/// scalar program through the pooled simulator like the other machines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ScalarMode {
-    /// Evaluate the affine analytic formula, O(1) per point.
-    #[default]
-    Analytic,
-    /// Simulate the lowered scalar program over pooled buffers.
-    Simulated,
-}
-
 /// The DM configuration used by the experiments for a given window and
 /// memory differential (the paper's issue widths, everything else
 /// idealised).
@@ -116,10 +97,6 @@ pub struct LoweredTrace {
     trace_instructions: usize,
     dm_program: DecoupledProgram,
     swsm_program: SwsmProgram,
-    /// The scalar lowering, kept so sessions can *simulate* the scalar
-    /// machine (pooled, like the other machines) when an ablation needs
-    /// more than the analytic formula.
-    scalar_program: ScalarProgram,
     /// `scalar analytic time = scalar_base + loads × MD`.
     scalar_base: Cycle,
     scalar_loads: Cycle,
@@ -143,7 +120,6 @@ impl LoweredTrace {
             ScalarReference::new(ScalarConfig::new(1)).analytic_cycles(trace) - scalar_base;
         let dm_program = partition(trace, dae_trace::PartitionMode::Tagged);
         let swsm_program = expand_swsm(trace);
-        let scalar_program = lower_scalar(trace);
         // Canonical digest over everything the simulators read: the three
         // lowered streams (wakeup lists are derived from them), the trace
         // length and the analytic scalar coefficients.  Computed once per
@@ -155,7 +131,10 @@ impl LoweredTrace {
         hasher.stream(&dm_program.au);
         hasher.stream(&dm_program.du);
         hasher.stream(&swsm_program.insts);
-        hasher.stream(&scalar_program.insts);
+        // The scalar lowering is hashed but not kept (scalar points use
+        // the analytic formula): persisted cache entries are keyed by this
+        // digest, so what it covers must not change.
+        hasher.stream(&lower_scalar(trace).insts);
         hasher.word(scalar_base);
         hasher.word(scalar_loads);
         let content_hash = hasher.finish();
@@ -163,7 +142,6 @@ impl LoweredTrace {
             trace_instructions: trace.len(),
             dm_program,
             swsm_program,
-            scalar_program,
             scalar_base,
             scalar_loads,
             content_hash,
@@ -181,75 +159,24 @@ impl LoweredTrace {
     /// Stable across re-lowering and across processes: any two
     /// [`LoweredTrace`]s built from the same trace return the same hash,
     /// and the cache differential suite pins hash-equal ⇒ bit-for-bit
-    /// equal sweep results.  [`SweepSession`] keys its result cache on
-    /// this (not on the pinned `Arc`), which is what makes cached figures
-    /// survive re-pinning and on-disk persistence meaningful.
+    /// equal sweep results.  [`SweepSession`](crate::SweepSession) keys its
+    /// result cache on this (not on the pinned `Arc`), which is what makes
+    /// cached figures survive re-pinning and on-disk persistence
+    /// meaningful.
     #[must_use]
     pub fn content_hash(&self) -> TraceHash {
         self.content_hash
     }
 
-    /// Execution time of the DM at one sweep point.
+    /// Execution time of `machine` at one sweep point (the scalar
+    /// reference ignores `window`).
     ///
-    /// Runs over the calling thread's recycled simulation buffers
-    /// ([`dae_machines::with_thread_pool`]): sweep points executed back to
-    /// back — or by the same parallel worker — rebuild nothing, which
-    /// removes the ~5% per-point construction cost the figure sweeps used
-    /// to pay.
-    #[must_use]
-    pub fn dm_cycles(&self, window: WindowSpec, memory_differential: Cycle) -> Cycle {
-        let machine = DecoupledMachine::new(dm_config(window, memory_differential));
-        dae_machines::with_thread_pool(|pool| {
-            machine
-                .run_pooled(&self.dm_program, self.trace_instructions, pool)
-                .cycles()
-        })
-    }
-
-    /// Execution time of the SWSM at one sweep point (pooled, like
-    /// [`LoweredTrace::dm_cycles`]).
-    #[must_use]
-    pub fn swsm_cycles(&self, window: WindowSpec, memory_differential: Cycle) -> Cycle {
-        let machine = SuperscalarMachine::new(swsm_config(window, memory_differential));
-        dae_machines::with_thread_pool(|pool| {
-            machine
-                .run_pooled(&self.swsm_program, self.trace_instructions, pool)
-                .cycles()
-        })
-    }
-
-    /// Analytic execution time of the scalar reference (O(1) per point).
-    #[must_use]
-    pub fn scalar_cycles(&self, memory_differential: Cycle) -> Cycle {
-        self.scalar_base + self.scalar_loads * memory_differential
-    }
-
-    /// Execution time of the *simulated* scalar reference at one sweep
-    /// point, over pooled buffers like [`LoweredTrace::dm_cycles`].
-    ///
-    /// Bit-for-bit equal to [`LoweredTrace::scalar_cycles`] (pinned by the
-    /// scalar property tests); exists so sweep sessions can run ablations
-    /// whose machine perturbations the analytic formula does not model.
-    #[must_use]
-    pub fn scalar_cycles_simulated(&self, memory_differential: Cycle) -> Cycle {
-        let machine = ScalarReference::new(ScalarConfig::new(memory_differential));
-        dae_machines::with_thread_pool(|pool| {
-            machine
-                .run_pooled(&self.scalar_program, self.trace_instructions, pool)
-                .cycles()
-        })
-    }
-
-    /// Execution time of the scalar reference under `mode`.
-    #[must_use]
-    pub fn scalar_cycles_in(&self, memory_differential: Cycle, mode: ScalarMode) -> Cycle {
-        match mode {
-            ScalarMode::Analytic => self.scalar_cycles(memory_differential),
-            ScalarMode::Simulated => self.scalar_cycles_simulated(memory_differential),
-        }
-    }
-
-    /// Execution time of `machine` at one sweep point.
+    /// The DM and the SWSM run over the calling thread's recycled
+    /// simulation buffers ([`dae_machines::with_thread_pool`]): sweep
+    /// points executed back to back — or by the same parallel worker —
+    /// rebuild nothing.  The scalar reference is its exact analytic formula,
+    /// O(1) per point; the simulated scalar machine matches it bit for bit
+    /// (pinned by property tests on random kernels and the PERFECT suite).
     #[must_use]
     pub fn machine_cycles(
         &self,
@@ -257,134 +184,23 @@ impl LoweredTrace {
         window: WindowSpec,
         memory_differential: Cycle,
     ) -> Cycle {
-        self.machine_cycles_in(machine, window, memory_differential, ScalarMode::Analytic)
-    }
-
-    /// [`LoweredTrace::machine_cycles`] with an explicit scalar-evaluation
-    /// mode (what sweep sessions dispatch through).
-    #[must_use]
-    pub fn machine_cycles_in(
-        &self,
-        machine: Machine,
-        window: WindowSpec,
-        memory_differential: Cycle,
-        scalar_mode: ScalarMode,
-    ) -> Cycle {
+        let n = self.trace_instructions;
         match machine {
-            Machine::Decoupled => self.dm_cycles(window, memory_differential),
-            Machine::Superscalar => self.swsm_cycles(window, memory_differential),
-            Machine::Scalar => self.scalar_cycles_in(memory_differential, scalar_mode),
+            Machine::Decoupled => {
+                let machine = DecoupledMachine::new(dm_config(window, memory_differential));
+                dae_machines::with_thread_pool(|pool| {
+                    machine.run_pooled(&self.dm_program, n, pool).cycles()
+                })
+            }
+            Machine::Superscalar => {
+                let machine = SuperscalarMachine::new(swsm_config(window, memory_differential));
+                dae_machines::with_thread_pool(|pool| {
+                    machine.run_pooled(&self.swsm_program, n, pool).cycles()
+                })
+            }
+            Machine::Scalar => self.scalar_base + self.scalar_loads * memory_differential,
         }
     }
-
-    /// Runs a list of `(machine, window, MD)` sweep points in parallel,
-    /// returning their execution times in point order.
-    ///
-    /// One-shot convenience over a throwaway [`SweepSession`]; callers
-    /// sweeping the same programs repeatedly should hold a session instead,
-    /// which also offers a streaming (per-point delivery) API.
-    #[must_use]
-    pub fn sweep(&self, points: &[(Machine, WindowSpec, Cycle)]) -> Vec<Cycle> {
-        let mut session = SweepSession::new();
-        let id = session.pin_lowered(self.clone());
-        session.sweep(id, points)
-    }
-
-    /// Sweeps the SWSM over `windows` at a fixed memory differential (the
-    /// points run in parallel).
-    #[must_use]
-    pub fn swsm_window_curve(&self, windows: &[usize], memory_differential: Cycle) -> WindowCurve {
-        let points: Vec<_> = windows
-            .iter()
-            .map(|&w| {
-                (
-                    Machine::Superscalar,
-                    WindowSpec::Entries(w),
-                    memory_differential,
-                )
-            })
-            .collect();
-        WindowCurve::new(windows.iter().copied().zip(self.sweep(&points)).collect())
-    }
-
-    /// Sweeps the DM over `windows` at a fixed memory differential (the
-    /// points run in parallel).
-    #[must_use]
-    pub fn dm_window_curve(&self, windows: &[usize], memory_differential: Cycle) -> WindowCurve {
-        let points: Vec<_> = windows
-            .iter()
-            .map(|&w| {
-                (
-                    Machine::Decoupled,
-                    WindowSpec::Entries(w),
-                    memory_differential,
-                )
-            })
-            .collect();
-        WindowCurve::new(windows.iter().copied().zip(self.sweep(&points)).collect())
-    }
-}
-
-/// Execution time of the DM on `trace`.
-#[must_use]
-pub fn dm_cycles(trace: &Trace, window: WindowSpec, memory_differential: Cycle) -> Cycle {
-    DecoupledMachine::new(dm_config(window, memory_differential))
-        .run(trace)
-        .cycles()
-}
-
-/// Execution time of the SWSM on `trace`.
-#[must_use]
-pub fn swsm_cycles(trace: &Trace, window: WindowSpec, memory_differential: Cycle) -> Cycle {
-    SuperscalarMachine::new(swsm_config(window, memory_differential))
-        .run(trace)
-        .cycles()
-}
-
-/// Execution time of the scalar reference on `trace` (computed analytically;
-/// the simulated machine agrees — see the `dae-machines` tests).
-#[must_use]
-pub fn scalar_cycles(trace: &Trace, memory_differential: Cycle) -> Cycle {
-    ScalarReference::new(ScalarConfig::new(memory_differential)).analytic_cycles(trace)
-}
-
-/// Execution time of `machine` on `trace` (windows are ignored by the scalar
-/// reference).
-#[must_use]
-pub fn machine_cycles(
-    machine: Machine,
-    trace: &Trace,
-    window: WindowSpec,
-    memory_differential: Cycle,
-) -> Cycle {
-    match machine {
-        Machine::Decoupled => dm_cycles(trace, window, memory_differential),
-        Machine::Superscalar => swsm_cycles(trace, window, memory_differential),
-        Machine::Scalar => scalar_cycles(trace, memory_differential),
-    }
-}
-
-/// Sweeps the SWSM over `windows` at a fixed memory differential, producing
-/// the curve used by the equivalent-window-ratio experiments.  The trace is
-/// lowered once and the points run in parallel.
-#[must_use]
-pub fn swsm_window_curve(
-    trace: &Trace,
-    windows: &[usize],
-    memory_differential: Cycle,
-) -> WindowCurve {
-    LoweredTrace::new(trace).swsm_window_curve(windows, memory_differential)
-}
-
-/// Sweeps the DM over `windows` at a fixed memory differential (lowered
-/// once, points in parallel).
-#[must_use]
-pub fn dm_window_curve(
-    trace: &Trace,
-    windows: &[usize],
-    memory_differential: Cycle,
-) -> WindowCurve {
-    LoweredTrace::new(trace).dm_window_curve(windows, memory_differential)
 }
 
 /// Shared knobs of the experiment generators: how long the traces are and
@@ -461,44 +277,46 @@ mod tests {
     #[test]
     fn machine_cycles_dispatches_to_each_machine() {
         let trace = small_trace();
-        let dm = machine_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(32), 20);
-        let swsm = machine_cycles(Machine::Superscalar, &trace, WindowSpec::Entries(32), 20);
-        let scalar = machine_cycles(Machine::Scalar, &trace, WindowSpec::Entries(32), 20);
+        let lowered = LoweredTrace::new(&trace);
+        let window = WindowSpec::Entries(32);
+        let dm = lowered.machine_cycles(Machine::Decoupled, window, 20);
+        let swsm = lowered.machine_cycles(Machine::Superscalar, window, 20);
+        let scalar = lowered.machine_cycles(Machine::Scalar, window, 20);
         assert!(dm > 0 && swsm > 0 && scalar > 0);
         assert!(dm < scalar);
         assert!(swsm < scalar);
-        assert_eq!(dm, dm_cycles(&trace, WindowSpec::Entries(32), 20));
-        assert_eq!(swsm, swsm_cycles(&trace, WindowSpec::Entries(32), 20));
-        assert_eq!(scalar, scalar_cycles(&trace, 20));
+        // Each against its machine built directly from the raw trace.
+        let direct_dm = DecoupledMachine::new(dm_config(window, 20)).run(&trace);
+        let direct_swsm = SuperscalarMachine::new(swsm_config(window, 20)).run(&trace);
+        let analytic = ScalarReference::new(ScalarConfig::new(20)).analytic_cycles(&trace);
+        assert_eq!(dm, direct_dm.cycles());
+        assert_eq!(swsm, direct_swsm.cycles());
+        assert_eq!(scalar, analytic);
     }
 
     #[test]
     fn curves_are_monotone_for_streaming_code() {
-        let trace = small_trace();
-        for curve in [
-            dm_window_curve(&trace, &[8, 16, 32, 64], 60),
-            swsm_window_curve(&trace, &[8, 16, 32, 64], 60),
-        ] {
-            for pair in curve.points().windows(2) {
-                assert!(
-                    pair[1].1 <= pair[0].1,
-                    "bigger windows should not be slower"
-                );
+        let lowered = LoweredTrace::new(&small_trace());
+        for machine in [Machine::Decoupled, Machine::Superscalar] {
+            let cycles: Vec<Cycle> = [8, 16, 32, 64]
+                .iter()
+                .map(|&w| lowered.machine_cycles(machine, WindowSpec::Entries(w), 60))
+                .collect();
+            for pair in cycles.windows(2) {
+                assert!(pair[1] <= pair[0], "bigger windows should not be slower");
             }
         }
     }
 
     #[test]
     fn unlimited_windows_are_at_least_as_fast_as_finite_ones() {
-        let trace = small_trace();
-        assert!(
-            dm_cycles(&trace, WindowSpec::Unlimited, 60)
-                <= dm_cycles(&trace, WindowSpec::Entries(16), 60)
-        );
-        assert!(
-            swsm_cycles(&trace, WindowSpec::Unlimited, 60)
-                <= swsm_cycles(&trace, WindowSpec::Entries(16), 60)
-        );
+        let lowered = LoweredTrace::new(&small_trace());
+        for machine in [Machine::Decoupled, Machine::Superscalar] {
+            assert!(
+                lowered.machine_cycles(machine, WindowSpec::Unlimited, 60)
+                    <= lowered.machine_cycles(machine, WindowSpec::Entries(16), 60)
+            );
+        }
     }
 
     #[test]

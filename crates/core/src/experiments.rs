@@ -6,10 +6,10 @@
 //!
 //! | paper artefact | generator |
 //! |---|---|
-//! | Table 1 (latency-hiding effectiveness, MD = 60) | [`table1`] |
-//! | Figures 4–6 (speedup vs window size, MD ∈ {0, 60}) | [`speedup_figure`] |
-//! | Figures 7–9 (equivalent window ratio vs DM window size) | [`equivalent_window_figure`] |
-//! | §5 claim (SWSM needs a 2–4x larger window at MD = 60) | [`window_ratio_claim`] |
+//! | Table 1 (latency-hiding effectiveness, MD = 60) | [`table1_in`] |
+//! | Figures 4–6 (speedup vs window size, MD ∈ {0, 60}) | [`speedup_figure_in`] |
+//! | Figures 7–9 (equivalent window ratio vs DM window size) | [`equivalent_window_figure_in`] |
+//! | §5 claim (SWSM needs a 2–4x larger window at MD = 60) | [`window_ratio_claim_in`] |
 
 use crate::{
     equivalent_window_ratio, fmt_metric, latency_hiding_effectiveness, speedup, ExperimentConfig,
@@ -19,13 +19,11 @@ use dae_isa::Cycle;
 use dae_workloads::PerfectProgram;
 use std::fmt;
 
-// Every generator runs over a [`SweepSession`]: the public one-shot entry
-// points (`table1`, `speedup_figure`, …) build a throwaway session, and the
-// `_in` variants accept a caller-held session so consecutive generators
-// share pinned lowerings and the warm per-worker simulation pools — the
-// examples and the CI figure smoke run that way.  Lowering up front and
-// sharing it across points is what turns the sweeps into pure simulation
-// work.
+// Every generator runs over a caller-held [`SweepSession`] (a one-off
+// figure passes `&mut SweepSession::new()`), so consecutive generators
+// share pinned lowerings, cached points and the warm per-worker simulation
+// pools.  Lowering up front and sharing it across points is what turns the
+// sweeps into pure simulation work.
 
 // ---------------------------------------------------------------------------
 // Table 1 — latency hiding effectiveness
@@ -54,14 +52,9 @@ pub struct Table1 {
 
 /// Regenerates Table 1: the DM's latency-hiding effectiveness
 /// (`T(MD=0) / T(MD=memory_differential)`) for all seven programs across
-/// window sizes including the unlimited window.
-#[must_use]
-pub fn table1(config: &ExperimentConfig, memory_differential: Cycle) -> Table1 {
-    table1_in(&mut SweepSession::new(), config, memory_differential)
-}
-
-/// [`table1`] over a caller-held session: the seven programs pin (or are
-/// found already pinned) in `session` and the grid runs on its warm pools.
+/// window sizes including the unlimited window.  The seven programs pin (or
+/// are found already pinned) in `session` and the grid runs on its warm
+/// pools.
 #[must_use]
 pub fn table1_in(
     session: &mut SweepSession,
@@ -181,25 +174,10 @@ pub struct SpeedupFigure {
 }
 
 /// Regenerates the speedup-vs-window-size figure for `program` (figure 4 for
-/// FLO52Q, 5 for MDG, 6 for TRACK).
-#[must_use]
-pub fn speedup_figure(
-    program: PerfectProgram,
-    config: &ExperimentConfig,
-    memory_differentials: &[Cycle],
-) -> SpeedupFigure {
-    speedup_figure_in(
-        &mut SweepSession::new(),
-        program,
-        config,
-        memory_differentials,
-    )
-}
-
-/// [`speedup_figure`] over a caller-held session.  The grid runs through
-/// the session's *streaming* API — each point is delivered as its worker
-/// finishes and scattered back into grid order — so this generator also
-/// exercises the no-barrier path end to end.
+/// FLO52Q, 5 for MDG, 6 for TRACK).  The grid runs through the session's
+/// *streaming* API — each point is delivered as its worker finishes and
+/// scattered back into grid order — so this generator also exercises the
+/// no-barrier path end to end.
 #[must_use]
 pub fn speedup_figure_in(
     session: &mut SweepSession,
@@ -224,12 +202,11 @@ pub fn speedup_figure_in(
     }
     let cycles = session.stream(&sweep).collect_ordered();
 
-    let scalar_mode = session.scalar_mode();
     let lowered = session.lowered(id);
     let mut series = Vec::new();
     let mut cursor = cycles.into_iter();
     for &md in memory_differentials {
-        let reference = lowered.scalar_cycles_in(md, scalar_mode);
+        let reference = lowered.machine_cycles(Machine::Scalar, WindowSpec::Unlimited, md);
         for machine in [Machine::Decoupled, Machine::Superscalar] {
             let windows = match machine {
                 Machine::Decoupled => &config.dm_windows,
@@ -360,12 +337,6 @@ pub struct EwrFigure {
 /// Regenerates the equivalent-window-ratio figure for `program` (figure 7
 /// for FLO52Q, 8 for MDG, 9 for TRACK).
 #[must_use]
-pub fn equivalent_window_figure(program: PerfectProgram, config: &ExperimentConfig) -> EwrFigure {
-    equivalent_window_figure_in(&mut SweepSession::new(), program, config)
-}
-
-/// [`equivalent_window_figure`] over a caller-held session.
-#[must_use]
 pub fn equivalent_window_figure_in(
     session: &mut SweepSession,
     program: PerfectProgram,
@@ -481,22 +452,7 @@ pub struct WindowRatioClaim {
 }
 
 /// Measures the equivalent window ratio at `dm_window` and MD =
-/// `memory_differential` for every program of the suite.
-#[must_use]
-pub fn window_ratio_claim(
-    config: &ExperimentConfig,
-    dm_window: usize,
-    memory_differential: Cycle,
-) -> WindowRatioClaim {
-    window_ratio_claim_in(
-        &mut SweepSession::new(),
-        config,
-        dm_window,
-        memory_differential,
-    )
-}
-
-/// [`window_ratio_claim`] over a caller-held session (sharing a session
+/// `memory_differential` for every program of the suite (sharing a session
 /// with [`table1_in`] reuses all seven pinned lowerings).
 #[must_use]
 pub fn window_ratio_claim_in(
@@ -604,7 +560,7 @@ mod tests {
 
     #[test]
     fn table1_has_a_row_per_program_and_a_column_per_window() {
-        let table = table1(&tiny_config(), 60);
+        let table = table1_in(&mut SweepSession::new(), &tiny_config(), 60);
         assert_eq!(table.rows.len(), 7);
         assert_eq!(table.windows.len(), 4);
         for row in &table.rows {
@@ -623,7 +579,12 @@ mod tests {
 
     #[test]
     fn speedup_figures_have_four_series_and_positive_speedups() {
-        let fig = speedup_figure(PerfectProgram::Track, &tiny_config(), &[0, 60]);
+        let fig = speedup_figure_in(
+            &mut SweepSession::new(),
+            PerfectProgram::Track,
+            &tiny_config(),
+            &[0, 60],
+        );
         assert_eq!(fig.series.len(), 4);
         for series in &fig.series {
             assert_eq!(series.points.len(), 3);
@@ -638,7 +599,12 @@ mod tests {
 
     #[test]
     fn dm_beats_swsm_at_md_60_for_every_measured_window() {
-        let fig = speedup_figure(PerfectProgram::Flo52q, &tiny_config(), &[60]);
+        let fig = speedup_figure_in(
+            &mut SweepSession::new(),
+            PerfectProgram::Flo52q,
+            &tiny_config(),
+            &[60],
+        );
         let dm = fig.series_for(Machine::Decoupled, 60).unwrap();
         let swsm = fig.series_for(Machine::Superscalar, 60).unwrap();
         for (&(w, d), &(_, s)) in dm.points.iter().zip(&swsm.points) {
@@ -649,7 +615,11 @@ mod tests {
 
     #[test]
     fn equivalent_window_figure_resolves_ratios_above_one_at_md_60() {
-        let fig = equivalent_window_figure(PerfectProgram::Mdg, &tiny_config());
+        let fig = equivalent_window_figure_in(
+            &mut SweepSession::new(),
+            PerfectProgram::Mdg,
+            &tiny_config(),
+        );
         let ratio = fig.ratio(32, 60).expect("ratio resolved");
         assert!(ratio > 1.0, "ratio {ratio}");
         assert!(format!("{fig}").contains("md=60"));
@@ -679,10 +649,16 @@ mod tests {
             "all seven of the claim's programs must come from the cache"
         );
         let fig = speedup_figure_in(&mut session, PerfectProgram::Track, &cfg, &[60]);
-        // Shared-session results are identical to the one-shot entry points.
-        assert_eq!(table, table1(&cfg, 60));
-        assert_eq!(claim, window_ratio_claim(&cfg, 32, 60));
-        assert_eq!(fig, speedup_figure(PerfectProgram::Track, &cfg, &[60]));
+        // Shared-session results are identical to fresh-session ones.
+        assert_eq!(table, table1_in(&mut SweepSession::new(), &cfg, 60));
+        assert_eq!(
+            claim,
+            window_ratio_claim_in(&mut SweepSession::new(), &cfg, 32, 60)
+        );
+        assert_eq!(
+            fig,
+            speedup_figure_in(&mut SweepSession::new(), PerfectProgram::Track, &cfg, &[60])
+        );
     }
 
     #[test]
@@ -691,7 +667,7 @@ mod tests {
             iterations: 100,
             ..tiny_config()
         };
-        let claim = window_ratio_claim(&cfg, 32, 60);
+        let claim = window_ratio_claim_in(&mut SweepSession::new(), &cfg, 32, 60);
         assert_eq!(claim.ratios.len(), 7);
         let (min, max) = claim.range().expect("some ratios resolve");
         assert!(min >= 1.0, "min ratio {min}");

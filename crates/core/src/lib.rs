@@ -6,14 +6,16 @@
 //!
 //! * [`metrics`](crate::speedup) — speedup, latency-hiding effectiveness and
 //!   the equivalent window ratio (with interpolation over window sweeps);
-//! * [`experiment`](crate::ExperimentConfig) — one-call simulation helpers
-//!   (`dm_cycles`, `swsm_cycles`, `scalar_cycles`, window sweeps) and the
-//!   shared sweep grids;
-//! * [`experiments`](crate::table1) — generators for every table and figure
-//!   of the paper's evaluation: [`table1`], [`speedup_figure`] (figures
-//!   4–6), [`equivalent_window_figure`] (figures 7–9) and
-//!   [`window_ratio_claim`] (the §5 headline claim), each with a `_in`
-//!   variant running over a shared session;
+//! * [`experiment`](crate::ExperimentConfig) — a trace lowered once for
+//!   every machine ([`LoweredTrace`]), whose
+//!   [`machine_cycles`](LoweredTrace::machine_cycles) is the one way to ask
+//!   for the cycles of one machine at one (window, memory differential)
+//!   point, and the shared sweep grids;
+//! * [`experiments`](crate::table1_in) — generators for every table and
+//!   figure of the paper's evaluation, each over a caller-held session:
+//!   [`table1_in`], [`speedup_figure_in`] (figures 4–6),
+//!   [`equivalent_window_figure_in`] (figures 7–9) and
+//!   [`window_ratio_claim_in`] (the §5 headline claim);
 //! * [`session`](crate::SweepSession) — persistent sweep sessions: lowered
 //!   programs pinned once over the long-lived worker pool, grids executed
 //!   batched or streamed (per-point delivery, no full-grid barrier), with
@@ -28,13 +30,14 @@
 //! ## Example
 //!
 //! ```
-//! use dae_core::{dm_cycles, swsm_cycles, scalar_cycles, speedup, WindowSpec};
+//! use dae_core::{speedup, LoweredTrace, Machine, WindowSpec};
 //! use dae_workloads::PerfectProgram;
 //!
-//! let trace = PerfectProgram::Track.workload().trace(100);
-//! let reference = scalar_cycles(&trace, 60);
-//! let dm = speedup(reference, dm_cycles(&trace, WindowSpec::Entries(32), 60));
-//! let swsm = speedup(reference, swsm_cycles(&trace, WindowSpec::Entries(32), 60));
+//! let lowered = LoweredTrace::new(&PerfectProgram::Track.workload().trace(100));
+//! let cycles = |machine| lowered.machine_cycles(machine, WindowSpec::Entries(32), 60);
+//! let reference = cycles(Machine::Scalar);
+//! let dm = speedup(reference, cycles(Machine::Decoupled));
+//! let swsm = speedup(reference, cycles(Machine::Superscalar));
 //! // At a realistic window and a large memory differential the decoupled
 //! // machine is ahead (the paper's central result).
 //! assert!(dm > swsm);
@@ -50,14 +53,10 @@ mod report;
 mod session;
 mod store;
 
-pub use experiment::{
-    dm_config, dm_cycles, dm_window_curve, machine_cycles, scalar_cycles, swsm_config, swsm_cycles,
-    swsm_window_curve, ExperimentConfig, LoweredTrace, Machine, ScalarMode, WindowSpec,
-};
+pub use experiment::{dm_config, swsm_config, ExperimentConfig, LoweredTrace, Machine, WindowSpec};
 pub use experiments::{
-    equivalent_window_figure, equivalent_window_figure_in, speedup_figure, speedup_figure_in,
-    table1, table1_in, window_ratio_claim, window_ratio_claim_in, EwrFigure, EwrSeries,
-    SpeedupFigure, SpeedupSeries, Table1, Table1Row, WindowRatioClaim,
+    equivalent_window_figure_in, speedup_figure_in, table1_in, window_ratio_claim_in, EwrFigure,
+    EwrSeries, SpeedupFigure, SpeedupSeries, Table1, Table1Row, WindowRatioClaim,
 };
 pub use metrics::{equivalent_window_ratio, latency_hiding_effectiveness, speedup, WindowCurve};
 pub use placement::{cache_key_digest, SweepCacheKey};
@@ -76,15 +75,3 @@ pub use dae_trace::TraceHash;
 /// from the vendored pool so servers can classify requests; see
 /// [`RequestClass`] and [`SweepSession::stream_classified`]).
 pub use rayon::Priority;
-
-/// A convenience prelude re-exporting the types most examples need.
-pub mod prelude {
-    pub use crate::{
-        dm_cycles, equivalent_window_figure, scalar_cycles, speedup, speedup_figure, swsm_cycles,
-        table1, window_ratio_claim, ExperimentConfig, Machine, WindowSpec,
-    };
-    pub use dae_machines::{
-        DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SuperscalarMachine, SwsmConfig,
-    };
-    pub use dae_workloads::{PerfectProgram, Workload};
-}

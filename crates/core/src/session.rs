@@ -15,23 +15,18 @@
 //!   *persistent* workers; each worker's thread-local
 //!   [`SimPool`](dae_machines::SimPool) therefore survives between sweeps,
 //!   so the second sweep on a session rebuilds no simulator buffers at all
-//!   (`dae_machines::pool_diagnostics` counts the warm checkouts, and the
-//!   session-vs-per-call benchmark entry pins the win).
+//!   (`dae_machines::pool_diagnostics` counts the warm checkouts;
+//!   `tests/worker_pool.rs` pins the reuse).
 //! * **Batched and streaming delivery, one execution path.**
 //!   [`SweepSession::stream`] delivers each point the moment its worker
 //!   finishes — an iterator in *completion* order, no full-grid barrier —
 //!   which is the shape a resident service reports progress in.
-//!   [`SweepSession::sweep`] is that stream collected back into point
+//!   [`SweepSession::sweep_multi`] is that stream collected back into point
 //!   order ([`SweepStream::collect_ordered`]), so every grid shares one
 //!   submission, one per-point job (cancellation, panic isolation, fault
 //!   hooks) and one delivery accounting.  With the cache on, a point that
 //!   repeats an earlier miss of its grid is counted as a hit and rides
 //!   that point's simulation instead of running its own.
-//! * **Simulated scalar sweeps.**  A session carries a
-//!   [`ScalarMode`](crate::ScalarMode): figures default to the exact O(1)
-//!   analytic formula, ablations (functional-unit limits, caches) switch to
-//!   [`ScalarMode::Simulated`](crate::ScalarMode) and sweep the scalar
-//!   machine through the same pooled simulator as the DM and the SWSM.
 //! * **Result caching.**  Every finished point is remembered keyed by
 //!   `(content hash, machine, window, MD)`, so a repeated point is a table
 //!   lookup instead of a simulation.  The figure grids overlap heavily —
@@ -63,7 +58,7 @@
 //!     operations they describe.  The cache can be switched off per
 //!     session ([`SweepSession::set_cache_enabled`]) for lifecycle tests
 //!     and benchmarks that must observe every simulation.
-//! * **Cancellation.**  [`SweepSession::stream_cancellable`] ties a grid to
+//! * **Cancellation.**  [`SweepSession::stream_classified`] ties a grid to
 //!   a [`CancelToken`]; cancelling drops every not-yet-started point *and*
 //!   cooperatively aborts points already simulating (the run engine polls
 //!   the token every few hundred events — see
@@ -77,7 +72,7 @@
 //!   (in bulk, without occupying dispatch turns) yet still account
 //!   themselves as skipped.
 //! * **Priority and fair share.**  [`SweepSession::stream_classified`]
-//!   tags a grid's jobs with a [`RequestClass`] — a [`Priority`] band
+//!   also tags a grid's jobs with a [`RequestClass`] — a [`Priority`] band
 //!   (interactive > normal > bulk) plus a client id.  The pool serves
 //!   higher bands first and interleaves clients round-robin within a band
 //!   (FIFO per client, so queue order is request age), which keeps a bulk
@@ -88,13 +83,13 @@
 //!   (figure generators and the batched API); either way the cache is
 //!   never populated with a partial result and the worker pool survives.
 //!
-//! Streamed, batched, one-shot (`LoweredTrace::sweep`), cached and
-//! naive-reference results are bit-for-bit identical —
+//! Streamed, batched, per-point ([`LoweredTrace::machine_cycles`]), cached
+//! and naive-reference results are bit-for-bit identical —
 //! `tests/session_differential.rs` and `tests/sweep_cache.rs` hold all of
 //! them to each other on randomized grids across all three machines.
 
 use crate::store::{CacheStore, StoreRecord};
-use crate::{fault, LoweredTrace, Machine, ScalarMode, WindowSpec};
+use crate::{fault, LoweredTrace, Machine, WindowSpec};
 use dae_isa::Cycle;
 use dae_machines::{with_abort_token, AbortToken, AbortedSimulation};
 use dae_mem::LruMap;
@@ -161,7 +156,7 @@ pub struct CacheStats {
 }
 
 /// A cancellation handle shared between a caller and the in-flight jobs of
-/// a streamed sweep ([`SweepSession::stream_cancellable`]).
+/// a streamed sweep ([`SweepSession::stream_classified`]).
 ///
 /// Cancellation is cooperative and acts at two grains.  A point whose
 /// worker has not started it yet is skipped (its simulation never runs and
@@ -488,7 +483,6 @@ pub struct SweepSession {
     traces: Vec<Arc<LoweredTrace>>,
     /// `pin_program` cache: `(program, iterations) → TraceId`.
     programs: Vec<((PerfectProgram, u64), TraceId)>,
-    scalar_mode: ScalarMode,
     stats: SessionStats,
     /// The sweep-result cache, shared with in-flight streamed jobs.
     cache: Arc<SweepCache>,
@@ -501,7 +495,6 @@ impl Default for SweepSession {
         SweepSession {
             traces: Vec::new(),
             programs: Vec::new(),
-            scalar_mode: ScalarMode::default(),
             stats: SessionStats::default(),
             cache: Arc::new(SweepCache::default()),
             cache_enabled: true,
@@ -510,25 +503,10 @@ impl Default for SweepSession {
 }
 
 impl SweepSession {
-    /// An empty session evaluating the scalar reference analytically.
+    /// An empty session with the result cache on.
     #[must_use]
     pub fn new() -> Self {
         SweepSession::default()
-    }
-
-    /// An empty session with an explicit scalar-evaluation mode.
-    #[must_use]
-    pub fn with_scalar_mode(scalar_mode: ScalarMode) -> Self {
-        SweepSession {
-            scalar_mode,
-            ..SweepSession::default()
-        }
-    }
-
-    /// How this session evaluates [`Machine::Scalar`] points.
-    #[must_use]
-    pub fn scalar_mode(&self) -> ScalarMode {
-        self.scalar_mode
     }
 
     /// A snapshot of the session's activity counters.
@@ -695,18 +673,6 @@ impl SweepSession {
         &self.traces[id.0]
     }
 
-    /// Runs a grid of `(machine, window, MD)` points against one pinned
-    /// program, returning execution times in point order (batched API).
-    /// See [`SweepSession::sweep_multi`]; this blocks the same way.
-    #[must_use]
-    pub fn sweep(&mut self, id: TraceId, points: &[(Machine, WindowSpec, Cycle)]) -> Vec<Cycle> {
-        let full: Vec<SweepPoint> = points
-            .iter()
-            .map(|&(machine, window, md)| (id, machine, window, md))
-            .collect();
-        self.sweep_multi(&full)
-    }
-
     /// Runs a grid of points addressing any mix of pinned programs,
     /// returning execution times in point order (batched API).
     ///
@@ -740,16 +706,28 @@ impl SweepSession {
     /// Panics if a point names a `TraceId` not pinned in this session.
     #[must_use]
     pub fn stream(&mut self, points: &[SweepPoint]) -> SweepStream {
-        self.stream_cancellable(points, &CancelToken::new())
+        self.stream_classified(points, &CancelToken::new(), RequestClass::default())
     }
 
-    /// [`SweepSession::stream`] tied to a [`CancelToken`]: cancelling the
-    /// token skips every point no worker has started yet (skipped points
-    /// are counted by [`SweepStream::skipped`] instead of being yielded)
-    /// and cooperatively aborts points already simulating (counted by
-    /// [`SweepStream::aborted`]) — the run engine polls the token
-    /// mid-simulation, so cancellation latency is bounded by a few hundred
-    /// simulated events, not by the slowest point's full runtime.
+    /// [`SweepSession::stream`] tied to a [`CancelToken`] and a scheduling
+    /// class.
+    ///
+    /// Cancelling the token skips every point no worker has started yet
+    /// (skipped points are counted by [`SweepStream::skipped`] instead of
+    /// being yielded) and cooperatively aborts points already simulating
+    /// (counted by [`SweepStream::aborted`]) — the run engine polls the
+    /// token mid-simulation, so cancellation latency is bounded by a few
+    /// hundred simulated events, not by the slowest point's full runtime.
+    /// The token's flag rides along with each queued job — jobs cancelled
+    /// while still queued are dropped at claim time (they take their
+    /// short-circuit path immediately, counted by the stream as skipped,
+    /// never delivered) instead of occupying dispatch turns.
+    ///
+    /// Every point job enters `class.priority`'s band under
+    /// `class.client`'s fair-share queue on the worker pool, so a serving
+    /// front end can let `priority=interactive` probes overtake a queued
+    /// bulk grid and interleave concurrent clients round-robin
+    /// ([`RequestClass::default`] is the normal band, client 0).
     ///
     /// Cache-resident points are delivered immediately (before this call
     /// returns they are already queued on the stream, marked
@@ -758,28 +736,6 @@ impl SweepSession {
     /// call has returned.  A point repeating an earlier miss of the same
     /// grid rides that point's simulation: it is delivered with the same
     /// outcome when the simulation settles, marked cached if it finished.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a point names a `TraceId` not pinned in this session.
-    #[must_use]
-    pub fn stream_cancellable(
-        &mut self,
-        points: &[SweepPoint],
-        token: &CancelToken,
-    ) -> SweepStream {
-        self.stream_classified(points, token, RequestClass::default())
-    }
-
-    /// [`SweepSession::stream_cancellable`] with an explicit scheduling
-    /// class: every point job enters `class.priority`'s band under
-    /// `class.client`'s fair-share queue on the worker pool, so a serving
-    /// front end can let `priority=interactive` probes overtake a queued
-    /// bulk grid and interleave concurrent clients round-robin.  The
-    /// token's flag rides along with each queued job — jobs cancelled
-    /// while still queued are dropped at claim time (they take their
-    /// short-circuit path immediately, counted by the stream as skipped,
-    /// never delivered) instead of occupying dispatch turns.
     ///
     /// # Panics
     ///
@@ -842,13 +798,12 @@ impl SweepSession {
             });
         }
         for job in jobs {
-            let scalar_mode = self.scalar_mode;
             let cache = self.cache_enabled.then(|| Arc::clone(&self.cache));
             let token = token.clone();
             let tx = tx.clone();
             let flag = token.flag();
             rayon::spawn_prioritized(class.priority, class.client, Some(flag), move || {
-                let outcome = job.run(scalar_mode, &token, cache.as_deref(), generation);
+                let outcome = job.run(&token, cache.as_deref(), generation);
                 // A send can only fail if the stream was dropped early; the
                 // remaining points are simply discarded then.
                 for &(index, point) in &job.followers {
@@ -884,13 +839,7 @@ impl Job {
     /// a concurrent grid finished the same point meanwhile, else simulate
     /// under the token's abort flag with panics contained, and cache a
     /// finished result (`cache` is `None` for cache-off sessions).
-    fn run(
-        &self,
-        scalar_mode: ScalarMode,
-        token: &CancelToken,
-        cache: Option<&SweepCache>,
-        generation: u64,
-    ) -> Outcome {
+    fn run(&self, token: &CancelToken, cache: Option<&SweepCache>, generation: u64) -> Outcome {
         if token.is_cancelled() {
             return Outcome::Skipped;
         }
@@ -910,10 +859,7 @@ impl Job {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             fault::on_point_start();
-            with_abort_token(&abort, || {
-                self.trace
-                    .machine_cycles_in(machine, window, md, scalar_mode)
-            })
+            with_abort_token(&abort, || self.trace.machine_cycles(machine, window, md))
         }));
         // The cache is only written for completed points — an aborted or
         // panicked simulation leaves no trace in it.
@@ -1175,26 +1121,28 @@ mod tests {
     use dae_trace::TraceHash;
     use dae_workloads::stream;
 
-    fn grid() -> Vec<(Machine, WindowSpec, Cycle)> {
+    fn grid(id: TraceId) -> Vec<SweepPoint> {
         vec![
-            (Machine::Decoupled, WindowSpec::Entries(16), 60),
-            (Machine::Superscalar, WindowSpec::Entries(32), 20),
-            (Machine::Scalar, WindowSpec::Entries(1), 60),
-            (Machine::Decoupled, WindowSpec::Unlimited, 0),
+            (id, Machine::Decoupled, WindowSpec::Entries(16), 60),
+            (id, Machine::Superscalar, WindowSpec::Entries(32), 20),
+            (id, Machine::Scalar, WindowSpec::Entries(1), 60),
+            (id, Machine::Decoupled, WindowSpec::Unlimited, 0),
         ]
     }
 
     #[test]
     fn batched_streamed_and_one_shot_results_agree() {
         let trace = stream().trace(120);
-        let lowered = LoweredTrace::new(&trace);
-        let one_shot = lowered.sweep(&grid());
-
         let mut session = SweepSession::new();
         let id = session.pin_trace(&trace);
-        let batched = session.sweep(id, &grid());
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-        let streamed = session.stream(&full).collect_ordered();
+        let lowered = LoweredTrace::new(&trace);
+        let one_shot: Vec<Cycle> = grid(id)
+            .iter()
+            .map(|&(_, m, w, md)| lowered.machine_cycles(m, w, md))
+            .collect();
+
+        let batched = session.sweep_multi(&grid(id));
+        let streamed = session.stream(&grid(id)).collect_ordered();
 
         assert_eq!(batched, one_shot);
         assert_eq!(streamed, one_shot);
@@ -1206,7 +1154,7 @@ mod tests {
     fn stream_delivers_every_point_exactly_once() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(100));
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
+        let full = grid(id);
         let mut seen = vec![false; full.len()];
         for point in session.stream(&full) {
             assert!(!seen[point.index], "point delivered twice");
@@ -1235,25 +1183,10 @@ mod tests {
     }
 
     #[test]
-    fn simulated_scalar_sessions_match_analytic_ones() {
-        let trace = stream().trace(90);
-        let points = vec![
-            (Machine::Scalar, WindowSpec::Entries(1), 0),
-            (Machine::Scalar, WindowSpec::Entries(1), 35),
-            (Machine::Scalar, WindowSpec::Entries(1), 60),
-        ];
-        let mut analytic = SweepSession::new();
-        let a = analytic.pin_trace(&trace);
-        let mut simulated = SweepSession::with_scalar_mode(ScalarMode::Simulated);
-        let s = simulated.pin_trace(&trace);
-        assert_eq!(analytic.sweep(a, &points), simulated.sweep(s, &points));
-    }
-
-    #[test]
     fn repeated_grids_hit_the_result_cache() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(110));
-        let first = session.sweep(id, &grid());
+        let first = session.sweep_multi(&grid(id));
         let after_first = session.cache_stats();
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 4);
@@ -1261,9 +1194,8 @@ mod tests {
 
         // The identical grid again: answered entirely from the cache, by
         // both delivery shapes.
-        let second = session.sweep(id, &grid());
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-        let streamed = session.stream(&full);
+        let second = session.sweep_multi(&grid(id));
+        let streamed = session.stream(&grid(id));
         let mut from_cache = 0;
         let mut ordered = vec![0; streamed.total()];
         for point in streamed {
@@ -1283,8 +1215,8 @@ mod tests {
     fn duplicate_points_within_one_grid_simulate_once() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(100));
-        let point = (Machine::Decoupled, WindowSpec::Entries(16), 60);
-        let cycles = session.sweep(id, &[point, point, point]);
+        let point = (id, Machine::Decoupled, WindowSpec::Entries(16), 60);
+        let cycles = session.sweep_multi(&[point, point, point]);
         assert_eq!(cycles[0], cycles[1]);
         assert_eq!(cycles[1], cycles[2]);
         let stats = session.cache_stats();
@@ -1298,8 +1230,8 @@ mod tests {
         session.set_cache_enabled(false);
         assert!(!session.cache_enabled());
         let id = session.pin_trace(&stream().trace(100));
-        let first = session.sweep(id, &grid());
-        let second = session.sweep(id, &grid());
+        let first = session.sweep_multi(&grid(id));
+        let second = session.sweep_multi(&grid(id));
         assert_eq!(first, second);
         assert_eq!(session.cache_stats(), CacheStats::default());
     }
@@ -1308,10 +1240,10 @@ mod tests {
     fn clearing_the_cache_forces_recomputation() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(100));
-        let first = session.sweep(id, &grid());
+        let first = session.sweep_multi(&grid(id));
         session.clear_cache();
         assert_eq!(session.cache_stats().entries, 0);
-        let second = session.sweep(id, &grid());
+        let second = session.sweep_multi(&grid(id));
         assert_eq!(first, second);
         assert_eq!(session.cache_stats().misses, 8, "both grids simulated");
     }
@@ -1373,11 +1305,10 @@ mod tests {
     fn lookup_accounting_is_exact_across_delivery_shapes() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(100));
-        let _ = session.sweep(id, &grid());
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-        let _ = session.stream(&full).collect_ordered();
-        let point = grid()[0];
-        let _ = session.sweep(id, &[point, point, point]);
+        let _ = session.sweep_multi(&grid(id));
+        let _ = session.stream(&grid(id)).collect_ordered();
+        let point = grid(id)[0];
+        let _ = session.sweep_multi(&[point, point, point]);
         let stats = session.cache_stats();
         assert_eq!(stats.lookups, 4 + 4 + 3, "one classification per point");
         assert_eq!(stats.hits + stats.misses, stats.lookups);
@@ -1394,6 +1325,9 @@ mod tests {
         let mut reference = SweepSession::new();
         reference.set_cache_enabled(false);
         let rid = reference.pin_trace(&trace);
+        let at = |id: TraceId, points: &[(Machine, WindowSpec, Cycle)]| -> Vec<SweepPoint> {
+            points.iter().map(|&(m, w, md)| (id, m, w, md)).collect()
+        };
         // Deterministic LCG so the stress is reproducible.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
@@ -1420,13 +1354,12 @@ mod tests {
                 })
                 .collect();
             let got = if round % 2 == 0 {
-                session.sweep(id, &points)
+                session.sweep_multi(&at(id, &points))
             } else {
-                let full: Vec<SweepPoint> =
-                    points.iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-                session.stream(&full).collect_ordered()
+                session.stream(&at(id, &points)).collect_ordered()
             };
-            assert_eq!(got, reference.sweep(rid, &points), "round {round}");
+            let expected = reference.sweep_multi(&at(rid, &points));
+            assert_eq!(got, expected, "round {round}");
             let stats = session.cache_stats();
             assert!(
                 stats.entries <= 3,
@@ -1442,11 +1375,11 @@ mod tests {
     fn a_cancelled_stream_skips_pending_points() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(100));
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
+        let full = grid(id);
         let token = CancelToken::new();
         token.cancel();
         assert!(token.is_cancelled());
-        let mut stream = session.stream_cancellable(&full, &token);
+        let mut stream = session.stream_classified(&full, &token, RequestClass::default());
         assert_eq!(stream.next(), None, "every point was cancelled");
         assert_eq!(stream.skipped(), full.len());
         // The session (and a fresh, uncancelled stream) stay fully usable.
@@ -1458,12 +1391,11 @@ mod tests {
     fn dropping_a_stream_early_is_clean() {
         let mut session = SweepSession::new();
         let id = session.pin_trace(&stream().trace(80));
-        let full: Vec<SweepPoint> = grid().iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-        let mut stream = session.stream(&full);
+        let mut stream = session.stream(&grid(id));
         let first = stream.next().expect("at least one point");
         assert!(first.cycles > 0);
         drop(stream);
         // The session stays fully usable.
-        assert_eq!(session.sweep(id, &grid()).len(), 4);
+        assert_eq!(session.sweep_multi(&grid(id)).len(), 4);
     }
 }

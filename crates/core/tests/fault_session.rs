@@ -7,7 +7,9 @@
 //! every test in this binary serializes on [`FAULT_LOCK`] — including the
 //! ones that arm nothing, which must not run while a peer has a hook armed.
 
-use dae_core::{fault, CancelToken, Machine, SweepEvent, SweepPoint, SweepSession, WindowSpec};
+use dae_core::{
+    fault, CancelToken, Machine, RequestClass, SweepEvent, SweepPoint, SweepSession, WindowSpec,
+};
 use dae_workloads::PerfectProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -47,7 +49,7 @@ fn cancellation_aborts_running_points_with_balanced_accounting() {
     // abort poll with the flag already set: nothing can complete.
     fault::slow_every_point_ms(150);
     let token = CancelToken::new();
-    let mut stream = session.stream_cancellable(&points, &token);
+    let mut stream = session.stream_classified(&points, &token, RequestClass::default());
     std::thread::sleep(Duration::from_millis(40));
     token.cancel();
 
@@ -233,7 +235,7 @@ fn jobs_cancelled_while_queued_are_dropped_at_claim_time() {
     fault::slow_every_point_ms(100);
     let drops_before = rayon::global_pool_stats().claim_drops;
     let token = CancelToken::new();
-    let mut stream = session.stream_cancellable(&points, &token);
+    let mut stream = session.stream_classified(&points, &token, RequestClass::default());
     std::thread::sleep(Duration::from_millis(30));
     token.cancel();
 
@@ -329,7 +331,7 @@ fn a_cancelled_stream_with_repeated_points_balances() {
 
     fault::slow_every_point_ms(120);
     let token = CancelToken::new();
-    let mut stream = session.stream_cancellable(&points, &token);
+    let mut stream = session.stream_classified(&points, &token, RequestClass::default());
     std::thread::sleep(Duration::from_millis(30));
     token.cancel();
 

@@ -405,31 +405,14 @@ impl DecoupledMachine {
 
     /// Runs `trace` on the retained naive reference scheduler with the
     /// original cycle-by-cycle lockstep loop.  Slow; exists as the oracle
-    /// for the differential tests and the baseline for the throughput
-    /// benchmarks.
+    /// for the differential tests.
     ///
     /// # Panics
     ///
     /// Panics if the simulation exceeds the deadlock safety bound.
     #[must_use]
     pub fn run_reference(&self, trace: &Trace) -> DmResult {
-        let program = partition(trace, self.config.partition_mode);
-        self.run_reference_lowered(&program, trace.len())
-    }
-
-    /// [`DecoupledMachine::run_reference`] over an already-partitioned
-    /// program — used by the throughput benchmark to compare scheduler
-    /// against scheduler without per-run lowering on either side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation exceeds the deadlock safety bound.
-    #[must_use]
-    pub fn run_reference_lowered(
-        &self,
-        program: &DecoupledProgram,
-        trace_instructions: usize,
-    ) -> DmResult {
+        let program = &partition(trace, self.config.partition_mode);
         let mut units = [
             NaiveUnitSim::new(
                 Arc::clone(&program.au),
@@ -444,7 +427,7 @@ impl DecoupledMachine {
         ];
         let mut spec = DmSpec::new(&self.config, program);
         engine::run_lockstep(&mut units, &mut spec, self.safety_bound(program), "DM");
-        assemble(&units, &spec, program, trace_instructions)
+        assemble(&units, &spec, program, trace.len())
     }
 
     fn safety_bound(&self, program: &DecoupledProgram) -> Cycle {

@@ -152,28 +152,14 @@ impl ScalarReference {
 
     /// Runs `trace` on the retained naive reference scheduler with the
     /// original cycle-by-cycle lockstep loop (the differential-testing
-    /// oracle and benchmark baseline).
+    /// oracle).
     ///
     /// # Panics
     ///
     /// Panics if the simulation exceeds the deadlock safety bound.
     #[must_use]
     pub fn run_reference(&self, trace: &Trace) -> ScalarResult {
-        let program = lower_scalar(trace);
-        self.run_reference_lowered(&program, trace.len())
-    }
-
-    /// [`ScalarReference::run_reference`] over an already-lowered program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation exceeds the deadlock safety bound.
-    #[must_use]
-    pub fn run_reference_lowered(
-        &self,
-        program: &ScalarProgram,
-        trace_instructions: usize,
-    ) -> ScalarResult {
+        let program = &lower_scalar(trace);
         let mut units = [NaiveUnitSim::new(
             std::sync::Arc::clone(&program.insts),
             scalar_unit_config(),
@@ -183,7 +169,7 @@ impl ScalarReference {
             memory: FixedLatencyMemory::new(self.config.memory_differential),
         };
         engine::run_lockstep(&mut units, &mut spec, self.safety_bound(program), "scalar");
-        self.assemble(&units, program, trace_instructions)
+        self.assemble(&units, program, trace.len())
     }
 
     fn safety_bound(&self, program: &ScalarProgram) -> Cycle {

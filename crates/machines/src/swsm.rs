@@ -220,30 +220,14 @@ impl SuperscalarMachine {
 
     /// Runs `trace` on the retained naive reference scheduler with the
     /// original cycle-by-cycle lockstep loop (the differential-testing
-    /// oracle and benchmark baseline).
+    /// oracle).
     ///
     /// # Panics
     ///
     /// Panics if the simulation exceeds the deadlock safety bound.
     #[must_use]
     pub fn run_reference(&self, trace: &Trace) -> SwsmResult {
-        let program = expand_swsm(trace);
-        self.run_reference_lowered(&program, trace.len())
-    }
-
-    /// [`SuperscalarMachine::run_reference`] over an already-expanded
-    /// program — used by the throughput benchmark to compare scheduler
-    /// against scheduler without per-run lowering on either side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation exceeds the deadlock safety bound.
-    #[must_use]
-    pub fn run_reference_lowered(
-        &self,
-        program: &SwsmProgram,
-        trace_instructions: usize,
-    ) -> SwsmResult {
+        let program = &expand_swsm(trace);
         let mut units = [NaiveUnitSim::new(
             std::sync::Arc::clone(&program.insts),
             self.config.unit,
@@ -251,7 +235,7 @@ impl SuperscalarMachine {
         )];
         let mut spec = SwsmSpec::new(&self.config);
         engine::run_lockstep(&mut units, &mut spec, self.safety_bound(program), "SWSM");
-        self.assemble(&units, &spec, program, trace_instructions)
+        self.assemble(&units, &spec, program, trace.len())
     }
 
     fn safety_bound(&self, program: &SwsmProgram) -> Cycle {

@@ -78,17 +78,17 @@ fn pooled_runs_match_the_naive_reference() {
         let dm = DecoupledMachine::new(DmConfig::paper(16, md));
         assert_eq!(
             dm.run_pooled(&dm_program, trace.len(), pool),
-            dm.run_reference_lowered(&dm_program, trace.len())
+            dm.run_reference(&trace)
         );
         let swsm = SuperscalarMachine::new(SwsmConfig::paper(16, md));
         assert_eq!(
             swsm.run_pooled(&swsm_program, trace.len(), pool),
-            swsm.run_reference_lowered(&swsm_program, trace.len())
+            swsm.run_reference(&trace)
         );
         let scalar = ScalarReference::new(ScalarConfig::new(md));
         assert_eq!(
             scalar.run_pooled(&scalar_program, trace.len(), pool),
-            scalar.run_reference_lowered(&scalar_program, trace.len())
+            scalar.run_reference(&trace)
         );
     }
 }

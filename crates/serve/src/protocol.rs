@@ -25,6 +25,11 @@ use std::fmt;
 /// server.
 pub const MAX_ITERATIONS: u64 = 1_000_000;
 
+/// The largest accepted memory differential in `mds=`, in cycles: far above
+/// any figure of the paper (60) or client of this crate, and low enough
+/// that the simulators' cycle arithmetic cannot overflow.
+const MAX_MD: Cycle = 1_000_000;
+
 /// The largest accepted grid (`machines × windows × mds`) per request;
 /// bigger studies split into several requests and interleave naturally.
 pub const MAX_POINTS: usize = 65_536;
@@ -671,9 +676,11 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
                 Some(list) => {
                     match list
                         .split(',')
-                        .map(|t| {
-                            t.parse::<Cycle>()
-                                .map_err(|_| format!("bad memory differential '{t}'"))
+                        .map(|t| match t.parse::<Cycle>() {
+                            Ok(md) if md <= MAX_MD => Ok(md),
+                            _ => Err(format!(
+                                "bad memory differential '{t}' (expected 0..={MAX_MD})"
+                            )),
                         })
                         .collect::<Result<Vec<_>, _>>()
                     {
@@ -1019,6 +1026,10 @@ mod tests {
             ),
             (
                 "sweep id=x trace=TRFD machines=dm windows=8 mds=big",
+                "bad memory differential",
+            ),
+            (
+                "sweep id=x trace=TRFD machines=dm windows=8 mds=60,1000001",
                 "bad memory differential",
             ),
             (

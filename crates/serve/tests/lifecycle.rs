@@ -5,18 +5,23 @@
 //! and one grid must run through the shared accept loop over a Unix
 //! socket for each backend.
 //!
+//! The coordinator's retry watchdog is driven against a backend that
+//! never answers.
+//!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
 //! [`FAULT_LOCK`].
 
-use dae_core::{fault, SweepSession};
+use dae_core::{cache_key_digest, fault, LoweredTrace, SweepSession};
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, DoneStatus, Request,
-    Response, SweepBackend, SweepServer,
+    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, CoordinatorConfig,
+    DoneStatus, Partitioner, Request, Response, SweepBackend, SweepServer,
 };
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -28,18 +33,19 @@ fn faults() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// A coordinator over two fresh `SweepServer`s, each accepting on an
-/// ephemeral TCP port on its own `serve_tcp` thread.
+/// A fresh `SweepServer` accepting on an ephemeral TCP port on its own
+/// `serve_tcp` thread; returns its address.
+fn in_process_backend() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a backend");
+    let addr = listener.local_addr().expect("backend addr").to_string();
+    let server = Arc::new(SweepServer::new());
+    std::thread::spawn(move || serve_tcp(&server, &listener));
+    addr
+}
+
+/// A coordinator over two in-process backends.
 fn in_process_fleet() -> Arc<Coordinator> {
-    let addrs: Vec<String> = (0..2)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind a backend");
-            let addr = listener.local_addr().expect("backend addr").to_string();
-            let server = Arc::new(SweepServer::new());
-            std::thread::spawn(move || serve_tcp(&server, &listener));
-            addr
-        })
-        .collect();
+    let addrs = [in_process_backend(), in_process_backend()];
     Arc::new(Coordinator::connect(&addrs).expect("connect the fleet"))
 }
 
@@ -110,6 +116,7 @@ fn run_transcript<B: SweepBackend>(backend: &Arc<B>) -> Vec<String> {
         "cancel id=ghost".to_string(),
         "cancel id=slow".to_string(),
         sweep("late", "20,40", " deadline_ms=60"),
+        sweep("huge", "0,18446744073709551615", ""),
         "stats".to_string(),
         "shutdown".to_string(),
     ]
@@ -153,6 +160,16 @@ fn a_server_and_a_coordinator_answer_one_transcript_identically() {
     expect("cancelled id=slow");
     expect("shutdown mode=drain");
     expect("error id=refused msg=server is shutting down; not accepting new sweeps");
+    expect(
+        "error id=huge msg=bad memory differential '18446744073709551615' \
+         (expected 0..=1000000)",
+    );
+    assert!(
+        !single
+            .iter()
+            .any(|l| l.contains("id=huge ") && !l.starts_with("error ")),
+        "an over-cap memory differential runs no point: {single:#?}"
+    );
     let status_of = |id: &str| {
         single
             .iter()
@@ -238,4 +255,112 @@ fn both_backends_serve_a_grid_over_a_unix_socket() {
     let _guard = faults();
     unix_grid(Arc::new(SweepServer::new()), "server");
     unix_grid(in_process_fleet(), "coordinator");
+}
+
+/// A backend that accepts the coordinator's data connection and never
+/// answers on it, and closes every later (control) connection at once so
+/// `stats` does not wait out the control timeout.  Returns its address.
+fn silent_backend() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
+    let addr = listener.local_addr().expect("stub addr").to_string();
+    std::thread::spawn(move || {
+        let mut incoming = listener.incoming();
+        let Some(Ok(mut data)) = incoming.next() else {
+            return;
+        };
+        // Swallow every forwarded sweep line; never reply.
+        std::thread::spawn(move || std::io::copy(&mut data, &mut std::io::sink()));
+        for control in incoming {
+            drop(control);
+        }
+    });
+    addr
+}
+
+/// The retry watchdog re-dispatches points a backend sits on: over a real
+/// backend and one that never answers, a grid placed on both still
+/// completes, balanced and bit-for-bit equal to a cache-off reference.
+#[test]
+fn the_watchdog_redispatches_points_a_silent_backend_holds() {
+    let _guard = faults();
+    let line = "sweep id=wd trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,60";
+    let Ok(Request::Sweep(request)) = parse_request(line) else {
+        panic!("not a sweep: {line}");
+    };
+    let trace = request.source.trace(request.iterations).expect("expand");
+    let mut reference = SweepSession::new();
+    reference.set_cache_enabled(false);
+    let id = reference.pin_trace(&trace);
+    let points = request.points(id);
+    let expected = reference.sweep_multi(&points);
+
+    // The grid must reach the silent backend (index 1) and the real one.
+    let hash = LoweredTrace::new(&trace).content_hash();
+    let ring = Partitioner::new(2);
+    let placed: HashSet<usize> = points
+        .iter()
+        .filter_map(|&(_, m, w, md)| ring.assign(cache_key_digest(hash, m, w, md)))
+        .collect();
+    assert_eq!(placed.len(), 2, "the grid must span both backends");
+
+    let config = CoordinatorConfig {
+        retry_timeout: Duration::from_millis(200),
+        ..CoordinatorConfig::default()
+    };
+    let addrs = [in_process_backend(), silent_backend()];
+    let coordinator = Arc::new(Coordinator::connect_with(&addrs, config).expect("connect"));
+    let (tx, rx) = mpsc::channel();
+    let served = Arc::clone(&coordinator);
+    std::thread::spawn(move || {
+        let mut output = Vec::new();
+        let input = format!("{line}\n");
+        serve_connection(&served, input.as_bytes(), &mut output).expect("serve");
+        let _ = tx.send(output);
+    });
+    let output = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the grid never completed: nothing re-dispatched the silent backend's points");
+
+    let mut cycles = vec![None; expected.len()];
+    let mut done = Vec::new();
+    for reply in String::from_utf8(output).expect("utf8").lines() {
+        match parse_response(reply).expect("well-formed") {
+            Response::Point {
+                index, cycles: c, ..
+            } => {
+                assert!(cycles[index].replace(c).is_none(), "point {index} twice");
+            }
+            d @ Response::Done { .. } => done.push(d),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(cycles, expected, "watchdog-rescued grid vs the oracle");
+    let [Response::Done {
+        points,
+        delivered,
+        dropped,
+        aborted,
+        failed,
+        status,
+        ..
+    }] = done.as_slice()
+    else {
+        panic!("exactly one done line expected: {done:?}");
+    };
+    assert_eq!(*status, DoneStatus::Ok);
+    assert_eq!(
+        (*delivered, *dropped, *aborted, *failed),
+        (*points, 0, 0, 0)
+    );
+    assert_eq!(*points, expected.len());
+
+    let timeouts = coordinator
+        .stats_fields()
+        .into_iter()
+        .find(|(name, _)| name == "coordinator_timeouts")
+        .expect("stats report coordinator_timeouts")
+        .1;
+    assert!(timeouts >= 1, "the watchdog must have fired");
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }

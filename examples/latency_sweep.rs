@@ -14,8 +14,8 @@
 //! where `PROGRAM` is one of the PERFECT names (default FLO52Q) and
 //! `WINDOW` is the per-unit window size (default 32).
 
-use dae::core::TextTable;
-use dae::{dm_cycles, scalar_cycles, speedup, swsm_cycles, PerfectProgram, WindowSpec};
+use dae::core::{LoweredTrace, TextTable};
+use dae::{speedup, Machine, PerfectProgram, WindowSpec};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -26,8 +26,10 @@ fn main() {
     let window: usize = args.next().and_then(|w| w.parse().ok()).unwrap_or(32);
 
     let trace = program.workload().trace(1000);
-    let perfect_dm = dm_cycles(&trace, WindowSpec::Entries(window), 0);
-    let perfect_swsm = swsm_cycles(&trace, WindowSpec::Entries(window), 0);
+    let lowered = LoweredTrace::new(&trace);
+    let cycles = |machine, md| lowered.machine_cycles(machine, WindowSpec::Entries(window), md);
+    let perfect_dm = cycles(Machine::Decoupled, 0);
+    let perfect_swsm = cycles(Machine::Superscalar, 0);
 
     println!(
         "Memory-differential sweep for {program} with {window}-entry windows ({} instructions)\n",
@@ -45,9 +47,9 @@ fn main() {
     ]);
 
     for md in [0u64, 10, 20, 30, 40, 50, 60, 80, 100] {
-        let reference = scalar_cycles(&trace, md);
-        let dm = dm_cycles(&trace, WindowSpec::Entries(window), md);
-        let swsm = swsm_cycles(&trace, WindowSpec::Entries(window), md);
+        let reference = cycles(Machine::Scalar, md);
+        let dm = cycles(Machine::Decoupled, md);
+        let swsm = cycles(Machine::Superscalar, md);
         table.push_row(vec![
             md.to_string(),
             reference.to_string(),

@@ -10,8 +10,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use dae::machines::{DecoupledMachine, DmConfig, SuperscalarMachine, SwsmConfig};
-use dae::{scalar_cycles, speedup, PerfectProgram};
+use dae::machines::{
+    DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SuperscalarMachine, SwsmConfig,
+};
+use dae::{speedup, PerfectProgram};
 
 fn main() {
     let window = 32;
@@ -31,7 +33,8 @@ fn main() {
     );
 
     // The scalar reference defines the common speedup denominator.
-    let reference = scalar_cycles(&trace, memory_differential);
+    let reference =
+        ScalarReference::new(ScalarConfig::new(memory_differential)).analytic_cycles(&trace);
 
     // The access decoupled machine.
     let dm_cfg = DmConfig::paper(window, memory_differential);

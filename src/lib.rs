@@ -24,14 +24,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dae::prelude::*;
+//! use dae::core::LoweredTrace;
+//! use dae::{speedup, Machine, PerfectProgram, WindowSpec};
 //!
 //! // The paper's middle-band program, a realistic window, a 60-cycle
 //! // memory differential.
-//! let trace = PerfectProgram::Mdg.workload().trace(200);
-//! let reference = scalar_cycles(&trace, 60);
-//! let dm = speedup(reference, dm_cycles(&trace, WindowSpec::Entries(32), 60));
-//! let swsm = speedup(reference, swsm_cycles(&trace, WindowSpec::Entries(32), 60));
+//! let lowered = LoweredTrace::new(&PerfectProgram::Mdg.workload().trace(200));
+//! let cycles = |machine| lowered.machine_cycles(machine, WindowSpec::Entries(32), 60);
+//! let reference = cycles(Machine::Scalar);
+//! let dm = speedup(reference, cycles(Machine::Decoupled));
+//! let swsm = speedup(reference, cycles(Machine::Superscalar));
 //! assert!(dm > swsm, "the decoupled machine hides a 60-cycle latency better");
 //! ```
 
@@ -43,11 +45,7 @@ pub use dae_ooo as ooo;
 pub use dae_trace as trace;
 pub use dae_workloads as workloads;
 
-pub use dae_core::prelude;
-pub use dae_core::{
-    dm_cycles, equivalent_window_figure, scalar_cycles, speedup, speedup_figure, swsm_cycles,
-    table1, window_ratio_claim, ExperimentConfig, Machine, WindowSpec,
-};
+pub use dae_core::{speedup, ExperimentConfig, Machine, WindowSpec};
 pub use dae_machines::{
     DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SuperscalarMachine, SwsmConfig,
 };

@@ -218,7 +218,8 @@ fn a_restarted_session_answers_a_served_grid_entirely_from_cache() {
             0
         );
         let id = session.pin_program(PerfectProgram::Trfd, 120);
-        let cold = session.sweep(id, &grid);
+        let points: Vec<SweepPoint> = grid.iter().map(|&(m, w, md)| (id, m, w, md)).collect();
+        let cold = session.sweep_multi(&points);
         assert_eq!(session.cache_stats().persisted, grid.len() as u64);
         session.persist_cache().expect("shutdown compaction");
         cold
@@ -260,7 +261,7 @@ fn clearing_truncates_the_persisted_log() {
             .attach_cache_store(&scratch.0)
             .expect("fresh dir attaches");
         let id = session.pin_program(PerfectProgram::Trfd, 120);
-        let _ = session.sweep(id, &[(Machine::Decoupled, WindowSpec::Entries(16), 60)]);
+        let _ = session.sweep_multi(&[(id, Machine::Decoupled, WindowSpec::Entries(16), 60)]);
         assert_eq!(session.cache_stats().persisted, 1);
         session.clear_cache();
     }
@@ -279,9 +280,6 @@ fn clearing_truncates_the_persisted_log() {
 #[test]
 fn compaction_persists_only_the_resident_set() {
     let scratch = Scratch::new();
-    let grid: Vec<(Machine, WindowSpec, u64)> = (0..6)
-        .map(|i| (Machine::Scalar, WindowSpec::Entries(1), i * 10))
-        .collect();
     {
         let mut session = SweepSession::new();
         session.set_cache_limit(Some(2));
@@ -289,7 +287,10 @@ fn compaction_persists_only_the_resident_set() {
             .attach_cache_store(&scratch.0)
             .expect("fresh dir attaches");
         let id = session.pin_program(PerfectProgram::Trfd, 120);
-        let _ = session.sweep(id, &grid);
+        let grid: Vec<SweepPoint> = (0..6)
+            .map(|i| (id, Machine::Scalar, WindowSpec::Entries(1), i * 10))
+            .collect();
+        let _ = session.sweep_multi(&grid);
         let stats = session.cache_stats();
         assert!(stats.entries <= 2);
         assert!(stats.evictions >= 4);

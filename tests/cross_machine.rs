@@ -1,7 +1,10 @@
 //! Cross-crate consistency checks: the machines, lowerings and analytical
 //! bounds must agree with each other on every workload.
 
-use dae::core::{dm_cycles, scalar_cycles, swsm_cycles, WindowSpec};
+mod common;
+
+use common::direct_cycles;
+use dae::core::{Machine, WindowSpec};
 use dae::isa::LatencyModel;
 use dae::machines::{
     DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SuperscalarMachine, SwsmConfig,
@@ -22,10 +25,16 @@ fn execution_times_sit_between_the_dataflow_limit_and_the_serial_bound() {
         }
         let summary = dataflow_summary(&trace, &latencies, 0);
         for md in [0u64, 60] {
-            let serial = scalar_cycles(&trace, md);
+            let serial = direct_cycles(Machine::Scalar, &trace, WindowSpec::Unlimited, md);
             for (name, cycles) in [
-                ("DM", dm_cycles(&trace, WindowSpec::Entries(32), md)),
-                ("SWSM", swsm_cycles(&trace, WindowSpec::Entries(32), md)),
+                (
+                    "DM",
+                    direct_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(32), md),
+                ),
+                (
+                    "SWSM",
+                    direct_cycles(Machine::Superscalar, &trace, WindowSpec::Entries(32), md),
+                ),
             ] {
                 assert!(
                     cycles >= summary.critical_path_perfect,
@@ -57,15 +66,25 @@ fn bigger_windows_are_never_slower() {
             let mut previous_dm = u64::MAX;
             let mut previous_swsm = u64::MAX;
             for window in [4usize, 16, 64, 256] {
-                let dm = dm_cycles(&trace, WindowSpec::Entries(window), md);
-                let swsm = swsm_cycles(&trace, WindowSpec::Entries(window), md);
+                let dm = direct_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(window), md);
+                let swsm = direct_cycles(
+                    Machine::Superscalar,
+                    &trace,
+                    WindowSpec::Entries(window),
+                    md,
+                );
                 assert!(dm <= previous_dm, "{program} md={md} window {window}");
                 assert!(swsm <= previous_swsm, "{program} md={md} window {window}");
                 previous_dm = dm;
                 previous_swsm = swsm;
             }
-            assert!(dm_cycles(&trace, WindowSpec::Unlimited, md) <= previous_dm);
-            assert!(swsm_cycles(&trace, WindowSpec::Unlimited, md) <= previous_swsm);
+            assert!(
+                direct_cycles(Machine::Decoupled, &trace, WindowSpec::Unlimited, md) <= previous_dm
+            );
+            assert!(
+                direct_cycles(Machine::Superscalar, &trace, WindowSpec::Unlimited, md)
+                    <= previous_swsm
+            );
         }
     }
 }
@@ -78,9 +97,9 @@ fn more_memory_latency_never_helps() {
         let mut previous = (0u64, 0u64, 0u64);
         for md in [0u64, 20, 40, 60] {
             let current = (
-                dm_cycles(&trace, WindowSpec::Entries(32), md),
-                swsm_cycles(&trace, WindowSpec::Entries(32), md),
-                scalar_cycles(&trace, md),
+                direct_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(32), md),
+                direct_cycles(Machine::Superscalar, &trace, WindowSpec::Entries(32), md),
+                direct_cycles(Machine::Scalar, &trace, WindowSpec::Unlimited, md),
             );
             assert!(current.0 >= previous.0, "{program} DM md={md}");
             assert!(current.1 >= previous.1, "{program} SWSM md={md}");

@@ -6,14 +6,14 @@
 //! bounds on execution time, monotonicity in machine resources, and the
 //! basic algebra of the metrics.
 
-use dae::core::{
-    dm_cycles, equivalent_window_ratio, scalar_cycles, swsm_cycles, LoweredTrace, Machine,
-    ScalarMode, SweepSession, WindowCurve, WindowSpec,
-};
+use dae::core::{equivalent_window_ratio, LoweredTrace, Machine, WindowCurve, WindowSpec};
 use dae::isa::{AddressPattern, LatencyModel};
-use dae::machines::{DecoupledMachine, DmConfig, SuperscalarMachine, SwsmConfig};
+use dae::machines::{
+    DecoupledMachine, DmConfig, ScalarConfig, ScalarReference, SimPool, SuperscalarMachine,
+    SwsmConfig,
+};
 use dae::trace::{
-    classify, dataflow_summary, expand, expand_swsm, lower_scalar, partition, PartitionMode,
+    classify, dataflow_summary, expand, expand_swsm, lower_scalar, partition, PartitionMode, Trace,
 };
 use dae::workloads::random_kernel;
 use proptest::prelude::*;
@@ -92,10 +92,12 @@ proptest! {
         let trace = expand(&kernel, 25);
         let latencies = LatencyModel::paper_default();
         let limit = dataflow_summary(&trace, &latencies, 0).critical_path_perfect;
-        let serial = scalar_cycles(&trace, md);
+        let lowered = LoweredTrace::new(&trace);
+        let cycles = |machine, md| lowered.machine_cycles(machine, WindowSpec::Entries(16), md);
+        let serial = cycles(Machine::Scalar, md);
 
-        let dm = dm_cycles(&trace, WindowSpec::Entries(16), md);
-        let swsm = swsm_cycles(&trace, WindowSpec::Entries(16), md);
+        let dm = cycles(Machine::Decoupled, md);
+        let swsm = cycles(Machine::Superscalar, md);
         prop_assert!(dm >= limit && dm <= serial, "dm={dm} limit={limit} serial={serial}");
         prop_assert!(swsm >= limit && swsm <= serial, "swsm={swsm} limit={limit} serial={serial}");
 
@@ -107,8 +109,8 @@ proptest! {
         // kernels reach ~15% (e.g. 46 vs 53 cycles at MD 1 vs 0), so
         // assert monotonicity up to a 25% slack: loose enough for the real
         // effect, tight enough to catch a dropped latency charge.
-        let dm_zero = dm_cycles(&trace, WindowSpec::Entries(16), 0);
-        let swsm_zero = swsm_cycles(&trace, WindowSpec::Entries(16), 0);
+        let dm_zero = cycles(Machine::Decoupled, 0);
+        let swsm_zero = cycles(Machine::Superscalar, 0);
         prop_assert!(4 * dm >= 3 * dm_zero, "dm={dm} dm_zero={dm_zero}");
         prop_assert!(4 * swsm >= 3 * swsm_zero, "swsm={swsm} swsm_zero={swsm_zero}");
     }
@@ -118,23 +120,20 @@ proptest! {
     #[test]
     fn unlimited_windows_dominate_small_ones(seed in 0u64..2000, stmts in 6usize..28) {
         let kernel = random_kernel(seed, stmts);
-        let trace = expand(&kernel, 25);
+        let lowered = LoweredTrace::new(&expand(&kernel, 25));
         for md in [0u64, 60] {
-            prop_assert!(
-                dm_cycles(&trace, WindowSpec::Unlimited, md)
-                    <= dm_cycles(&trace, WindowSpec::Entries(8), md)
-            );
-            prop_assert!(
-                swsm_cycles(&trace, WindowSpec::Unlimited, md)
-                    <= swsm_cycles(&trace, WindowSpec::Entries(8), md)
-            );
+            for machine in [Machine::Decoupled, Machine::Superscalar] {
+                prop_assert!(
+                    lowered.machine_cycles(machine, WindowSpec::Unlimited, md)
+                        <= lowered.machine_cycles(machine, WindowSpec::Entries(8), md)
+                );
+            }
         }
     }
 
     /// The pooled *simulated* scalar machine matches the O(1) analytic
     /// formula bit for bit on any random kernel — the property that lets
-    /// sweep sessions switch between [`ScalarMode::Analytic`] and
-    /// [`ScalarMode::Simulated`] without changing a single figure.
+    /// every sweep answer scalar points with the formula.
     #[test]
     fn pooled_simulated_scalar_matches_the_analytic_formula(
         seed in 0u64..4000,
@@ -143,12 +142,8 @@ proptest! {
     ) {
         let kernel = random_kernel(seed, stmts);
         let trace = expand(&kernel, 20);
-        let lowered = LoweredTrace::new(&trace);
-        // Run the pooled simulation twice: the second run reuses the warm
-        // thread-local pool and must reproduce the first.
-        let simulated = lowered.scalar_cycles_simulated(md);
-        prop_assert_eq!(simulated, lowered.scalar_cycles(md));
-        prop_assert_eq!(simulated, lowered.scalar_cycles_simulated(md));
+        let (simulated, analytic) = simulated_and_analytic_scalar(&trace, md, &mut SimPool::new());
+        prop_assert_eq!(simulated, analytic);
     }
 
     /// The DM's detailed result is internally consistent on any kernel:
@@ -242,24 +237,33 @@ proptest! {
     }
 }
 
+/// The scalar machine simulated twice over `pool` (the second run reuses
+/// the buffers the first returned and must reproduce it), and the analytic
+/// formula as sweeps evaluate it, which must agree with
+/// [`ScalarReference::analytic_cycles`].
+fn simulated_and_analytic_scalar(trace: &Trace, md: u64, pool: &mut SimPool) -> (u64, u64) {
+    let machine = ScalarReference::new(ScalarConfig::new(md));
+    let program = lower_scalar(trace);
+    let simulated = machine.run_pooled(&program, trace.len(), pool).cycles();
+    let again = machine.run_pooled(&program, trace.len(), pool).cycles();
+    assert_eq!(simulated, again, "a warm pool changed the scalar result");
+    let analytic = machine.analytic_cycles(trace);
+    let swept = LoweredTrace::new(trace).machine_cycles(Machine::Scalar, WindowSpec::Unlimited, md);
+    assert_eq!(swept, analytic, "the sweep's scalar formula diverges");
+    (simulated, analytic)
+}
+
 /// Pooled simulated scalar runs equal the analytic formula on all seven
-/// PERFECT workloads, through a warm simulated-scalar sweep session — the
-/// deployment shape of the scalar ablations.
+/// PERFECT workloads, over one pool kept warm across the whole suite.
 #[test]
 fn pooled_simulated_scalar_matches_the_analytic_formula_on_the_perfect_suite() {
-    let mut session = SweepSession::with_scalar_mode(ScalarMode::Simulated);
-    let points: Vec<(Machine, WindowSpec, u64)> = [0u64, 20, 60]
-        .iter()
-        .map(|&md| (Machine::Scalar, WindowSpec::Entries(1), md))
-        .collect();
+    let pool = &mut SimPool::new();
     for program in dae::PerfectProgram::ALL {
         let trace = program.workload().trace(80);
-        let id = session.pin_trace(&trace);
-        let simulated = session.sweep(id, &points);
-        for (&(_, _, md), &cycles) in points.iter().zip(&simulated) {
+        for md in [0u64, 20, 60] {
+            let (simulated, analytic) = simulated_and_analytic_scalar(&trace, md, pool);
             assert_eq!(
-                cycles,
-                scalar_cycles(&trace, md),
+                simulated, analytic,
                 "{program} md={md}: pooled simulated scalar diverges from the analytic formula"
             );
         }

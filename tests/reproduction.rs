@@ -5,9 +5,12 @@
 //! reports: who wins, in which regime, and by roughly what kind of factor.
 //! Absolute cycle counts are implementation specific and are not asserted.
 
+mod common;
+
+use common::direct_cycles;
 use dae::core::{
-    dm_cycles, equivalent_window_figure, scalar_cycles, speedup, speedup_figure, swsm_cycles,
-    table1, ExperimentConfig, Machine, WindowSpec,
+    equivalent_window_figure_in, speedup, speedup_figure_in, table1_in, ExperimentConfig, Machine,
+    SweepSession, WindowSpec,
 };
 use dae::machines::{DecoupledMachine, DmConfig};
 use dae::workloads::{LatencyHidingBand, PerfectProgram};
@@ -29,8 +32,13 @@ fn dm_beats_swsm_at_md60_for_every_program_and_window() {
     for program in PerfectProgram::ALL {
         let trace = program.workload().trace(200);
         for window in [8usize, 32, 128] {
-            let dm = dm_cycles(&trace, WindowSpec::Entries(window), 60);
-            let swsm = swsm_cycles(&trace, WindowSpec::Entries(window), 60);
+            let dm = direct_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(window), 60);
+            let swsm = direct_cycles(
+                Machine::Superscalar,
+                &trace,
+                WindowSpec::Entries(window),
+                60,
+            );
             assert!(
                 dm < swsm,
                 "{program} window {window}: DM {dm} should beat SWSM {swsm} at MD=60"
@@ -46,8 +54,8 @@ fn dm_beats_swsm_at_md60_for_every_program_and_window() {
 fn md0_small_windows_favour_dm_and_large_windows_favour_swsm() {
     for program in PerfectProgram::REPRESENTATIVE {
         let trace = program.workload().trace(200);
-        let dm_small = dm_cycles(&trace, WindowSpec::Entries(8), 0);
-        let swsm_small = swsm_cycles(&trace, WindowSpec::Entries(8), 0);
+        let dm_small = direct_cycles(Machine::Decoupled, &trace, WindowSpec::Entries(8), 0);
+        let swsm_small = direct_cycles(Machine::Superscalar, &trace, WindowSpec::Entries(8), 0);
         assert!(
             dm_small <= swsm_small,
             "{program}: DM should win at an 8-entry window and MD=0"
@@ -55,8 +63,8 @@ fn md0_small_windows_favour_dm_and_large_windows_favour_swsm() {
 
         // With unlimited windows the SWSM's width-9 single pipeline matches
         // or beats the width-4/5 pair for these width-bound programs.
-        let dm_unlimited = dm_cycles(&trace, WindowSpec::Unlimited, 0);
-        let swsm_unlimited = swsm_cycles(&trace, WindowSpec::Unlimited, 0);
+        let dm_unlimited = direct_cycles(Machine::Decoupled, &trace, WindowSpec::Unlimited, 0);
+        let swsm_unlimited = direct_cycles(Machine::Superscalar, &trace, WindowSpec::Unlimited, 0);
         assert!(
             swsm_unlimited as f64 <= dm_unlimited as f64 * 1.05,
             "{program}: SWSM with an unlimited window should at least match the DM at MD=0 \
@@ -72,7 +80,7 @@ fn md0_small_windows_favour_dm_and_large_windows_favour_swsm() {
 fn crossover_exists_at_md0_but_not_at_md60() {
     let config = quick_config();
     for program in PerfectProgram::REPRESENTATIVE {
-        let figure = speedup_figure(program, &config, &[0, 60]);
+        let figure = speedup_figure_in(&mut SweepSession::new(), program, &config, &[0, 60]);
         assert_eq!(
             figure.crossover_window(60),
             None,
@@ -94,8 +102,8 @@ fn the_gap_orders_flo52q_above_track() {
     let window = WindowSpec::Entries(64);
     let gap = |program: PerfectProgram| {
         let trace = program.workload().trace(200);
-        let dm = dm_cycles(&trace, window, 60) as f64;
-        let swsm = swsm_cycles(&trace, window, 60) as f64;
+        let dm = direct_cycles(Machine::Decoupled, &trace, window, 60) as f64;
+        let swsm = direct_cycles(Machine::Superscalar, &trace, window, 60) as f64;
         swsm / dm
     };
     let flo = gap(PerfectProgram::Flo52q);
@@ -115,7 +123,7 @@ fn table1_reproduces_the_three_bands() {
         dm_windows: vec![32],
         ..quick_config()
     };
-    let table = table1(&config, 60);
+    let table = table1_in(&mut SweepSession::new(), &config, 60);
     let lhe = |p: PerfectProgram| table.lhe(p, WindowSpec::Unlimited).unwrap();
 
     let high = [
@@ -175,7 +183,7 @@ fn finite_windows_do_not_reach_the_unlimited_window_lhe() {
         dm_windows: vec![32, 128],
         ..quick_config()
     };
-    let table = table1(&config, 60);
+    let table = table1_in(&mut SweepSession::new(), &config, 60);
     for program in [
         PerfectProgram::Trfd,
         PerfectProgram::Flo52q,
@@ -204,7 +212,7 @@ fn finite_windows_do_not_reach_the_unlimited_window_lhe() {
 fn equivalent_window_ratio_is_a_small_multiple_and_grows_with_md() {
     let config = quick_config();
     for program in PerfectProgram::REPRESENTATIVE {
-        let figure = equivalent_window_figure(program, &config);
+        let figure = equivalent_window_figure_in(&mut SweepSession::new(), program, &config);
         let at_md60 = figure.ratio(32, 60).expect("ratio at MD=60 resolves");
         assert!(
             (1.5..8.0).contains(&at_md60),
@@ -245,10 +253,9 @@ fn both_machines_beat_the_scalar_reference() {
     for program in PerfectProgram::ALL {
         let trace = program.workload().trace(150);
         for md in [0u64, 60] {
-            let reference = scalar_cycles(&trace, md);
+            let reference = direct_cycles(Machine::Scalar, &trace, WindowSpec::Unlimited, md);
             for machine in [Machine::Decoupled, Machine::Superscalar] {
-                let cycles =
-                    dae::core::machine_cycles(machine, &trace, WindowSpec::Entries(32), md);
+                let cycles = direct_cycles(machine, &trace, WindowSpec::Entries(32), md);
                 let s = speedup(reference, cycles);
                 assert!(s > 1.0, "{program} {machine} md={md}: speedup {s:.2}");
             }

@@ -1,13 +1,13 @@
 //! Session-differential suite: streamed [`SweepSession`] results must be
-//! bit-for-bit identical to the batched session API, to the one-shot
-//! `LoweredTrace::sweep`, and to the naive reference scheduler
+//! bit-for-bit identical to the batched session API, to the per-point
+//! `LoweredTrace::machine_cycles`, and to the naive reference scheduler
 //! (`run_reference`) — on randomized point grids across all three
 //! machines, and across session reuse (multiple grids, multiple traces,
 //! back to back on one session).  Grids that repeat points must also leave
 //! the same cache accounting whichever shape ran them.
 
 use dae::core::{
-    dm_config, swsm_config, LoweredTrace, Machine, ScalarMode, SweepPoint, SweepSession, WindowSpec,
+    dm_config, swsm_config, LoweredTrace, Machine, SweepPoint, SweepSession, TraceId, WindowSpec,
 };
 use dae::machines::{DecoupledMachine, ScalarConfig, ScalarReference, SuperscalarMachine};
 use dae::trace::Trace;
@@ -49,20 +49,32 @@ fn decode_point(machine: u8, window: u8, md: u64) -> (Machine, WindowSpec, u64) 
     (machine, window, md)
 }
 
-/// Runs `points` on a fresh session four ways (batched, streamed, one-shot,
-/// naive reference) and asserts bit-for-bit equality.
+/// `points` addressed at the pinned program `id`.
+fn at(id: TraceId, points: &[(Machine, WindowSpec, u64)]) -> Vec<SweepPoint> {
+    points.iter().map(|&(m, w, md)| (id, m, w, md)).collect()
+}
+
+/// The per-point execution times of `points` on `lowered`, in order.
+fn per_point(lowered: &LoweredTrace, points: &[(Machine, WindowSpec, u64)]) -> Vec<u64> {
+    points
+        .iter()
+        .map(|&(m, w, md)| lowered.machine_cycles(m, w, md))
+        .collect()
+}
+
+/// Runs `points` on a fresh session four ways (batched, streamed,
+/// per point, naive reference) and asserts bit-for-bit equality.
 fn assert_all_paths_agree(trace: &Trace, points: &[(Machine, WindowSpec, u64)]) {
     let lowered = LoweredTrace::new(trace);
-    let one_shot = lowered.sweep(points);
+    let one_shot = per_point(&lowered, points);
 
     let mut session = SweepSession::new();
     let id = session.pin_lowered(lowered);
-    let batched = session.sweep(id, points);
-    let full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (id, m, w, md)).collect();
-    let streamed = session.stream(&full).collect_ordered();
+    let batched = session.sweep_multi(&at(id, points));
+    let streamed = session.stream(&at(id, points)).collect_ordered();
 
-    assert_eq!(batched, one_shot, "batched session != one-shot sweep");
-    assert_eq!(streamed, one_shot, "streamed session != one-shot sweep");
+    assert_eq!(batched, one_shot, "batched session != per-point cycles");
+    assert_eq!(streamed, one_shot, "streamed session != per-point cycles");
     for (&(machine, window, md), &cycles) in points.iter().zip(&one_shot) {
         assert_eq!(
             cycles,
@@ -113,11 +125,10 @@ proptest! {
 
         let mut batched_session = SweepSession::new();
         let b = batched_session.pin_trace(&trace);
-        let batched = batched_session.sweep(b, &points);
+        let batched = batched_session.sweep_multi(&at(b, &points));
         let mut streamed_session = SweepSession::new();
         let s = streamed_session.pin_trace(&trace);
-        let full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (s, m, w, md)).collect();
-        let streamed = streamed_session.stream(&full).collect_ordered();
+        let streamed = streamed_session.stream(&at(s, &points)).collect_ordered();
 
         prop_assert_eq!(&batched, &streamed);
         for (&(machine, window, md), &cycles) in points.iter().zip(&batched) {
@@ -172,19 +183,21 @@ fn one_session_serves_multiple_grids_and_traces_unchanged() {
     let a = session.pin_trace(&trace_a);
     let b = session.pin_trace(&trace_b);
 
-    let expect_a1 = lowered_a.sweep(&grid_one);
-    let expect_a2 = lowered_a.sweep(&grid_two);
-    let expect_b1 = lowered_b.sweep(&grid_one);
-    let expect_b2 = lowered_b.sweep(&grid_two);
+    let expect_a1 = per_point(&lowered_a, &grid_one);
+    let expect_a2 = per_point(&lowered_a, &grid_two);
+    let expect_b1 = per_point(&lowered_b, &grid_one);
+    let expect_b2 = per_point(&lowered_b, &grid_two);
 
     // Interleave traces and grids, repeating grid one on trace A at the
     // end: a warm session must reproduce its own cold results.
-    assert_eq!(session.sweep(a, &grid_one), expect_a1);
-    assert_eq!(session.sweep(b, &grid_one), expect_b1);
-    assert_eq!(session.sweep(a, &grid_two), expect_a2);
-    let full: Vec<SweepPoint> = grid_one.iter().map(|&(m, w, md)| (a, m, w, md)).collect();
-    assert_eq!(session.stream(&full).collect_ordered(), expect_a1);
-    assert_eq!(session.sweep(a, &grid_one), expect_a1);
+    assert_eq!(session.sweep_multi(&at(a, &grid_one)), expect_a1);
+    assert_eq!(session.sweep_multi(&at(b, &grid_one)), expect_b1);
+    assert_eq!(session.sweep_multi(&at(a, &grid_two)), expect_a2);
+    assert_eq!(
+        session.stream(&at(a, &grid_one)).collect_ordered(),
+        expect_a1
+    );
+    assert_eq!(session.sweep_multi(&at(a, &grid_one)), expect_a1);
 
     // A mixed-trace grid through one call, streamed.
     let mixed: Vec<SweepPoint> = vec![
@@ -196,30 +209,4 @@ fn one_session_serves_multiple_grids_and_traces_unchanged() {
     assert_eq!(mixed_got[0], expect_a1[0]);
     assert_eq!(mixed_got[1], expect_b2[1]);
     assert_eq!(mixed_got[2], expect_a1[2]);
-}
-
-/// A simulated-scalar session reproduces the analytic session bit for bit
-/// on a mixed grid (the property behind letting ablations sweep the scalar
-/// machine through the simulator).
-#[test]
-fn simulated_scalar_sessions_match_analytic_sessions_on_mixed_grids() {
-    let trace = PerfectProgram::Adm.workload().trace(80);
-    let grid: Vec<(Machine, WindowSpec, u64)> = vec![
-        (Machine::Scalar, WindowSpec::Entries(1), 0),
-        (Machine::Decoupled, WindowSpec::Entries(32), 60),
-        (Machine::Scalar, WindowSpec::Entries(1), 60),
-        (Machine::Superscalar, WindowSpec::Entries(16), 40),
-        (Machine::Scalar, WindowSpec::Entries(1), 25),
-    ];
-    let mut analytic = SweepSession::new();
-    let a = analytic.pin_trace(&trace);
-    let mut simulated = SweepSession::with_scalar_mode(ScalarMode::Simulated);
-    let s = simulated.pin_trace(&trace);
-    assert_eq!(analytic.sweep(a, &grid), simulated.sweep(s, &grid));
-
-    let full: Vec<SweepPoint> = grid.iter().map(|&(m, w, md)| (s, m, w, md)).collect();
-    assert_eq!(
-        simulated.stream(&full).collect_ordered(),
-        analytic.sweep(a, &grid)
-    );
 }

@@ -8,9 +8,8 @@
 //! differential that makes content addressing safe).
 
 use dae::core::{
-    dm_config, equivalent_window_figure, equivalent_window_figure_in, swsm_config,
-    window_ratio_claim, window_ratio_claim_in, ExperimentConfig, Machine, SweepPoint, SweepSession,
-    WindowSpec,
+    dm_config, equivalent_window_figure_in, swsm_config, window_ratio_claim_in, ExperimentConfig,
+    Machine, SweepPoint, SweepSession, TraceId, WindowSpec,
 };
 use dae::machines::{DecoupledMachine, ScalarConfig, ScalarReference, SuperscalarMachine};
 use dae::trace::Trace;
@@ -33,6 +32,11 @@ fn reference_cycles(trace: &Trace, machine: Machine, window: WindowSpec, md: u64
             .run_reference(trace)
             .cycles(),
     }
+}
+
+/// `points` addressed at the pinned program `id`.
+fn at(id: TraceId, points: &[(Machine, WindowSpec, u64)]) -> Vec<SweepPoint> {
+    points.iter().map(|&(m, w, md)| (id, m, w, md)).collect()
 }
 
 /// Decodes a proptest-generated raw point into a sweep point.
@@ -63,26 +67,24 @@ fn assert_cached_uncached_and_reference_agree(
     let mut cached = SweepSession::new();
     assert!(cached.cache_enabled(), "sessions cache by default");
     let c = cached.pin_trace(trace);
-    let first = cached.sweep(c, points);
-    let second = cached.sweep(c, points);
-    let full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (c, m, w, md)).collect();
-    let streamed = cached.stream(&full).collect_ordered();
+    let first = cached.sweep_multi(&at(c, points));
+    let second = cached.sweep_multi(&at(c, points));
+    let streamed = cached.stream(&at(c, points)).collect_ordered();
 
     let mut uncached = SweepSession::new();
     uncached.set_cache_enabled(false);
     let u = uncached.pin_trace(trace);
-    let plain = uncached.sweep(u, points);
+    let plain = uncached.sweep_multi(&at(u, points));
 
     // A cache bounded well below the grid evicts on nearly every insert;
     // eviction churn must never change a result.
     let mut bounded = SweepSession::new();
     bounded.set_cache_limit(Some(2));
     let b = bounded.pin_trace(trace);
-    let bounded_full: Vec<SweepPoint> = points.iter().map(|&(m, w, md)| (b, m, w, md)).collect();
     for pass in [
-        bounded.sweep(b, points),
-        bounded.sweep(b, points),
-        bounded.stream(&bounded_full).collect_ordered(),
+        bounded.sweep_multi(&at(b, points)),
+        bounded.sweep_multi(&at(b, points)),
+        bounded.stream(&at(b, points)).collect_ordered(),
     ] {
         assert_eq!(pass, plain, "bounded-cache pass != uncached run");
     }
@@ -136,7 +138,7 @@ fn assert_cached_uncached_and_reference_agree(
     // its own simulations would have produced (`plain`).
     let relowered = cached.pin_trace(trace);
     assert_ne!(relowered, c, "distinct pins, shared structural identity");
-    let via_cache = cached.sweep(relowered, points);
+    let via_cache = cached.sweep_multi(&at(relowered, points));
     assert_eq!(via_cache, plain, "hash-equal must imply result-equal");
     let after = cached.cache_stats();
     assert_eq!(after.misses, stats.misses, "no new simulations");
@@ -183,7 +185,7 @@ proptest! {
 /// the §5 window-ratio claim sweep heavily overlapping grids (the claim
 /// re-visits the figure's SWSM search windows and its DM point at MD =
 /// 60).  Sharing a session, the second generator must *hit* — and both
-/// must produce exactly the figures a cold one-shot run produces.
+/// must produce exactly the figures a cold fresh session produces.
 #[test]
 fn overlapping_ewr_grids_hit_the_cache_and_figures_are_unchanged() {
     let cfg = ExperimentConfig {
@@ -217,10 +219,16 @@ fn overlapping_ewr_grids_hit_the_cache_and_figures_are_unchanged() {
         "a repeated figure must not simulate a single point"
     );
 
-    // And every cached figure equals its cold one-shot counterpart.
-    assert_eq!(fig, equivalent_window_figure(PerfectProgram::Mdg, &cfg));
+    // And every cached figure equals its cold fresh-session counterpart.
+    assert_eq!(
+        fig,
+        equivalent_window_figure_in(&mut SweepSession::new(), PerfectProgram::Mdg, &cfg)
+    );
     assert_eq!(again, fig);
-    assert_eq!(claim, window_ratio_claim(&cfg, 32, 60));
+    assert_eq!(
+        claim,
+        window_ratio_claim_in(&mut SweepSession::new(), &cfg, 32, 60)
+    );
 }
 
 /// Identity is the structural content hash of the lowering, not the
@@ -251,11 +259,11 @@ fn a_relowered_copy_of_the_same_program_hits_structurally() {
         "re-lowering is deterministic"
     );
 
-    let first_cycles = session.sweep(first, &grid);
+    let first_cycles = session.sweep_multi(&at(first, &grid));
     let between = session.cache_stats();
     assert_eq!(between.misses, grid.len() as u64);
 
-    let second_cycles = session.sweep(second, &grid);
+    let second_cycles = session.sweep_multi(&at(second, &grid));
     let after = session.cache_stats();
     assert_eq!(first_cycles, second_cycles, "same program, same results");
     assert_eq!(
@@ -277,7 +285,7 @@ fn a_relowered_copy_of_the_same_program_hits_structurally() {
         session.lowered(other).content_hash(),
         session.lowered(first).content_hash()
     );
-    let _ = session.sweep(other, &grid);
+    let _ = session.sweep_multi(&at(other, &grid));
     let distinct = session.cache_stats();
     assert_eq!(distinct.misses, 2 * grid.len() as u64);
     assert_eq!(distinct.entries, 2 * grid.len());
@@ -287,8 +295,8 @@ fn a_relowered_copy_of_the_same_program_hits_structurally() {
     let a = programs.pin_program(PerfectProgram::Trfd, 80);
     let b = programs.pin_program(PerfectProgram::Trfd, 80);
     assert_eq!(a, b);
-    let _ = programs.sweep(a, &grid);
-    let _ = programs.sweep(b, &grid);
+    let _ = programs.sweep_multi(&at(a, &grid));
+    let _ = programs.sweep_multi(&at(b, &grid));
     assert_eq!(programs.cache_stats().hits, grid.len() as u64);
     assert_eq!(programs.cache_stats().misses, grid.len() as u64);
 }

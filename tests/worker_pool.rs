@@ -8,19 +8,22 @@
 //! counter *deltas* that concurrent work can only push further in the
 //! asserted direction.
 
-use dae::core::{Machine, SweepSession, WindowSpec};
+mod common;
+
+use common::direct_cycles;
+use dae::core::{Machine, SweepPoint, SweepSession, TraceId, WindowSpec};
 use dae::machines::pool_diagnostics;
 use dae::PerfectProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn grid() -> Vec<(Machine, WindowSpec, u64)> {
+fn grid(id: TraceId) -> Vec<SweepPoint> {
     vec![
-        (Machine::Decoupled, WindowSpec::Entries(16), 60),
-        (Machine::Decoupled, WindowSpec::Entries(32), 60),
-        (Machine::Superscalar, WindowSpec::Entries(16), 60),
-        (Machine::Superscalar, WindowSpec::Entries(32), 60),
-        (Machine::Decoupled, WindowSpec::Entries(64), 0),
-        (Machine::Superscalar, WindowSpec::Entries(64), 0),
+        (id, Machine::Decoupled, WindowSpec::Entries(16), 60),
+        (id, Machine::Decoupled, WindowSpec::Entries(32), 60),
+        (id, Machine::Superscalar, WindowSpec::Entries(16), 60),
+        (id, Machine::Superscalar, WindowSpec::Entries(32), 60),
+        (id, Machine::Decoupled, WindowSpec::Entries(64), 0),
+        (id, Machine::Superscalar, WindowSpec::Entries(64), 0),
     ]
 }
 
@@ -38,13 +41,13 @@ fn sim_pools_stay_warm_across_separate_sweep_invocations() {
 
     // First invocation: fills every worker's thread-local pool (and
     // spawns the global pool's workers if no other test got there first).
-    let first = session.sweep(id, &grid());
+    let first = session.sweep_multi(&grid(id));
 
     let pools_before = pool_diagnostics();
     let workers_before = rayon::global_pool_stats().workers_spawned;
 
     // Second, separate invocation on the warm session.
-    let second = session.sweep(id, &grid());
+    let second = session.sweep_multi(&grid(id));
 
     let pools_after = pool_diagnostics();
     let workers_after = rayon::global_pool_stats().workers_spawned;
@@ -71,12 +74,12 @@ fn warm_sessions_hit_the_stream_templates() {
     // As above: the repeat must reach the simulator, not the result cache.
     session.set_cache_enabled(false);
     let id = session.pin_program(PerfectProgram::Trfd, 100);
-    let dm_grid: Vec<(Machine, WindowSpec, u64)> = (0..4)
-        .map(|i| (Machine::Decoupled, WindowSpec::Entries(8 << i), 60))
+    let dm_grid: Vec<SweepPoint> = (0..4)
+        .map(|i| (id, Machine::Decoupled, WindowSpec::Entries(8 << i), 60))
         .collect();
-    let _ = session.sweep(id, &dm_grid);
+    let _ = session.sweep_multi(&dm_grid);
     let before = pool_diagnostics();
-    let _ = session.sweep(id, &dm_grid);
+    let _ = session.sweep_multi(&dm_grid);
     let after = pool_diagnostics();
     assert!(
         after.template_hits > before.template_hits,
@@ -148,7 +151,7 @@ fn global_pool_survives_panicking_parallel_calls() {
     // A full sweep right after must work on the same global pool.
     let mut session = SweepSession::new();
     let id = session.pin_program(PerfectProgram::Qcd, 60);
-    let cycles = session.sweep(id, &grid());
+    let cycles = session.sweep_multi(&grid(id));
     assert!(cycles.iter().all(|&c| c > 0));
 }
 
@@ -256,8 +259,6 @@ fn randomized_push_steal_stress_survives_mid_flight_panics() {
 /// splitting can never change a simulated cycle count.
 #[test]
 fn pooled_sweeps_match_the_naive_reference_at_every_worker_count() {
-    use dae::core::{dm_cycles, scalar_cycles, swsm_cycles};
-
     let trace = PerfectProgram::Trfd.workload().trace(80);
     let mut grid: Vec<(Machine, WindowSpec, u64)> = Vec::new();
     for &window in &[4usize, 8, 16, 32, 64, 128] {
@@ -268,10 +269,8 @@ fn pooled_sweeps_match_the_naive_reference_at_every_worker_count() {
     }
     grid.push((Machine::Scalar, WindowSpec::Entries(1), 60));
 
-    let eval = |&(machine, window, md): &(Machine, WindowSpec, u64)| match machine {
-        Machine::Decoupled => dm_cycles(&trace, window, md),
-        Machine::Superscalar => swsm_cycles(&trace, window, md),
-        Machine::Scalar => scalar_cycles(&trace, md),
+    let eval = |&(machine, window, md): &(Machine, WindowSpec, u64)| {
+        direct_cycles(machine, &trace, window, md)
     };
     let naive: Vec<u64> = grid.iter().map(eval).collect();
 
