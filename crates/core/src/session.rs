@@ -772,7 +772,7 @@ impl SweepSession {
         let mut job_of: HashMap<CacheKey, usize> = HashMap::new();
         for (index, &point) in points.iter().enumerate() {
             if token.is_cancelled() {
-                let _ = tx.send((index, point, Outcome::Skipped));
+                let _ = tx.send(SweepEvent::Skipped { index });
                 continue;
             }
             let (id, machine, window, md) = point;
@@ -780,11 +780,15 @@ impl SweepSession {
             if self.cache_enabled {
                 let leader = job_of.get(&key).copied();
                 if let Some(cycles) = self.cache.lookup(&key, leader.is_some()) {
-                    let _ = tx.send((index, point, Outcome::Cached(cycles)));
+                    let _ = tx.send(SweepEvent::Point(StreamedPoint {
+                        index,
+                        cycles,
+                        cached: true,
+                    }));
                     continue;
                 }
                 if let Some(leader) = leader {
-                    jobs[leader].followers.push((index, point));
+                    jobs[leader].followers.push(index);
                     continue;
                 }
                 job_of.insert(key, jobs.len());
@@ -803,13 +807,13 @@ impl SweepSession {
             let tx = tx.clone();
             let flag = token.flag();
             rayon::spawn_prioritized(class.priority, class.client, Some(flag), move || {
-                let outcome = job.run(&token, cache.as_deref(), generation);
+                let event = job.run(&token, cache.as_deref(), generation);
                 // A send can only fail if the stream was dropped early; the
                 // remaining points are simply discarded then.
-                for &(index, point) in &job.followers {
-                    let _ = tx.send((index, point, outcome.for_follower()));
+                for &index in &job.followers {
+                    let _ = tx.send(event.for_follower(index));
                 }
-                let _ = tx.send((job.index, job.point, outcome));
+                let _ = tx.send(event);
             });
         }
         SweepStream {
@@ -824,14 +828,14 @@ impl SweepSession {
 }
 
 /// One simulation job of a submitted grid: the first point to miss on
-/// `key`, plus the later points of the same grid that ride its outcome.
+/// `key`, plus the later points of the same grid that ride its event.
 struct Job {
     index: usize,
     point: SweepPoint,
     key: CacheKey,
     trace: Arc<LoweredTrace>,
-    /// `(grid index, point)` of every in-grid repeat of `key`.
-    followers: Vec<(usize, SweepPoint)>,
+    /// The grid index of every in-grid repeat of `key`.
+    followers: Vec<usize>,
 }
 
 impl Job {
@@ -839,15 +843,20 @@ impl Job {
     /// a concurrent grid finished the same point meanwhile, else simulate
     /// under the token's abort flag with panics contained, and cache a
     /// finished result (`cache` is `None` for cache-off sessions).
-    fn run(&self, token: &CancelToken, cache: Option<&SweepCache>, generation: u64) -> Outcome {
+    fn run(&self, token: &CancelToken, cache: Option<&SweepCache>, generation: u64) -> SweepEvent {
+        let index = self.index;
         if token.is_cancelled() {
-            return Outcome::Skipped;
+            return SweepEvent::Skipped { index };
         }
         // Second-chance lookup: an identical point of a concurrent grid
         // may have finished in the meantime.  `revisit` classifies nothing
         // — this point was already counted as a miss at submit time.
         if let Some(cycles) = cache.and_then(|c| c.revisit(&self.key)) {
-            return Outcome::Cached(cycles);
+            return SweepEvent::Point(StreamedPoint {
+                index,
+                cycles,
+                cached: true,
+            });
         }
         // The token doubles as the engine-facing abort flag: the run loop
         // polls it and unwinds with `AbortedSimulation` if it is set, which
@@ -869,12 +878,19 @@ impl Job {
                     let cost_nanos = started.elapsed().as_nanos() as u64;
                     cache.insert(self.key, cycles, cost_nanos, generation);
                 }
-                Outcome::Simulated(cycles)
+                SweepEvent::Point(StreamedPoint {
+                    index,
+                    cycles,
+                    cached: false,
+                })
             }
-            Err(payload) if payload.is::<AbortedSimulation>() => Outcome::Aborted,
+            Err(payload) if payload.is::<AbortedSimulation>() => SweepEvent::Aborted { index },
             // `as_ref` matters: `&payload` would unsize the Box itself into
             // `dyn Any` and the downcasts would miss.
-            Err(payload) => Outcome::Failed(panic_message(payload.as_ref())),
+            Err(payload) => SweepEvent::Failed {
+                index,
+                message: panic_message(payload.as_ref()),
+            },
         }
     }
 }
@@ -884,8 +900,6 @@ impl Job {
 pub struct StreamedPoint {
     /// The point's index in the submitted grid.
     pub index: usize,
-    /// The point itself.
-    pub point: SweepPoint,
     /// The simulated (or analytic) execution time.
     pub cycles: Cycle,
     /// Whether the result came from the sweep-result cache rather than a
@@ -893,40 +907,16 @@ pub struct StreamedPoint {
     pub cached: bool,
 }
 
-/// How one point settled: simulated, answered from the cache, skipped by
-/// cancellation, aborted mid-simulation, or failed with its panic's
-/// message.
-#[derive(Debug, Clone)]
-enum Outcome {
-    Simulated(Cycle),
-    Cached(Cycle),
-    Skipped,
-    Aborted,
-    Failed(String),
-}
-
-impl Outcome {
-    /// The outcome an in-grid repeat of this point is delivered with: the
-    /// same, except that a simulated result reaches it as a cached one.
-    fn for_follower(&self) -> Outcome {
-        match *self {
-            Outcome::Simulated(cycles) => Outcome::Cached(cycles),
-            ref other => other.clone(),
-        }
-    }
-}
-
-/// What a job (or the submitting call) sends back for one grid index.
-type Delivery = (usize, SweepPoint, Outcome);
-
-/// One stream outcome as seen by [`SweepStream::next_event`]: every
-/// submitted point produces exactly one event, so a consumer that counts
-/// them always reaches `total` — cancellation, abort and panic included.
+/// How one point settled, as a job (or the submitting call) sends it and
+/// [`SweepStream::next_event`] yields it: every submitted point produces
+/// exactly one event, so a consumer that counts them always reaches
+/// `total` — cancellation, abort and panic included.
 #[derive(Debug)]
 pub enum SweepEvent {
     /// A point finished (simulated or cache-answered).
     Point(StreamedPoint),
-    /// A point was cancelled before its simulation started.
+    /// A point was dropped before its simulation started (cancellation,
+    /// or a serving layer shutting down).
     Skipped {
         /// The point's index in the submitted grid.
         index: usize,
@@ -936,14 +926,35 @@ pub enum SweepEvent {
         /// The point's index in the submitted grid.
         index: usize,
     },
-    /// A point's simulation panicked on its worker.  The panic is contained
-    /// here — the pool survives and the cache holds no partial result.
+    /// A point's simulation panicked on its worker (or a serving layer
+    /// found nowhere to run it).  The panic is contained here — the pool
+    /// survives and the cache holds no partial result.
     Failed {
         /// The point's index in the submitted grid.
         index: usize,
-        /// The panic message, if it carried one.
+        /// Why it failed: the panic message, if it carried one.
         message: String,
     },
+}
+
+impl SweepEvent {
+    /// The event an in-grid repeat at `index` receives when this one's
+    /// job settles: the same outcome, with a finished point marked cached.
+    fn for_follower(&self, index: usize) -> SweepEvent {
+        match self {
+            SweepEvent::Point(point) => SweepEvent::Point(StreamedPoint {
+                index,
+                cached: true,
+                ..*point
+            }),
+            SweepEvent::Skipped { .. } => SweepEvent::Skipped { index },
+            SweepEvent::Aborted { .. } => SweepEvent::Aborted { index },
+            SweepEvent::Failed { message, .. } => SweepEvent::Failed {
+                index,
+                message: message.clone(),
+            },
+        }
+    }
 }
 
 /// The outcome of a bounded wait on a stream
@@ -972,7 +983,7 @@ pub enum StreamWait {
 /// which must keep serving other clients when one request's point panics.
 #[derive(Debug)]
 pub struct SweepStream {
-    rx: mpsc::Receiver<Delivery>,
+    rx: mpsc::Receiver<SweepEvent>,
     remaining: usize,
     total: usize,
     skipped: usize,
@@ -1008,34 +1019,16 @@ impl SweepStream {
         self.failed
     }
 
-    /// Accounts one delivery into the stream's counters and maps it to the
-    /// public event.
-    fn account(&mut self, (index, point, outcome): Delivery) -> SweepEvent {
+    /// Counts one received event into the stream's counters.
+    fn account(&mut self, event: SweepEvent) -> SweepEvent {
         self.remaining -= 1;
-        let done = |cycles, cached| {
-            SweepEvent::Point(StreamedPoint {
-                index,
-                point,
-                cycles,
-                cached,
-            })
-        };
-        match outcome {
-            Outcome::Simulated(cycles) => done(cycles, false),
-            Outcome::Cached(cycles) => done(cycles, true),
-            Outcome::Skipped => {
-                self.skipped += 1;
-                SweepEvent::Skipped { index }
-            }
-            Outcome::Aborted => {
-                self.aborted += 1;
-                SweepEvent::Aborted { index }
-            }
-            Outcome::Failed(message) => {
-                self.failed += 1;
-                SweepEvent::Failed { index, message }
-            }
+        match event {
+            SweepEvent::Point(_) => {}
+            SweepEvent::Skipped { .. } => self.skipped += 1,
+            SweepEvent::Aborted { .. } => self.aborted += 1,
+            SweepEvent::Failed { .. } => self.failed += 1,
         }
+        event
     }
 
     /// The next outcome of any kind, blocking until one arrives; `None`
@@ -1046,8 +1039,8 @@ impl SweepStream {
         if self.remaining == 0 {
             return None;
         }
-        let delivery = self.rx.recv().expect("sweep workers disappeared");
-        Some(self.account(delivery))
+        let event = self.rx.recv().expect("sweep workers disappeared");
+        Some(self.account(event))
     }
 
     /// [`SweepStream::next_event`] with a bounded wait — the deadline
@@ -1059,7 +1052,7 @@ impl SweepStream {
             return StreamWait::Exhausted;
         }
         match self.rx.recv_timeout(timeout) {
-            Ok(delivery) => StreamWait::Event(self.account(delivery)),
+            Ok(event) => StreamWait::Event(self.account(event)),
             Err(mpsc::RecvTimeoutError::Timeout) => StreamWait::TimedOut,
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 panic!("sweep workers disappeared")
@@ -1159,7 +1152,6 @@ mod tests {
         for point in session.stream(&full) {
             assert!(!seen[point.index], "point delivered twice");
             seen[point.index] = true;
-            assert_eq!(point.point, full[point.index]);
             assert!(point.cycles > 0);
         }
         assert!(seen.iter().all(|&s| s));

@@ -1,13 +1,12 @@
-//! A small set-associative cache model and a two-level hierarchy.
+//! A small set-associative cache model.
 //!
 //! The paper deliberately models the memory system as a flat fixed cost
 //! ("the memory differential") and notes that in practice first and second
-//! level caches would reduce the average access time.  The ablation
-//! experiments in `dae-bench` use this module to replace the flat cost with
-//! a simple hierarchy and check that the paper's qualitative conclusions are
-//! insensitive to that choice.
+//! level caches would reduce the average access time.  No machine model or
+//! experiment in this workspace drives this cache: every figure uses the
+//! flat cost.
 
-use dae_isa::{Address, Cycle};
+use dae_isa::Address;
 
 /// Geometry of a single cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,86 +158,6 @@ impl Cache {
     }
 }
 
-/// Latencies of a two-level hierarchy terminating in main memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyLatency {
-    /// Extra cycles for an L1 hit (beyond the register-access cycle).
-    pub l1_hit: Cycle,
-    /// Extra cycles for an L2 hit.
-    pub l2_hit: Cycle,
-    /// Extra cycles for a main-memory access (the paper's MD).
-    pub memory: Cycle,
-}
-
-impl Default for HierarchyLatency {
-    fn default() -> Self {
-        // The paper motivates MD = 60 as "comparable to the cost of a second
-        // level cache miss"; an L2 hit is roughly a third of that.
-        HierarchyLatency {
-            l1_hit: 2,
-            l2_hit: 20,
-            memory: 60,
-        }
-    }
-}
-
-/// A two-level cache hierarchy producing a per-access latency.
-///
-/// Used by the ablation that replaces the paper's flat memory differential
-/// with a locality-sensitive cost.
-#[derive(Debug, Clone)]
-pub struct MemoryHierarchy {
-    l1: Cache,
-    l2: Cache,
-    latency: HierarchyLatency,
-}
-
-impl MemoryHierarchy {
-    /// Creates a hierarchy with the given cache geometries and latencies.
-    #[must_use]
-    pub fn new(l1: CacheConfig, l2: CacheConfig, latency: HierarchyLatency) -> Self {
-        MemoryHierarchy {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-            latency,
-        }
-    }
-
-    /// A hierarchy with the default small geometries and latencies.
-    #[must_use]
-    pub fn small() -> Self {
-        MemoryHierarchy::new(
-            CacheConfig::small_l1(),
-            CacheConfig::small_l2(),
-            HierarchyLatency::default(),
-        )
-    }
-
-    /// The extra latency (beyond the register-access cycle) of an access to
-    /// `addr`, updating both levels.
-    pub fn access_latency(&mut self, addr: Address) -> Cycle {
-        if self.l1.access(addr) {
-            self.latency.l1_hit
-        } else if self.l2.access(addr) {
-            self.latency.l2_hit
-        } else {
-            self.latency.memory
-        }
-    }
-
-    /// The L1 counters.
-    #[must_use]
-    pub fn l1_stats(&self) -> CacheStats {
-        self.l1.stats()
-    }
-
-    /// The L2 counters.
-    #[must_use]
-    pub fn l2_stats(&self) -> CacheStats {
-        self.l2.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,29 +223,5 @@ mod tests {
     fn capacity_bytes_is_consistent() {
         assert_eq!(CacheConfig::small_l1().capacity_bytes(), 8 * 1024);
         assert_eq!(CacheConfig::small_l2().capacity_bytes(), 256 * 1024);
-    }
-
-    #[test]
-    fn hierarchy_latency_reflects_where_the_line_lives() {
-        let mut h = MemoryHierarchy::small();
-        let lat = HierarchyLatency::default();
-        // Cold: full memory latency.
-        assert_eq!(h.access_latency(0x4000), lat.memory);
-        // Now both levels hold the line: L1 hit.
-        assert_eq!(h.access_latency(0x4000), lat.l1_hit);
-        assert!(h.l1_stats().hits >= 1);
-        assert!(h.l2_stats().accesses >= 1);
-    }
-
-    #[test]
-    fn streaming_through_a_big_array_misses_mostly() {
-        let mut h = MemoryHierarchy::small();
-        let mut total = 0u64;
-        let accesses = 4096u64;
-        for i in 0..accesses {
-            total += h.access_latency(i * 64 * 17); // strided, no reuse
-        }
-        let avg = total as f64 / accesses as f64;
-        assert!(avg > 40.0, "average latency {avg} should approach memory");
     }
 }

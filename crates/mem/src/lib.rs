@@ -15,12 +15,12 @@
 //!   fetched addresses (the paper's future-work suggestion);
 //! * [`PrefetchBuffer`] — the SWSM's fully associative prefetch buffer with
 //!   optional capacity limits and LRU replacement;
-//! * [`Cache`] — a small set-associative cache model used by the ablation
-//!   experiments that replace the flat memory differential with a
-//!   hierarchy.
+//! * [`Cache`] — a small set-associative cache model, standalone: no
+//!   machine model or experiment drives it (every figure uses the flat
+//!   memory differential).
 //!
-//! All structures are driven by the machine models in `dae-machines`; they
-//! are purely bookkeeping (which data is present *when*), never holders of
+//! The other structures are driven by the machine models in
+//! `dae-machines`; all are purely bookkeeping (which data is present *when*), never holders of
 //! simulated data values.
 
 mod cache;
@@ -30,7 +30,7 @@ mod fx;
 mod lru;
 mod prefetch;
 
-pub use cache::{Cache, CacheConfig, CacheStats, HierarchyLatency, MemoryHierarchy};
+pub use cache::{Cache, CacheConfig, CacheStats};
 pub use decoupled::{BypassConfig, DecoupledMemory, DecoupledMemoryConfig, DecoupledMemoryStats};
 pub use fixed::{FixedLatencyMemory, MemoryStats};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};

@@ -1,9 +1,9 @@
 //! Property-based tests of the memory structures: arrival-time arithmetic,
-//! capacity enforcement, LRU behaviour and hierarchy latencies.
+//! capacity enforcement, LRU behaviour and cache hits.
 
 use dae_mem::{
     BypassConfig, Cache, CacheConfig, DecoupledMemory, DecoupledMemoryConfig, FixedLatencyMemory,
-    HierarchyLatency, MemoryHierarchy, PrefetchBuffer, PrefetchBufferConfig,
+    PrefetchBuffer, PrefetchBufferConfig,
 };
 use proptest::prelude::*;
 
@@ -138,26 +138,5 @@ proptest! {
         prop_assert!(stats.hits >= lines as u64);
         prop_assert!(stats.hits + stats.misses == stats.accesses);
         prop_assert!(stats.hit_rate() <= 1.0);
-    }
-
-    /// Every hierarchy access costs exactly one of the three configured
-    /// latencies, and repeated accesses to one line settle to the L1 cost.
-    #[test]
-    fn hierarchy_latencies_come_from_the_configured_set(
-        addrs in proptest::collection::vec(0u64..(1 << 20), 1..100)
-    ) {
-        let latency = HierarchyLatency { l1_hit: 2, l2_hit: 15, memory: 70 };
-        let mut hierarchy = MemoryHierarchy::new(
-            CacheConfig::small_l1(),
-            CacheConfig::small_l2(),
-            latency,
-        );
-        for &addr in &addrs {
-            let cost = hierarchy.access_latency(addr);
-            prop_assert!(cost == latency.l1_hit || cost == latency.l2_hit || cost == latency.memory);
-        }
-        let addr = addrs[0];
-        hierarchy.access_latency(addr);
-        prop_assert_eq!(hierarchy.access_latency(addr), latency.l1_hit);
     }
 }

@@ -14,10 +14,13 @@
 //!
 //! ## Fault model
 //!
-//! A backend that dies (its data connection drops) or sits on a point
-//! past the retry timeout gets its undelivered points re-dispatched to
-//! the surviving backends; points whose `point` line already reached the
-//! client are settled as delivered.  Every point therefore settles
+//! A point is forwarded to the client once, when its subrequest's `done`
+//! line arrives: the backend's `point` line only records the cycles, and
+//! the `done` line settles the point with them and its `cached` flag.  A
+//! backend that dies (its data connection drops) or sits on a point past
+//! the retry timeout gets its unfinished points re-dispatched to the
+//! surviving backends; points whose cycles it already reported are
+//! settled as delivered, uncached.  Every point therefore settles
 //! exactly once — delivered, dropped, aborted or failed — and the
 //! client's `done` line keeps the protocol invariant
 //! `delivered + dropped + aborted + failed == points` through any
@@ -31,12 +34,12 @@
 //! `pending` routing map and a backend `conn` writer are never held at
 //! the same time (collect under one, act under the other).
 
-use crate::lifecycle::{Canceller, SweepBackend, SweepEvents, SweepUpdate, UpdateWait};
+use crate::lifecycle::{Canceller, SweepBackend, SweepEvents};
 use crate::protocol::{
     parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest, TraceSource,
 };
 use crate::server::SubmitError;
-use dae_core::{cache_key_digest, Machine, TraceHash, WindowSpec};
+use dae_core::{cache_key_digest, StreamWait, StreamedPoint, SweepEvent, TraceHash};
 use dae_isa::Cycle;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -51,10 +54,11 @@ use std::time::{Duration, Instant};
 /// searching the ring is negligible.
 const DEFAULT_VNODES: usize = 64;
 
-/// How long a dispatched, undelivered point may sit on one backend before
-/// the watchdog re-dispatches it elsewhere.  Deliberately generous: death
-/// detection (the dropped connection) is the fast path, and a false
-/// timeout only costs a redundant deterministic simulation.
+/// How long a dispatched, unsettled point may sit on one backend before
+/// the watchdog reclaims it.  Deliberately generous: death detection (the
+/// dropped connection) is the fast path, and a false timeout only costs a
+/// redundant deterministic simulation (or a finished point's `cached`
+/// flag).
 const DEFAULT_RETRY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Watchdog scan period.
@@ -63,24 +67,6 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(100);
 /// Read timeout on ephemeral control connections (`stats` / `cache` /
 /// `shutdown` fan-out), so a wedged backend cannot hang a control verb.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Tuning knobs for a [`Coordinator`].
-#[derive(Debug, Clone, Copy)]
-pub struct CoordinatorConfig {
-    /// Ring points per backend on the consistent-hash ring.
-    pub vnodes: usize,
-    /// Undelivered points older than this are re-dispatched.
-    pub retry_timeout: Duration,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            vnodes: DEFAULT_VNODES,
-            retry_timeout: DEFAULT_RETRY_TIMEOUT,
-        }
-    }
-}
 
 /// A consistent-hash ring over `backends` numbered `0..n`.
 ///
@@ -188,8 +174,8 @@ struct RequestRoute {
     request: SweepRequest,
     /// The structural content hash placement digests are built from.
     hash: TraceHash,
-    /// Events to the request's drainer thread.
-    tx: mpsc::Sender<SweepUpdate>,
+    /// Each point's one settling event, to the request's drainer thread.
+    tx: mpsc::Sender<SweepEvent>,
     /// Set by client `cancel`, deadline expiry and dead-client cleanup;
     /// once set, reclaimed points settle as dropped instead of
     /// re-dispatching.
@@ -200,18 +186,16 @@ struct RequestRoute {
 #[derive(Debug)]
 struct PendingPoint {
     route: Arc<RequestRoute>,
-    /// Index in the client request's canonical grid order.
+    /// Index in the client request's canonical grid order (its machine,
+    /// window and MD come from the route's request).
     index: usize,
-    machine: Machine,
-    window: WindowSpec,
-    md: Cycle,
     /// The backend currently responsible for the point.
     backend: usize,
     /// When the current dispatch was written (watchdog timeout base).
     dispatched: Instant,
-    /// The backend's `point` line was forwarded to the drainer; only the
-    /// closing `done` (with its `cached` flag) is still outstanding.
-    delivered: bool,
+    /// The cycles of the backend's `point` line; the point settles with
+    /// them when the closing `done` (with its `cached` flag) arrives.
+    cycles: Option<Cycle>,
     /// A `point … failed:` error message the backend sent ahead of its
     /// `done failed=1` line.
     failure: Option<String>,
@@ -267,15 +251,16 @@ impl Coordinator {
     /// a coordinator that starts degraded would silently serve a
     /// differently-partitioned fleet.
     pub fn connect(addrs: &[String]) -> io::Result<Coordinator> {
-        Coordinator::connect_with(addrs, CoordinatorConfig::default())
+        Coordinator::connect_with(addrs, DEFAULT_RETRY_TIMEOUT)
     }
 
-    /// [`Coordinator::connect`] with explicit tuning knobs.
+    /// [`Coordinator::connect`] reclaiming points that sit unsettled on one
+    /// backend longer than `retry_timeout`.
     ///
     /// # Errors
     ///
     /// See [`Coordinator::connect`].
-    pub fn connect_with(addrs: &[String], config: CoordinatorConfig) -> io::Result<Coordinator> {
+    pub fn connect_with(addrs: &[String], retry_timeout: Duration) -> io::Result<Coordinator> {
         if addrs.is_empty() {
             return Err(io::Error::other("a coordinator needs at least one backend"));
         }
@@ -291,7 +276,7 @@ impl Coordinator {
                 alive: AtomicBool::new(true),
             });
         }
-        let inner = CoordInner::new(backends, config);
+        let inner = CoordInner::new(backends, retry_timeout);
         for (index, read_half) in read_halves.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
@@ -319,7 +304,7 @@ impl Coordinator {
             })
             .collect::<Vec<_>>();
         Coordinator {
-            inner: CoordInner::new(backends, CoordinatorConfig::default()),
+            inner: CoordInner::new(backends, DEFAULT_RETRY_TIMEOUT),
         }
     }
 
@@ -363,16 +348,13 @@ impl SweepBackend for Coordinator {
             tx,
             cancelled: AtomicBool::new(false),
         });
-        for (index, (machine, window, md)) in request.grid().enumerate() {
+        for index in 0..request.grid().len() {
             self.inner.dispatch(PendingPoint {
                 route: Arc::clone(&route),
                 index,
-                machine,
-                window,
-                md,
                 backend: 0,
                 dispatched: Instant::now(),
-                delivered: false,
+                cycles: None,
                 failure: None,
                 avoid: None,
             });
@@ -503,19 +485,19 @@ impl SweepBackend for Coordinator {
 }
 
 /// One coordinated request's settlement channel, as the shared drainer
-/// sees it: exhausted once every point of the grid has settled.
+/// sees it: one event per point, exhausted once every point has settled.
 struct RouteEvents {
     inner: Arc<CoordInner>,
     route: Arc<RequestRoute>,
-    rx: mpsc::Receiver<SweepUpdate>,
-    /// Settlements received so far.
+    rx: mpsc::Receiver<SweepEvent>,
+    /// Events (settlements) received so far.
     settled: usize,
 }
 
 impl SweepEvents for RouteEvents {
-    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait {
+    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait {
         if self.settled == self.route.request.grid().len() {
-            return UpdateWait::Exhausted;
+            return StreamWait::Exhausted;
         }
         let received = match deadline {
             Some(at) => self
@@ -523,15 +505,14 @@ impl SweepEvents for RouteEvents {
                 .recv_timeout(at.saturating_duration_since(Instant::now())),
             None => self.rx.recv().map_err(RecvTimeoutError::from),
         };
-        let update = match received {
-            Ok(update) => update,
-            Err(RecvTimeoutError::Timeout) => return UpdateWait::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => return UpdateWait::Exhausted,
-        };
-        if !matches!(update, SweepUpdate::Point { .. }) {
-            self.settled += 1;
+        match received {
+            Ok(event) => {
+                self.settled += 1;
+                StreamWait::Event(event)
+            }
+            Err(RecvTimeoutError::Timeout) => StreamWait::TimedOut,
+            Err(RecvTimeoutError::Disconnected) => StreamWait::Exhausted,
         }
-        UpdateWait::Update(update)
     }
 
     fn canceller(&self) -> Canceller {
@@ -543,15 +524,15 @@ impl SweepEvents for RouteEvents {
 
 impl CoordInner {
     /// Fresh state over `backends`: an empty routing map, zeroed counters.
-    fn new(backends: Vec<Backend>, config: CoordinatorConfig) -> Arc<CoordInner> {
+    fn new(backends: Vec<Backend>, retry_timeout: Duration) -> Arc<CoordInner> {
         Arc::new(CoordInner {
-            partitioner: Partitioner::with_vnodes(backends.len(), config.vnodes.max(1)),
+            partitioner: Partitioner::new(backends.len()),
             backends,
             pending: Mutex::new(HashMap::new()),
             hashes: Mutex::new(HashMap::new()),
             next_subid: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
-            retry_timeout: config.retry_timeout,
+            retry_timeout,
             forwarded_points: AtomicU64::new(0),
             redispatched_points: AtomicU64::new(0),
             backend_deaths: AtomicU64::new(0),
@@ -626,10 +607,14 @@ impl CoordInner {
     fn dispatch(&self, mut point: PendingPoint) {
         loop {
             if point.route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
-                let _ = point.route.tx.send(SweepUpdate::Dropped);
+                let _ = point
+                    .route
+                    .tx
+                    .send(SweepEvent::Skipped { index: point.index });
                 return;
             }
-            let digest = cache_key_digest(point.route.hash, point.machine, point.window, point.md);
+            let (machine, window, md) = point.route.request.coordinate(point.index);
+            let digest = cache_key_digest(point.route.hash, machine, window, md);
             let avoid = point.avoid.take();
             let eligible = |b: usize| {
                 self.backends
@@ -644,7 +629,7 @@ impl CoordInner {
                 None => self.partitioner.assign_among(digest, eligible),
             };
             let Some(backend) = choice else {
-                let _ = point.route.tx.send(SweepUpdate::Failed {
+                let _ = point.route.tx.send(SweepEvent::Failed {
                     index: point.index,
                     message: "no backends available".to_string(),
                 });
@@ -654,7 +639,6 @@ impl CoordInner {
             let line = subrequest_line(&point, &subid);
             point.backend = backend;
             point.dispatched = Instant::now();
-            point.delivered = false;
             point.failure = None;
             {
                 let mut pending = self.lock_pending();
@@ -685,8 +669,29 @@ impl CoordInner {
         self.dispatch(point);
     }
 
+    /// Settles or re-dispatches a point taken off a dead or slow backend:
+    /// with its cycles already reported it is delivered, uncached (only
+    /// the backend's `done` was lost); under cancellation it is dropped;
+    /// otherwise it is re-dispatched, away from `avoid` when another
+    /// backend survives.
+    fn reclaim(&self, mut point: PendingPoint, avoid: Option<usize>) {
+        let index = point.index;
+        if let Some(cycles) = point.cycles {
+            let _ = point.route.tx.send(SweepEvent::Point(StreamedPoint {
+                index,
+                cycles,
+                cached: false,
+            }));
+        } else if point.route.cancelled.load(Ordering::Acquire) {
+            let _ = point.route.tx.send(SweepEvent::Skipped { index });
+        } else {
+            point.avoid = avoid;
+            self.redispatch(point);
+        }
+    }
+
     /// Declares a backend dead: tears down its connection, then reclaims
-    /// and settles (or re-dispatches) every point routed to it.
+    /// every point routed to it.
     fn mark_dead(&self, backend: usize) {
         let Some(slot) = self.backends.get(backend) else {
             return;
@@ -713,16 +718,7 @@ impl CoordInner {
                 .collect()
         };
         for point in swept {
-            if point.delivered {
-                // The point line made it to the client before the backend
-                // died; only the `cached` flag is lost.  Settle it as
-                // delivered, uncached.
-                let _ = point.route.tx.send(SweepUpdate::Settled { cached: false });
-            } else if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(SweepUpdate::Dropped);
-            } else {
-                self.redispatch(point);
-            }
+            self.reclaim(point, None);
         }
     }
 
@@ -739,12 +735,11 @@ impl CoordInner {
             Ok(Response::Point { id, cycles, .. }) => self.note_point(&id, cycles),
             Ok(Response::Done {
                 id,
-                delivered,
                 aborted,
                 failed,
                 cached,
                 ..
-            }) => self.settle_done(&id, delivered, aborted, failed, cached),
+            }) => self.settle_done(&id, aborted, failed, cached),
             Ok(Response::Error {
                 id: Some(id),
                 message,
@@ -757,23 +752,12 @@ impl CoordInner {
         }
     }
 
-    /// A backend `point` line: forward it to the request's drainer (once)
-    /// and await the subrequest's `done` for settlement.  The send
-    /// happens under the routing lock so a later settlement by another
-    /// thread cannot overtake it in the drainer's queue.
+    /// A backend `point` line: record its cycles for the settlement the
+    /// subrequest's `done` makes.
     fn note_point(&self, subid: &str, cycles: Cycle) {
         let mut pending = self.lock_pending();
         if let Some(point) = pending.get_mut(subid) {
-            if !point.delivered {
-                point.delivered = true;
-                let _ = point.route.tx.send(SweepUpdate::Point {
-                    index: point.index,
-                    machine: point.machine,
-                    window: point.window,
-                    md: point.md,
-                    cycles,
-                });
-            }
+            point.cycles = Some(cycles);
         }
     }
 
@@ -799,17 +783,11 @@ impl CoordInner {
         }
     }
 
-    /// A subrequest's closing `done` line: settle its point.  Undelivered
+    /// A subrequest's closing `done` line: settle its point, with the
+    /// cycles its `point` line reported when there was one.  Unfinished
     /// uncancelled points (a backend shutdown-abort, or a `done` whose
     /// `point` line was lost) are re-dispatched rather than dropped.
-    fn settle_done(
-        &self,
-        subid: &str,
-        delivered: usize,
-        aborted: usize,
-        failed: usize,
-        cached: u64,
-    ) {
+    fn settle_done(&self, subid: &str, aborted: usize, failed: usize, cached: u64) {
         let reclaimed = {
             let mut pending = self.lock_pending();
             pending.remove(subid)
@@ -817,26 +795,25 @@ impl CoordInner {
         let Some(mut point) = reclaimed else {
             return;
         };
-        if delivered > 0 && point.delivered {
-            let _ = point
-                .route
-                .tx
-                .send(SweepUpdate::Settled { cached: cached > 0 });
+        let index = point.index;
+        if let Some(cycles) = point.cycles {
+            let _ = point.route.tx.send(SweepEvent::Point(StreamedPoint {
+                index,
+                cycles,
+                cached: cached > 0,
+            }));
         } else if failed > 0 {
             let message = point
                 .failure
                 .take()
                 .map(|m| strip_point_prefix(&m))
                 .unwrap_or_else(|| "backend simulation failed".to_string());
-            let _ = point.route.tx.send(SweepUpdate::Failed {
-                index: point.index,
-                message,
-            });
+            let _ = point.route.tx.send(SweepEvent::Failed { index, message });
         } else if point.route.cancelled.load(Ordering::Acquire) {
             let event = if aborted > 0 {
-                SweepUpdate::Aborted
+                SweepEvent::Aborted { index }
             } else {
-                SweepUpdate::Dropped
+                SweepEvent::Skipped { index }
             };
             let _ = point.route.tx.send(event);
         } else {
@@ -867,14 +844,14 @@ impl CoordInner {
         }
     }
 
-    /// One watchdog pass: reclaim undelivered points older than the retry
-    /// timeout and re-dispatch them away from their slow backend.
+    /// One watchdog pass: reclaim points older than the retry timeout,
+    /// re-dispatching unfinished ones away from their slow backend.
     fn scan_timeouts(&self) {
         let expired: Vec<PendingPoint> = {
             let mut pending = self.lock_pending();
             let subids: Vec<String> = pending
                 .iter()
-                .filter(|(_, p)| !p.delivered && p.dispatched.elapsed() >= self.retry_timeout)
+                .filter(|(_, p)| p.dispatched.elapsed() >= self.retry_timeout)
                 .map(|(subid, _)| subid.clone())
                 .collect();
             subids
@@ -882,14 +859,10 @@ impl CoordInner {
                 .filter_map(|subid| pending.remove(subid))
                 .collect()
         };
-        for mut point in expired {
+        for point in expired {
             self.coordinator_timeouts.fetch_add(1, Ordering::Relaxed);
-            if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(SweepUpdate::Dropped);
-            } else {
-                point.avoid = Some(point.backend);
-                self.redispatch(point);
-            }
+            let slow = point.backend;
+            self.reclaim(point, Some(slow));
         }
     }
 }
@@ -902,13 +875,14 @@ impl CoordInner {
 /// coordinator, where the whole grid is visible.
 fn subrequest_line(point: &PendingPoint, subid: &str) -> String {
     let request = &point.route.request;
+    let (machine, window, md) = request.coordinate(point.index);
     SweepRequest {
         id: subid.to_string(),
         source: request.source.clone(),
         iterations: request.iterations,
-        machines: vec![point.machine],
-        windows: vec![point.window],
-        mds: vec![point.md],
+        machines: vec![machine],
+        windows: vec![window],
+        mds: vec![md],
         mode: DeliveryMode::Stream,
         deadline_ms: None,
         priority: request.priority,

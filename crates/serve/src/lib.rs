@@ -53,7 +53,7 @@ pub mod lifecycle;
 pub mod protocol;
 pub mod server;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, Partitioner};
+pub use coordinator::{Coordinator, Partitioner};
 #[cfg(unix)]
 pub use lifecycle::serve_unix;
 pub use lifecycle::{await_drained, serve_connection, serve_local, serve_tcp, SweepBackend};

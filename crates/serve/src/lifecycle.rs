@@ -2,7 +2,8 @@
 //! loop, one drainer and one accept loop, generic over a [`SweepBackend`].
 //!
 //! A backend turns a parsed [`SweepRequest`] into a stream of per-point
-//! [`SweepUpdate`]s: the local [`crate::SweepServer`] submits the grid to
+//! [`SweepEvent`]s — the session's own event type, one per point, each
+//! settling its point: the local [`crate::SweepServer`] submits the grid to
 //! its shared session, the [`crate::Coordinator`] fans it out over a
 //! fleet of backend processes.  Everything between the socket and that
 //! submission lives here exactly once — request parsing, active-id
@@ -19,8 +20,7 @@ use crate::protocol::{
     SweepRequest,
 };
 use crate::server::SubmitError;
-use dae_core::{Machine, WindowSpec};
-use dae_isa::Cycle;
+use dae_core::{StreamWait, SweepEvent};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -34,66 +34,15 @@ pub(crate) const SHUTTING_DOWN: &str = "server is shutting down; not accepting n
 /// How often the accept loop wakes to check for shutdown.
 const ACCEPT_POLL: Duration = Duration::from_millis(50);
 
-/// One update of a submitted sweep, as the shared drainer consumes it.
-///
-/// Every point produces exactly one *settlement* — `Settled`, `Failed`,
-/// `Dropped` or `Aborted` — and at most one `Point`, always before its
-/// `Settled`.
-#[derive(Debug)]
-pub enum SweepUpdate {
-    /// A finished point: its `point` line is written now (stream mode) or
-    /// held for grid order (batch mode).  Not yet a settlement.
-    Point {
-        /// Index in the request's canonical grid order.
-        index: usize,
-        /// The point's machine.
-        machine: Machine,
-        /// The point's window size.
-        window: WindowSpec,
-        /// The point's memory differential.
-        md: Cycle,
-        /// The simulated execution time.
-        cycles: Cycle,
-    },
-    /// A delivered point settled.
-    Settled {
-        /// The point was answered from a sweep-result cache.
-        cached: bool,
-    },
-    /// The point's simulation failed (worker panic, or no backend left to
-    /// run it); settles the point and produces an `error` line.
-    Failed {
-        /// Index in the request's canonical grid order.
-        index: usize,
-        /// Why the point failed.
-        message: String,
-    },
-    /// The point was dropped before simulating (cancellation, shutdown).
-    Dropped,
-    /// The point was cooperatively aborted mid-simulation.
-    Aborted,
-}
-
-/// The outcome of waiting on a [`SweepEvents`] source.
-#[derive(Debug)]
-pub enum UpdateWait {
-    /// The next update arrived.
-    Update(SweepUpdate),
-    /// The deadline passed first; the sweep is still live.
-    TimedOut,
-    /// Every point has settled.
-    Exhausted,
-}
-
 /// Cancels one submitted sweep from any thread: pending points are
 /// dropped, running points abort.  Idempotent.
 pub type Canceller = Arc<dyn Fn() + Send + Sync>;
 
-/// The update source of one submitted sweep.
+/// The event source of one submitted sweep: one [`SweepEvent`] per point,
+/// then [`StreamWait::Exhausted`].
 pub trait SweepEvents: Send {
-    /// The next update, waiting at most until `deadline` when one is
-    /// given.
-    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait;
+    /// The next event, waiting at most until `deadline` when one is given.
+    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait;
 
     /// A handle that cancels this sweep.
     fn canceller(&self) -> Canceller;
@@ -110,7 +59,7 @@ pub trait SweepBackend: Send + Sync {
     /// Registers a connection.
     fn register(&self) -> Self::Client<'_>;
 
-    /// Submits a parsed sweep and returns its update source.  Returns as
+    /// Submits a parsed sweep and returns its event source.  Returns as
     /// soon as the points are queued; results arrive on the source.
     ///
     /// # Errors
@@ -187,7 +136,7 @@ fn drain<B: SweepBackend, W: Write>(
     let mut batched: Vec<Response> = Vec::new();
     let mut failures: Vec<Response> = Vec::new();
     // Stream mode writes each line now, batch mode holds it for the end.
-    // A failed write cancels the sweep; its updates still drain, keeping
+    // A failed write cancels the sweep; its events still drain, keeping
     // the accounting consistent.
     let emit = |line: Response, held: &mut Vec<Response>| match mode {
         DeliveryMode::Stream => {
@@ -198,10 +147,10 @@ fn drain<B: SweepBackend, W: Write>(
         DeliveryMode::Batch => held.push(line),
     };
     loop {
-        let update = match events.next_update(deadline) {
-            UpdateWait::Update(update) => update,
-            UpdateWait::Exhausted => break,
-            UpdateWait::TimedOut => {
+        let event = match events.next_event(deadline) {
+            StreamWait::Event(event) => event,
+            StreamWait::Exhausted => break,
+            StreamWait::TimedOut => {
                 // Budget spent: cancel (running points abort at their next
                 // engine poll) and drain the residue without a deadline —
                 // it settles in microseconds.
@@ -212,15 +161,12 @@ fn drain<B: SweepBackend, W: Write>(
                 continue;
             }
         };
-        match update {
-            SweepUpdate::Point {
-                index,
-                machine,
-                window,
-                md,
-                cycles,
-            } => {
+        match event {
+            SweepEvent::Point(point) => {
                 delivered += 1;
+                cached += u64::from(point.cached);
+                let (index, cycles) = (point.index, point.cycles);
+                let (machine, window, md) = request.coordinate(index);
                 let line = Response::Point {
                     id: id.to_string(),
                     index,
@@ -231,8 +177,7 @@ fn drain<B: SweepBackend, W: Write>(
                 };
                 emit(line, &mut batched);
             }
-            SweepUpdate::Settled { cached: hit } => cached += u64::from(hit),
-            SweepUpdate::Failed { index, message } => {
+            SweepEvent::Failed { index, message } => {
                 failed += 1;
                 let line = Response::Error {
                     id: Some(id.to_string()),
@@ -240,8 +185,8 @@ fn drain<B: SweepBackend, W: Write>(
                 };
                 emit(line, &mut failures);
             }
-            SweepUpdate::Dropped => {}
-            SweepUpdate::Aborted => aborted += 1,
+            SweepEvent::Skipped { .. } => {}
+            SweepEvent::Aborted { .. } => aborted += 1,
         }
     }
     batched.sort_by_key(|line| match line {

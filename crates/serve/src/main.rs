@@ -26,8 +26,8 @@
 //!                                survivors (composes with every mode above;
 //!                                the session flags do not apply — caching
 //!                                happens on the backends)
-//!       --retry-timeout-ms N     coordinator only: re-dispatch a point that
-//!                                sat undelivered on one backend this long
+//!       --retry-timeout-ms N     coordinator only: reclaim a point that
+//!                                sat unsettled on one backend this long
 //!                                (default 30000)
 //! ```
 //!
@@ -41,8 +41,7 @@
 
 use dae_core::SweepSession;
 use dae_serve::{
-    await_drained, serve_connection, serve_local, serve_tcp, Coordinator, CoordinatorConfig,
-    SweepBackend, SweepServer,
+    await_drained, serve_connection, serve_local, serve_tcp, Coordinator, SweepBackend, SweepServer,
 };
 use std::io::{self, BufReader};
 use std::net::TcpListener;
@@ -130,11 +129,11 @@ fn main() -> ExitCode {
             );
             return ExitCode::from(2);
         }
-        let mut config = CoordinatorConfig::default();
-        if let Some(ms) = retry_timeout_ms {
-            config.retry_timeout = Duration::from_millis(ms);
-        }
-        let coordinator = match Coordinator::connect_with(&backends, config) {
+        let connected = match retry_timeout_ms {
+            Some(ms) => Coordinator::connect_with(&backends, Duration::from_millis(ms)),
+            None => Coordinator::connect(&backends),
+        };
+        let coordinator = match connected {
             Ok(coordinator) => Arc::new(coordinator),
             Err(e) => {
                 eprintln!("dae-serve: {e}");

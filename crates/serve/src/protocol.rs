@@ -235,15 +235,18 @@ impl SweepRequest {
     /// windows, then memory differentials.  `point` responses carry this
     /// order's index, on a single server and through the coordinator alike.
     pub fn grid(&self) -> impl ExactSizeIterator<Item = (Machine, WindowSpec, Cycle)> + '_ {
+        (0..self.machines.len() * self.windows.len() * self.mds.len()).map(|i| self.coordinate(i))
+    }
+
+    /// The `(machine, window, md)` at `index` of the canonical grid order:
+    /// row-major over (machine, window, md), in O(1).
+    pub(crate) fn coordinate(&self, index: usize) -> (Machine, WindowSpec, Cycle) {
         let (windows, mds) = (self.windows.len(), self.mds.len());
-        // Index `i` is row-major over (machine, window, md).
-        (0..self.machines.len() * windows * mds).map(move |i| {
-            (
-                self.machines[i / (windows * mds)],
-                self.windows[i / mds % windows],
-                self.mds[i % mds],
-            )
-        })
+        (
+            self.machines[index / (windows * mds)],
+            self.windows[index / mds % windows],
+            self.mds[index % mds],
+        )
     }
 
     /// The canonical grid ([`SweepRequest::grid`]) addressed at the pinned

@@ -45,9 +45,7 @@
 //!   either drains or aborts in-flight work; the accept loops exit and the
 //!   binary terminates once the queue is empty.
 
-use crate::lifecycle::{
-    Canceller, SweepBackend, SweepEvents, SweepUpdate, UpdateWait, SHUTTING_DOWN,
-};
+use crate::lifecycle::{Canceller, SweepBackend, SweepEvents, SHUTTING_DOWN};
 use crate::protocol::{CacheAction, Response, ShutdownMode, SweepRequest};
 use dae_core::{
     CancelToken, RequestClass, StreamWait, SweepEvent, SweepSession, SweepStream, TraceId,
@@ -229,8 +227,8 @@ impl SweepServer {
         SweepServer::with_session(SweepSession::new())
     }
 
-    /// A server over a caller-configured session (scalar mode, cache
-    /// toggle), default limits.
+    /// A server over a caller-configured session (cache toggle, bound or
+    /// attached store), default limits.
     #[must_use]
     pub fn with_session(session: SweepSession) -> Self {
         SweepServer::with_session_and_limits(session, ServerLimits::default())
@@ -462,7 +460,6 @@ impl SweepBackend for SweepServer {
         Ok(Box::new(LocalEvents {
             server: self,
             submission,
-            settle: None,
         }))
     }
 
@@ -572,23 +569,16 @@ impl SweepBackend for SweepServer {
     }
 }
 
-/// A [`Submission`] as the shared drainer sees it: each settled event
-/// releases one point of admission and bumps the fault counters, and each
-/// delivered point is reported as its `Point` update followed by its
-/// `Settled` one.
+/// A [`Submission`] as the shared drainer sees it: the session's events
+/// pass through unchanged, each releasing one point of admission and
+/// bumping the fault counters.
 struct LocalEvents<'a> {
     server: &'a SweepServer,
     submission: Submission,
-    /// The cached flag of the point just reported, settled on the next
-    /// call.
-    settle: Option<bool>,
 }
 
 impl SweepEvents for LocalEvents<'_> {
-    fn next_update(&mut self, deadline: Option<Instant>) -> UpdateWait {
-        if let Some(cached) = self.settle.take() {
-            return UpdateWait::Update(SweepUpdate::Settled { cached });
-        }
+    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait {
         let stream = &mut self.submission.stream;
         let wait = match deadline {
             Some(at) => stream.next_event_timeout(at.saturating_duration_since(Instant::now())),
@@ -596,34 +586,19 @@ impl SweepEvents for LocalEvents<'_> {
                 .next_event()
                 .map_or(StreamWait::Exhausted, StreamWait::Event),
         };
-        let event = match wait {
-            StreamWait::Event(event) => event,
-            StreamWait::TimedOut => return UpdateWait::TimedOut,
-            StreamWait::Exhausted => return UpdateWait::Exhausted,
-        };
-        self.submission.guard.release(1);
-        UpdateWait::Update(match event {
-            SweepEvent::Point(point) => {
-                self.settle = Some(point.cached);
-                let (_, machine, window, md) = point.point;
-                SweepUpdate::Point {
-                    index: point.index,
-                    machine,
-                    window,
-                    md,
-                    cycles: point.cycles,
+        if let StreamWait::Event(event) = &wait {
+            self.submission.guard.release(1);
+            match event {
+                SweepEvent::Aborted { .. } => {
+                    self.server.aborted_points.fetch_add(1, Ordering::Relaxed);
                 }
+                SweepEvent::Failed { .. } => {
+                    self.server.failed_points.fetch_add(1, Ordering::Relaxed);
+                }
+                SweepEvent::Point(_) | SweepEvent::Skipped { .. } => {}
             }
-            SweepEvent::Skipped { .. } => SweepUpdate::Dropped,
-            SweepEvent::Aborted { .. } => {
-                self.server.aborted_points.fetch_add(1, Ordering::Relaxed);
-                SweepUpdate::Aborted
-            }
-            SweepEvent::Failed { index, message } => {
-                self.server.failed_points.fetch_add(1, Ordering::Relaxed);
-                SweepUpdate::Failed { index, message }
-            }
-        })
+        }
+        wait
     }
 
     fn canceller(&self) -> Canceller {

@@ -5,19 +5,21 @@
 //! and one grid must run through the shared accept loop over a Unix
 //! socket for each backend.
 //!
-//! The coordinator's retry watchdog is driven against a backend that
-//! never answers.
+//! Through the coordinator, a repeated grid is answered from the
+//! backends' caches, the retry watchdog is driven against a backend that
+//! never answers, and a backend that dies between its `point` and `done`
+//! lines still settles every point exactly once.
 //!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
 //! [`FAULT_LOCK`].
 
-use dae_core::{cache_key_digest, fault, LoweredTrace, SweepSession};
+use dae_core::{cache_key_digest, fault, LoweredTrace, Machine, SweepSession, WindowSpec};
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, CoordinatorConfig,
-    DoneStatus, Partitioner, Request, Response, SweepBackend, SweepServer,
+    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, DoneStatus,
+    Partitioner, Request, Response, SweepBackend, SweepRequest, SweepServer,
 };
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -79,6 +81,16 @@ fn normalize(line: &str) -> String {
     response.to_string()
 }
 
+/// The `stats` counter `name` of `backend`.
+fn stat<B: SweepBackend>(backend: &B, name: &str) -> u64 {
+    backend
+        .stats_fields()
+        .into_iter()
+        .find(|(field, _)| field == name)
+        .unwrap_or_else(|| panic!("stats report no {name}"))
+        .1
+}
+
 /// Runs `input` through one `serve_connection` and returns its normalized
 /// responses, sorted (concurrent drainers interleave freely).
 fn transcript<B: SweepBackend>(backend: &Arc<B>, input: &str) -> Vec<String> {
@@ -124,12 +136,7 @@ fn run_transcript<B: SweepBackend>(backend: &Arc<B>) -> Vec<String> {
     let mut lines = transcript(backend, &format!("{input}\n"));
     fault::reset();
     assert!(backend.is_shutting_down());
-    let timeouts = backend
-        .stats_fields()
-        .into_iter()
-        .find(|(name, _)| name == "timeout_requests")
-        .expect("stats report timeout_requests")
-        .1;
+    let timeouts = stat(&**backend, "timeout_requests");
     assert_eq!(timeouts, 1, "the expired deadline is counted once");
     lines.extend(transcript(
         backend,
@@ -257,6 +264,107 @@ fn both_backends_serve_a_grid_over_a_unix_socket() {
     unix_grid(in_process_fleet(), "coordinator");
 }
 
+/// The 12-point TRFD grid the coordinator fault tests send.
+const FLEET_GRID: &str =
+    "sweep id=fleet trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,60";
+
+/// `line`'s request, its cycles from a cache-off session in grid order,
+/// and how many of its points a two-backend ring places on backend 1.
+fn oracle(line: &str) -> (SweepRequest, Vec<u64>, usize) {
+    let Ok(Request::Sweep(request)) = parse_request(line) else {
+        panic!("not a sweep: {line}");
+    };
+    let trace = request.source.trace(request.iterations).expect("expand");
+    let mut reference = SweepSession::new();
+    reference.set_cache_enabled(false);
+    let id = reference.pin_trace(&trace);
+    let points = request.points(id);
+    let expected = reference.sweep_multi(&points);
+    let hash = LoweredTrace::new(&trace).content_hash();
+    let ring = Partitioner::new(2);
+    let on_second = points
+        .iter()
+        .filter(|&&(_, m, w, md)| ring.assign(cache_key_digest(hash, m, w, md)) == Some(1))
+        .count();
+    (request, expected, on_second)
+}
+
+/// Serves `line` through `coordinator` on its own thread, failing after
+/// five seconds instead of hanging, and returns the grid's cycles by index
+/// (each index at most once) and its `done` lines.
+fn serve_grid(coordinator: &Arc<Coordinator>, line: &str) -> (Vec<Option<u64>>, Vec<Response>) {
+    let Ok(Request::Sweep(request)) = parse_request(line) else {
+        panic!("not a sweep: {line}");
+    };
+    let (tx, rx) = mpsc::channel();
+    let served = Arc::clone(coordinator);
+    let input = format!("{line}\n");
+    std::thread::spawn(move || {
+        let mut output = Vec::new();
+        serve_connection(&served, input.as_bytes(), &mut output).expect("serve");
+        let _ = tx.send(output);
+    });
+    let output = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the grid never completed");
+    let mut cycles = vec![None; request.grid().len()];
+    let mut done = Vec::new();
+    for reply in String::from_utf8(output).expect("utf8").lines() {
+        match parse_response(reply).expect("well-formed") {
+            Response::Point {
+                index, cycles: c, ..
+            } => {
+                assert!(cycles[index].replace(c).is_none(), "point {index} twice");
+            }
+            d @ Response::Done { .. } => done.push(d),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+    (cycles, done)
+}
+
+/// Asserts `done` is one balanced `status=ok` line over `points` points
+/// with `cached` cache hits.
+fn assert_one_ok_done(done: &[Response], points: usize, cached: u64) {
+    let [Response::Done {
+        points: total,
+        delivered,
+        dropped,
+        aborted,
+        failed,
+        cached: hits,
+        status,
+        ..
+    }] = done
+    else {
+        panic!("exactly one done line expected: {done:?}");
+    };
+    assert_eq!(*status, DoneStatus::Ok);
+    assert_eq!(
+        (*total, *delivered, *dropped, *aborted, *failed, *hits),
+        (points, points, 0, 0, 0, cached)
+    );
+}
+
+/// Cache hits pass through the coordinator: the same grid sent twice is
+/// simulated once, and the repeat is answered entirely from the backends'
+/// caches with the first run's cycles.
+#[test]
+fn a_repeated_grid_is_answered_from_the_backends_caches() {
+    let _guard = faults();
+    let (_, expected, on_second) = oracle(FLEET_GRID);
+    assert!(on_second > 0 && on_second < expected.len(), "spans both");
+    let coordinator = in_process_fleet();
+    let (first, done) = serve_grid(&coordinator, FLEET_GRID);
+    assert_one_ok_done(&done, expected.len(), 0);
+    let (repeat, done) = serve_grid(&coordinator, FLEET_GRID);
+    assert_one_ok_done(&done, expected.len(), expected.len() as u64);
+    assert_eq!(repeat, first, "cached cycles equal the simulated ones");
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(first, expected, "coordinated grid vs the oracle");
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
 /// A backend that accepts the coordinator's data connection and never
 /// answers on it, and closes every later (control) connection at once so
 /// `stats` does not wait out the control timeout.  Returns its address.
@@ -283,84 +391,82 @@ fn silent_backend() -> String {
 #[test]
 fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     let _guard = faults();
-    let line = "sweep id=wd trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,60";
-    let Ok(Request::Sweep(request)) = parse_request(line) else {
-        panic!("not a sweep: {line}");
-    };
-    let trace = request.source.trace(request.iterations).expect("expand");
-    let mut reference = SweepSession::new();
-    reference.set_cache_enabled(false);
-    let id = reference.pin_trace(&trace);
-    let points = request.points(id);
-    let expected = reference.sweep_multi(&points);
-
+    let (_, expected, on_second) = oracle(FLEET_GRID);
     // The grid must reach the silent backend (index 1) and the real one.
-    let hash = LoweredTrace::new(&trace).content_hash();
-    let ring = Partitioner::new(2);
-    let placed: HashSet<usize> = points
-        .iter()
-        .filter_map(|&(_, m, w, md)| ring.assign(cache_key_digest(hash, m, w, md)))
-        .collect();
-    assert_eq!(placed.len(), 2, "the grid must span both backends");
+    assert!(
+        on_second > 0 && on_second < expected.len(),
+        "the grid must span both backends"
+    );
 
-    let config = CoordinatorConfig {
-        retry_timeout: Duration::from_millis(200),
-        ..CoordinatorConfig::default()
-    };
     let addrs = [in_process_backend(), silent_backend()];
-    let coordinator = Arc::new(Coordinator::connect_with(&addrs, config).expect("connect"));
-    let (tx, rx) = mpsc::channel();
-    let served = Arc::clone(&coordinator);
-    std::thread::spawn(move || {
-        let mut output = Vec::new();
-        let input = format!("{line}\n");
-        serve_connection(&served, input.as_bytes(), &mut output).expect("serve");
-        let _ = tx.send(output);
-    });
-    let output = rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("the grid never completed: nothing re-dispatched the silent backend's points");
-
-    let mut cycles = vec![None; expected.len()];
-    let mut done = Vec::new();
-    for reply in String::from_utf8(output).expect("utf8").lines() {
-        match parse_response(reply).expect("well-formed") {
-            Response::Point {
-                index, cycles: c, ..
-            } => {
-                assert!(cycles[index].replace(c).is_none(), "point {index} twice");
-            }
-            d @ Response::Done { .. } => done.push(d),
-            other => panic!("unexpected: {other:?}"),
-        }
-    }
+    let coordinator =
+        Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(200)).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
     let expected: Vec<_> = expected.into_iter().map(Some).collect();
     assert_eq!(cycles, expected, "watchdog-rescued grid vs the oracle");
-    let [Response::Done {
-        points,
-        delivered,
-        dropped,
-        aborted,
-        failed,
-        status,
-        ..
-    }] = done.as_slice()
-    else {
-        panic!("exactly one done line expected: {done:?}");
-    };
-    assert_eq!(*status, DoneStatus::Ok);
-    assert_eq!(
-        (*delivered, *dropped, *aborted, *failed),
-        (*points, 0, 0, 0)
-    );
-    assert_eq!(*points, expected.len());
+    assert_one_ok_done(&done, points, 0);
 
-    let timeouts = coordinator
-        .stats_fields()
-        .into_iter()
-        .find(|(name, _)| name == "coordinator_timeouts")
-        .expect("stats report coordinator_timeouts")
-        .1;
+    let timeouts = stat(&*coordinator, "coordinator_timeouts");
     assert!(timeouts >= 1, "the watchdog must have fired");
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// A backend that answers the first `subrequests` sweep lines on its data
+/// connection with a correct `point` line each (looked up in `cycles` by
+/// the line's single grid point), then closes that connection before any
+/// `done`.  Control connections close at once.  Returns its address.
+fn dying_backend(subrequests: usize, cycles: HashMap<(Machine, WindowSpec, u64), u64>) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
+    let addr = listener.local_addr().expect("stub addr").to_string();
+    std::thread::spawn(move || {
+        let mut incoming = listener.incoming();
+        let Some(Ok(data)) = incoming.next() else {
+            return;
+        };
+        let mut writer = data.try_clone().expect("clone the stub connection");
+        for line in BufReader::new(data).lines().take(subrequests) {
+            let line = line.expect("read a subrequest");
+            let Ok(Request::Sweep(sub)) = parse_request(&line) else {
+                panic!("not a sweep: {line}");
+            };
+            let (machine, window, md) = sub.grid().next().expect("one point");
+            let reply = Response::Point {
+                id: sub.id,
+                index: 0,
+                machine,
+                window,
+                md,
+                cycles: cycles[&(machine, window, md)],
+            };
+            writeln!(writer, "{reply}").expect("answer");
+        }
+        drop(writer);
+        for control in incoming {
+            drop(control);
+        }
+    });
+    addr
+}
+
+/// A backend that dies between its `point` lines and their `done` lines:
+/// the death sweep settles those points with the reported cycles, so the
+/// client still gets every index exactly once and one balanced `done`.
+#[test]
+fn a_backend_dying_between_point_and_done_settles_each_point_once() {
+    let _guard = faults();
+    let (request, expected, on_second) = oracle(FLEET_GRID);
+    assert!(on_second > 0 && on_second < expected.len(), "spans both");
+    let by_point = request.grid().zip(expected.iter().copied()).collect();
+
+    let addrs = [in_process_backend(), dying_backend(on_second, by_point)];
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(cycles, expected, "grid over a dying backend vs the oracle");
+    assert_one_ok_done(&done, points, 0);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+    let redispatched = stat(&*coordinator, "redispatched_points");
+    assert_eq!(redispatched, 0, "reported cycles settle without a re-run");
 }
