@@ -106,8 +106,24 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Handle to a program pinned in a [`SweepSession`].
+///
+/// A handle names one pinning, not a slot: after
+/// [`SweepSession::unpin`] the slot may hold a later program, but under a
+/// new generation, so a stale handle is refused instead of silently
+/// addressing that program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TraceId(usize);
+pub struct TraceId {
+    slot: u32,
+    generation: u32,
+}
+
+/// One pinning slot of a [`SweepSession`]: the lowering it holds now (if
+/// any) and the generation that handles to it must carry.
+#[derive(Debug)]
+struct Slot {
+    generation: u32,
+    trace: Option<Arc<LoweredTrace>>,
+}
 
 /// One sweep point addressed at a pinned program.
 pub type SweepPoint = (TraceId, Machine, WindowSpec, Cycle);
@@ -480,7 +496,9 @@ fn enforce_limit(inner: &mut CacheInner) {
 /// cached, results delivered batched or streamed.  See the module docs.
 #[derive(Debug)]
 pub struct SweepSession {
-    traces: Vec<Arc<LoweredTrace>>,
+    traces: Vec<Slot>,
+    /// Unpinned slots awaiting reuse.
+    free: Vec<u32>,
     /// `pin_program` cache: `(program, iterations) → TraceId`.
     programs: Vec<((PerfectProgram, u64), TraceId)>,
     stats: SessionStats,
@@ -494,6 +512,7 @@ impl Default for SweepSession {
     fn default() -> Self {
         SweepSession {
             traces: Vec::new(),
+            free: Vec::new(),
             programs: Vec::new(),
             stats: SessionStats::default(),
             cache: Arc::new(SweepCache::default()),
@@ -581,23 +600,76 @@ impl SweepSession {
         self.cache.compact_store()
     }
 
-    /// The number of pinned programs.
+    /// The number of programs pinned now (unpinned ones excluded).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.traces.len()
+        self.traces
+            .iter()
+            .filter(|slot| slot.trace.is_some())
+            .count()
     }
 
-    /// Whether no program has been pinned yet.
+    /// Whether no program is pinned now.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
+        self.len() == 0
     }
 
     /// Pins an already-lowered trace, returning its handle.
     pub fn pin_lowered(&mut self, lowered: LoweredTrace) -> TraceId {
         self.stats.pinned_traces += 1;
-        self.traces.push(Arc::new(lowered));
-        TraceId(self.traces.len() - 1)
+        let trace = Some(Arc::new(lowered));
+        if let Some(slot) = self.free.pop() {
+            let entry = &mut self.traces[slot as usize];
+            entry.trace = trace;
+            return TraceId {
+                slot,
+                generation: entry.generation,
+            };
+        }
+        let slot = u32::try_from(self.traces.len()).expect("fewer than 2^32 pinned programs");
+        self.traces.push(Slot {
+            generation: 0,
+            trace,
+        });
+        TraceId {
+            slot,
+            generation: 0,
+        }
+    }
+
+    /// Drops the session's reference to the lowering behind `id`, returning
+    /// whether it was pinned.  Grids already submitted keep their own
+    /// reference and complete normally; `id` (and any copy of it) is
+    /// refused from now on, even once the slot holds a later program.
+    /// Cached results stay: a re-pinned lowering of the same program
+    /// hashes equal and hits them.
+    pub fn unpin(&mut self, id: TraceId) -> bool {
+        let Some(slot) = self.traces.get_mut(id.slot as usize) else {
+            return false;
+        };
+        if slot.generation != id.generation || slot.trace.take().is_none() {
+            return false;
+        }
+        self.programs.retain(|&(_, pinned)| pinned != id);
+        // A slot whose generation would wrap is retired, never reused, so
+        // no handle can ever come back to life.
+        if let Some(next) = slot.generation.checked_add(1) {
+            slot.generation = next;
+            self.free.push(id.slot);
+        }
+        true
+    }
+
+    /// The pinned lowering behind `id`.
+    fn resident(&self, id: TraceId) -> &Arc<LoweredTrace> {
+        match self.traces.get(id.slot as usize) {
+            Some(Slot {
+                generation,
+                trace: Some(trace),
+            }) if *generation == id.generation => trace,
+            _ => panic!("{id:?} is not pinned in this session"),
+        }
     }
 
     /// Lowers `trace` for all three machines and pins it.
@@ -667,10 +739,11 @@ impl SweepSession {
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not belong to this session.
+    /// Panics if `id` is not pinned in this session (never was, or was
+    /// unpinned).
     #[must_use]
     pub fn lowered(&self, id: TraceId) -> &LoweredTrace {
-        &self.traces[id.0]
+        self.resident(id)
     }
 
     /// Runs a grid of points addressing any mix of pinned programs,
@@ -776,7 +849,8 @@ impl SweepSession {
                 continue;
             }
             let (id, machine, window, md) = point;
-            let key = (self.traces[id.0].content_hash(), machine, window, md);
+            let trace = self.resident(id);
+            let key = (trace.content_hash(), machine, window, md);
             if self.cache_enabled {
                 let leader = job_of.get(&key).copied();
                 if let Some(cycles) = self.cache.lookup(&key, leader.is_some()) {
@@ -797,7 +871,7 @@ impl SweepSession {
                 index,
                 point,
                 key,
-                trace: Arc::clone(&self.traces[id.0]),
+                trace: Arc::clone(trace),
                 followers: Vec::new(),
             });
         }
@@ -1172,6 +1246,30 @@ mod tests {
         let e = session.pin_programs(&[PerfectProgram::Trfd, PerfectProgram::Qcd], 50);
         assert_eq!(e[0], a);
         assert_eq!(session.len(), 4);
+    }
+
+    #[test]
+    fn unpinned_handles_never_address_a_later_program() {
+        let mut session = SweepSession::new();
+        let old = session.pin_program(PerfectProgram::Trfd, 50);
+        let in_flight = session.stream(&grid(old));
+        assert!(session.unpin(old));
+        assert!(!session.unpin(old), "a handle unpins once");
+        assert!(session.is_empty());
+        // The slot is reused under a new generation: the stale handle
+        // must not alias the newcomer.
+        let new = session.pin_trace(&stream().trace(100));
+        assert_ne!(old, new);
+        assert!(!session.unpin(old));
+        let stale = catch_unwind(AssertUnwindSafe(|| session.lowered(old).content_hash()));
+        assert!(stale.is_err(), "a stale handle is refused");
+        // The grid submitted before the unpin still completes, and a
+        // re-pin of the same program is a fresh lowering.
+        assert_eq!(in_flight.collect_ordered().len(), 4);
+        let again = session.pin_program(PerfectProgram::Trfd, 50);
+        assert_ne!(again, old);
+        assert_eq!(session.len(), 2);
+        assert_eq!(session.stats().pin_hits, 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Rule `lock-order`: build the workspace lock graph and report cycles.
 //!
-//! The server multiplexes four lock-bearing modules (PRs 5–7): the serve
-//! `ServerState`, the session result cache, the bench harness and the
-//! vendored rayon scheduler.  Their acquisition order is pure convention;
+//! The server multiplexes three lock-bearing modules (PRs 5–7): the serve
+//! `ServerState` (with its program table), the session result cache and
+//! the vendored rayon scheduler.  Their acquisition order is pure convention;
 //! this rule makes it checkable.  Per function it extracts `Mutex` /
 //! `RwLock` acquisitions, tracks acquired-while-held pairs through lexical
 //! scopes plus one level of intra-crate call resolution, builds the

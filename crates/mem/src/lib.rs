@@ -14,23 +14,18 @@
 //!   captures temporal locality by short-circuiting requests for recently
 //!   fetched addresses (the paper's future-work suggestion);
 //! * [`PrefetchBuffer`] — the SWSM's fully associative prefetch buffer with
-//!   optional capacity limits and LRU replacement;
-//! * [`Cache`] — a small set-associative cache model, standalone: no
-//!   machine model or experiment drives it (every figure uses the flat
-//!   memory differential).
+//!   optional capacity limits and LRU replacement.
 //!
-//! The other structures are driven by the machine models in
-//! `dae-machines`; all are purely bookkeeping (which data is present *when*), never holders of
+//! The structures are driven by the machine models in `dae-machines`;
+//! all are purely bookkeeping (which data is present *when*), never holders of
 //! simulated data values.
 
-mod cache;
 mod decoupled;
 mod fixed;
 mod fx;
 mod lru;
 mod prefetch;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
 pub use decoupled::{BypassConfig, DecoupledMemory, DecoupledMemoryConfig, DecoupledMemoryStats};
 pub use fixed::{FixedLatencyMemory, MemoryStats};
 pub use fx::{FxBuildHasher, FxHashMap, FxHasher};

@@ -39,6 +39,7 @@ use crate::protocol::{
     parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest, TraceSource,
 };
 use crate::server::SubmitError;
+use crate::table::ProgramTable;
 use dae_core::{cache_key_digest, StreamWait, StreamedPoint, SweepEvent, TraceHash};
 use dae_isa::Cycle;
 use std::collections::HashMap;
@@ -67,6 +68,11 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(100);
 /// Read timeout on ephemeral control connections (`stats` / `cache` /
 /// `shutdown` fan-out), so a wedged backend cannot hang a control verb.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Programs whose placement hash the coordinator keeps (each entry is a
+/// key and a hash, whatever the program's length); past it the least
+/// recently used are dropped, and re-lowered if requested again.
+const PLACEMENT_BUDGET: usize = 1 << 12;
 
 /// A consistent-hash ring over `backends` numbered `0..n`.
 ///
@@ -215,9 +221,10 @@ struct CoordInner {
     /// failed dispatch) owns its settlement, so a point cannot settle
     /// twice.
     pending: Mutex<HashMap<String, PendingPoint>>,
-    /// `(source key, iterations)` → content hash, so placement lowers
-    /// each distinct program once.
-    hashes: Mutex<HashMap<(String, u64), TraceHash>>,
+    /// `(source key, iterations)` → content hash, so placement lowers a
+    /// program once while it stays in this [`PLACEMENT_BUDGET`]-bounded
+    /// table.
+    hashes: Mutex<ProgramTable<TraceHash>>,
     next_subid: AtomicU64,
     shutting_down: AtomicBool,
     retry_timeout: Duration,
@@ -529,7 +536,7 @@ impl CoordInner {
             partitioner: Partitioner::new(backends.len()),
             backends,
             pending: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(HashMap::new()),
+            hashes: Mutex::new(ProgramTable::new(PLACEMENT_BUDGET)),
             next_subid: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             retry_timeout,
@@ -549,7 +556,7 @@ impl CoordInner {
     }
 
     /// The placement-hash cache, recovering from poisoning.
-    fn lock_hashes(&self) -> MutexGuard<'_, HashMap<(String, u64), TraceHash>> {
+    fn lock_hashes(&self) -> MutexGuard<'_, ProgramTable<TraceHash>> {
         self.hashes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -558,21 +565,17 @@ impl CoordInner {
     }
 
     /// The content hash of `(source, iterations)`, lowering on first
-    /// sight.  Lowering is pure and can take milliseconds, so it runs
-    /// outside the lock; a racing duplicate insert is harmless (equal
-    /// keys hash equal).
+    /// sight (or after eviction).  Lowering is pure and can take
+    /// milliseconds, so it runs outside the lock; a racing duplicate
+    /// insert is harmless (equal keys hash equal).
     fn resolve_hash(&self, source: &TraceSource, iterations: u64) -> Result<TraceHash, String> {
         let key = (source.key(), iterations);
-        {
-            let hashes = self.lock_hashes();
-            if let Some(&hash) = hashes.get(&key) {
-                return Ok(hash);
-            }
+        if let Some(hash) = self.lock_hashes().get(&key) {
+            return Ok(hash);
         }
         let trace = source.trace(iterations)?;
         let hash = dae_core::LoweredTrace::new(&trace).content_hash();
-        let mut hashes = self.lock_hashes();
-        hashes.insert(key, hash);
+        self.lock_hashes().insert(key, hash, 1);
         Ok(hash)
     }
 

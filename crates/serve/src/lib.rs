@@ -52,6 +52,7 @@ pub mod coordinator;
 pub mod lifecycle;
 pub mod protocol;
 pub mod server;
+mod table;
 
 pub use coordinator::{Coordinator, Partitioner};
 #[cfg(unix)]

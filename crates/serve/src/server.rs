@@ -1,10 +1,11 @@
 //! The serving layer: one shared [`SweepSession`] multiplexed across
 //! client connections.
 //!
-//! A [`SweepServer`] owns the session (and a map resolving request trace
+//! A [`SweepServer`] owns the session (and a table resolving request trace
 //! sources to pinned lowerings) behind one mutex.  The mutex is held only
 //! while a request is *submitted* — resolving the trace, pinning a missing
-//! lowering, and handing the grid to
+//! lowering (unpinning whatever the table evicts for it), and handing the
+//! grid to
 //! [`SweepSession::stream_classified`], which returns immediately — so
 //! the simulations themselves run unlocked on the global worker pool and
 //! grids from concurrent clients interleave point by point.  Each grid's
@@ -47,6 +48,7 @@
 
 use crate::lifecycle::{Canceller, SweepBackend, SweepEvents, SHUTTING_DOWN};
 use crate::protocol::{CacheAction, Response, ShutdownMode, SweepRequest};
+use crate::table::ProgramTable;
 use dae_core::{
     CancelToken, RequestClass, StreamWait, SweepEvent, SweepSession, SweepStream, TraceId,
 };
@@ -56,6 +58,13 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::Instant;
+
+/// The most lowered trace instructions a [`SweepServer`] keeps pinned
+/// (about 25 MB of lowerings), plus one larger-than-budget newest program.
+/// Past it the least recently used lowerings are unpinned (see
+/// `table.rs`); a later request for an evicted program re-lowers it and
+/// still hits the result cache, which keys on the structural `TraceHash`.
+pub(crate) const LOWERING_BUDGET: usize = 1 << 17;
 
 /// Admission-control bounds for a [`SweepServer`].
 ///
@@ -125,10 +134,11 @@ pub struct SweepServer {
 struct ServerState {
     session: SweepSession,
     /// Resolves trace sources to their pinned lowering: `(source key,
-    /// iterations) → TraceId`.  Requests with equal keys share one
-    /// lowering — and therefore the session's sweep-result cache —
-    /// across every client.
-    programs: HashMap<(String, u64), TraceId>,
+    /// iterations) → TraceId`, weighted by trace instructions under
+    /// [`LOWERING_BUDGET`].  Requests with equal keys share one lowering
+    /// across every client while it is resident; the result cache is
+    /// shared regardless.
+    programs: ProgramTable<TraceId>,
     /// Registered clients: id → live in-flight point counter.
     clients: HashMap<u64, Arc<AtomicUsize>>,
     next_client: u64,
@@ -241,7 +251,7 @@ impl SweepServer {
         SweepServer {
             state: Mutex::new(ServerState {
                 session,
-                programs: HashMap::new(),
+                programs: ProgramTable::new(LOWERING_BUDGET),
                 clients: HashMap::new(),
                 next_client: 1,
                 active: Vec::new(),
@@ -327,7 +337,7 @@ impl SweepServer {
             let mut state = self.lock_state();
             self.admit(points, client)?;
             let guard = self.reserve(points, client);
-            if let Some(&id) = state.programs.get(&key) {
+            if let Some(id) = state.programs.get(&key) {
                 return Ok(Self::enqueue(&mut state, request, id, client_id, guard));
             }
             guard
@@ -342,14 +352,20 @@ impl SweepServer {
             .trace(request.iterations)
             .map_err(SubmitError::Rejected)?;
         let lowered = dae_core::LoweredTrace::new(&trace);
+        let weight = lowered.trace_instructions();
         let mut state = self.lock_state();
         let id = match state.programs.get(&key) {
             // Another client pinned the same source while we lowered; use
-            // theirs (and drop ours) so both share one cache identity.
-            Some(&id) => id,
+            // theirs (and drop ours).
+            Some(id) => id,
             None => {
+                // Evicted lowerings are unpinned under this same lock, so no
+                // submission can resolve a handle the session no longer
+                // holds; grids already running keep their own reference.
                 let id = state.session.pin_lowered(lowered);
-                state.programs.insert(key, id);
+                for evicted in state.programs.insert(key, id, weight) {
+                    state.session.unpin(evicted);
+                }
                 id
             }
         };
@@ -463,8 +479,9 @@ impl SweepBackend for SweepServer {
         }))
     }
 
-    /// The counters behind the `stats` reply: session activity, pin and
-    /// sweep-result cache state, queue depth and per-client in-flight
+    /// The counters behind the `stats` reply: session activity, the
+    /// program table (lowerings pinned in total and now, table hits and
+    /// evictions), sweep-result cache state, queue depth and per-client in-flight
     /// points, the fault-path counters, and the process-wide
     /// simulation-pool diagnostics (`dae_machines::pool_diagnostics`), in
     /// one flat list.
@@ -477,7 +494,9 @@ impl SweepBackend for SweepServer {
         let count = |name: &str, n: &AtomicU64| (name.to_string(), n.load(Ordering::Relaxed));
         let mut fields = vec![
             ("pinned".to_string(), stats.pinned_traces),
-            ("pin_hits".to_string(), stats.pin_hits),
+            ("pinned_resident".to_string(), state.programs.len() as u64),
+            ("pin_hits".to_string(), state.programs.hits()),
+            ("pin_evictions".to_string(), state.programs.evictions()),
             ("batched_points".to_string(), stats.batched_points),
             ("streamed_points".to_string(), stats.streamed_points),
             ("cache_entries".to_string(), cache.entries as u64),
