@@ -21,13 +21,19 @@
 use dae_core::ExperimentConfig;
 use dae_workloads::PerfectProgram;
 
-/// The experiment configuration used by the figure/table binaries: full
-/// window grids, all memory differentials, medium-length traces.
+/// The experiment configuration used by the figure/table binaries (and
+/// timed by the repository benchmark): full window grids, the memory
+/// differentials 0–60 in steps of 10, 800-iteration traces.
 #[must_use]
 pub fn paper_config() -> ExperimentConfig {
     ExperimentConfig {
         iterations: 800,
-        ..ExperimentConfig::paper_scale()
+        dm_windows: vec![4, 8, 16, 24, 32, 48, 64, 80, 96, 128],
+        swsm_windows: vec![4, 8, 16, 24, 32, 48, 64, 80, 96, 128],
+        equivalence_search_windows: vec![
+            8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 320, 384, 448, 512, 640, 768,
+        ],
+        memory_differentials: vec![0, 10, 20, 30, 40, 50, 60],
     }
 }
 
@@ -36,7 +42,7 @@ pub fn paper_config() -> ExperimentConfig {
 /// # Errors
 ///
 /// Returns a message listing the valid names when `name` is not recognised.
-pub fn resolve_program(
+pub(crate) fn resolve_program(
     name: Option<&str>,
     fallback: PerfectProgram,
 ) -> Result<PerfectProgram, String> {
@@ -76,11 +82,13 @@ mod tests {
 
     #[test]
     fn configs_are_consistent() {
-        let paper = paper_config();
-        let full = ExperimentConfig::paper_scale();
-        assert!(paper.iterations < full.iterations);
-        assert_eq!(paper.memory_differentials, full.memory_differentials);
-        assert!(!paper.dm_windows.is_empty());
+        let cfg = paper_config();
+        assert!(cfg.iterations > 0);
+        assert!(!cfg.dm_windows.is_empty());
+        assert!(!cfg.memory_differentials.is_empty());
+        assert!(cfg.memory_differentials.contains(&0));
+        assert!(cfg.memory_differentials.contains(&60));
+        assert!(cfg.equivalence_search_windows.last().unwrap() >= cfg.dm_windows.last().unwrap());
     }
 
     #[test]

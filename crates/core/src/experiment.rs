@@ -20,17 +20,6 @@ pub enum WindowSpec {
     Unlimited,
 }
 
-impl WindowSpec {
-    /// The finite size, if any.
-    #[must_use]
-    pub fn entries(self) -> Option<usize> {
-        match self {
-            WindowSpec::Entries(n) => Some(n),
-            WindowSpec::Unlimited => None,
-        }
-    }
-}
-
 impl fmt::Display for WindowSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -204,9 +193,8 @@ impl LoweredTrace {
 }
 
 /// Shared knobs of the experiment generators: how long the traces are and
-/// which grids are swept.  The defaults trade a few percent of fidelity for
-/// run time; `ExperimentConfig::paper_scale` uses the workloads' full
-/// default traces.
+/// which grids are swept.  The paper's figures use
+/// `dae_bench::paper_config()`; tests build smaller grids literally.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Iterations each workload kernel is expanded for.
@@ -223,44 +211,21 @@ pub struct ExperimentConfig {
     pub memory_differentials: Vec<Cycle>,
 }
 
-impl ExperimentConfig {
-    /// A fast configuration suitable for tests and continuous integration.
-    #[must_use]
-    pub fn quick() -> Self {
-        ExperimentConfig {
-            iterations: 300,
-            dm_windows: vec![8, 16, 32, 48, 64, 96, 128],
-            swsm_windows: vec![8, 16, 32, 48, 64, 96, 128],
-            equivalence_search_windows: vec![8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512],
-            memory_differentials: vec![0, 20, 40, 60],
-        }
-    }
-
-    /// The configuration used to regenerate the paper's tables and figures.
-    #[must_use]
-    pub fn paper_scale() -> Self {
-        ExperimentConfig {
-            iterations: 1200,
-            dm_windows: vec![4, 8, 16, 24, 32, 48, 64, 80, 96, 128],
-            swsm_windows: vec![4, 8, 16, 24, 32, 48, 64, 80, 96, 128],
-            equivalence_search_windows: vec![
-                8, 16, 24, 32, 48, 64, 80, 96, 128, 160, 192, 256, 320, 384, 448, 512, 640, 768,
-            ],
-            memory_differentials: vec![0, 10, 20, 30, 40, 50, 60],
-        }
-    }
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig::quick()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dae_workloads::stream;
+
+    /// The small grid the generator tests in `experiments` sweep.
+    pub(crate) fn tiny_config() -> ExperimentConfig {
+        ExperimentConfig {
+            iterations: 120,
+            dm_windows: vec![8, 32, 64],
+            swsm_windows: vec![8, 32, 64],
+            equivalence_search_windows: vec![8, 16, 32, 64, 128, 256],
+            memory_differentials: vec![0, 60],
+        }
+    }
 
     fn small_trace() -> Trace {
         stream().trace(150)
@@ -270,8 +235,6 @@ mod tests {
     fn window_spec_display_and_entries() {
         assert_eq!(format!("{}", WindowSpec::Entries(32)), "32");
         assert_eq!(format!("{}", WindowSpec::Unlimited), "inf");
-        assert_eq!(WindowSpec::Entries(32).entries(), Some(32));
-        assert_eq!(WindowSpec::Unlimited.entries(), None);
     }
 
     #[test]
@@ -321,15 +284,14 @@ mod tests {
 
     #[test]
     fn experiment_configs_have_sane_grids() {
-        for cfg in [ExperimentConfig::quick(), ExperimentConfig::paper_scale()] {
-            assert!(cfg.iterations > 0);
-            assert!(!cfg.dm_windows.is_empty());
-            assert!(!cfg.memory_differentials.is_empty());
-            assert!(cfg.memory_differentials.contains(&0));
-            assert!(cfg.memory_differentials.contains(&60));
-            assert!(
-                cfg.equivalence_search_windows.last().unwrap() >= cfg.dm_windows.last().unwrap()
-            );
-        }
+        // The generator tests read results at md 0 and 60 and resolve
+        // equivalent windows beyond the largest DM window.
+        let cfg = tiny_config();
+        assert!(cfg.iterations > 0);
+        assert!(!cfg.dm_windows.is_empty());
+        assert!(!cfg.memory_differentials.is_empty());
+        assert!(cfg.memory_differentials.contains(&0));
+        assert!(cfg.memory_differentials.contains(&60));
+        assert!(cfg.equivalence_search_windows.last().unwrap() >= cfg.dm_windows.last().unwrap());
     }
 }

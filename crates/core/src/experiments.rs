@@ -11,9 +11,11 @@
 //! | Figures 7–9 (equivalent window ratio vs DM window size) | [`equivalent_window_figure_in`] |
 //! | §5 claim (SWSM needs a 2–4x larger window at MD = 60) | [`window_ratio_claim_in`] |
 
+use crate::metrics::latency_hiding_effectiveness;
+use crate::report::fmt_metric;
 use crate::{
-    equivalent_window_ratio, fmt_metric, latency_hiding_effectiveness, speedup, ExperimentConfig,
-    Machine, SweepPoint, SweepSession, TextTable, WindowCurve, WindowSpec,
+    equivalent_window_ratio, speedup, ExperimentConfig, Machine, SweepPoint, SweepSession,
+    TextTable, WindowCurve, WindowSpec,
 };
 use dae_isa::Cycle;
 use dae_workloads::PerfectProgram;
@@ -116,7 +118,7 @@ impl Table1 {
 
     /// Renders the table in the paper's layout.
     #[must_use]
-    pub fn to_table(&self) -> TextTable {
+    pub(crate) fn to_table(&self) -> TextTable {
         let mut headers = vec!["Prog".to_string()];
         headers.extend(self.windows.iter().map(|w| format!("w={w}")));
         let mut table = TextTable::new(headers);
@@ -236,7 +238,7 @@ pub fn speedup_figure_in(
 impl SpeedupFigure {
     /// The series for a machine at a memory differential.
     #[must_use]
-    pub fn series_for(
+    pub(crate) fn series_for(
         &self,
         machine: Machine,
         memory_differential: Cycle,
@@ -267,7 +269,7 @@ impl SpeedupFigure {
     /// Renders the figure data as one row per window size with a column per
     /// series, mirroring the paper's plots.
     #[must_use]
-    pub fn to_table(&self) -> TextTable {
+    pub(crate) fn to_table(&self) -> TextTable {
         let mut headers = vec!["window".to_string()];
         for s in &self.series {
             headers.push(format!("{} md={}", s.machine, s.memory_differential));
@@ -397,7 +399,7 @@ impl EwrFigure {
     /// Renders the figure data as one row per DM window size with one column
     /// per memory differential.
     #[must_use]
-    pub fn to_table(&self) -> TextTable {
+    pub(crate) fn to_table(&self) -> TextTable {
         let mut headers = vec!["dm window".to_string()];
         for s in &self.series {
             headers.push(format!("md={}", s.memory_differential));
@@ -547,16 +549,7 @@ impl fmt::Display for WindowRatioClaim {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_config() -> ExperimentConfig {
-        ExperimentConfig {
-            iterations: 120,
-            dm_windows: vec![8, 32, 64],
-            swsm_windows: vec![8, 32, 64],
-            equivalence_search_windows: vec![8, 16, 32, 64, 128, 256],
-            memory_differentials: vec![0, 60],
-        }
-    }
+    use crate::experiment::tests::tiny_config;
 
     #[test]
     fn table1_has_a_row_per_program_and_a_column_per_window() {

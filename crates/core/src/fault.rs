@@ -33,9 +33,6 @@ static PANIC_COUNTDOWN: AtomicU64 = AtomicU64::new(DISARMED);
 /// simulating (makes deadline expiry deterministic in tests).
 static SLOW_POINT_MS: AtomicU64 = AtomicU64::new(0);
 
-/// Points started since the process began (diagnostic; monotone).
-static POINTS_STARTED: AtomicU64 = AtomicU64::new(0);
-
 /// One-time environment arming (see [`arm_from_env`]).
 static ENV_ARM: Once = Once::new();
 
@@ -88,16 +85,10 @@ pub fn reset() {
     SLOW_POINT_MS.store(0, Ordering::SeqCst);
 }
 
-/// Points that have started simulating process-wide (monotone diagnostic).
-pub fn points_started() -> u64 {
-    POINTS_STARTED.load(Ordering::Relaxed)
-}
-
 /// The per-point entry hook, called by the stream worker inside its
 /// `catch_unwind` just before the simulation.  Fires any armed fault.
 pub(crate) fn on_point_start() {
     arm_from_env();
-    POINTS_STARTED.fetch_add(1, Ordering::Relaxed);
     let slow = SLOW_POINT_MS.load(Ordering::Relaxed);
     if slow > 0 {
         std::thread::sleep(Duration::from_millis(slow));

@@ -58,9 +58,9 @@ pub use experiments::{
     equivalent_window_figure_in, speedup_figure_in, table1_in, window_ratio_claim_in, EwrFigure,
     EwrSeries, SpeedupFigure, SpeedupSeries, Table1, Table1Row, WindowRatioClaim,
 };
-pub use metrics::{equivalent_window_ratio, latency_hiding_effectiveness, speedup, WindowCurve};
-pub use placement::{cache_key_digest, SweepCacheKey};
-pub use report::{fmt_metric, TextTable};
+pub use metrics::{equivalent_window_ratio, speedup, WindowCurve};
+pub use placement::cache_key_digest;
+pub use report::TextTable;
 pub use session::{
     CacheStats, CancelToken, RequestClass, SessionStats, StreamWait, StreamedPoint, SweepEvent,
     SweepPoint, SweepSession, SweepStream, TraceId,

@@ -22,7 +22,7 @@ pub fn speedup(reference_cycles: Cycle, machine_cycles: Cycle) -> f64 {
 /// when every memory access perceives a single-cycle latency (memory
 /// differential of zero).
 #[must_use]
-pub fn latency_hiding_effectiveness(perfect_cycles: Cycle, actual_cycles: Cycle) -> f64 {
+pub(crate) fn latency_hiding_effectiveness(perfect_cycles: Cycle, actual_cycles: Cycle) -> f64 {
     if actual_cycles == 0 {
         0.0
     } else {
@@ -56,21 +56,6 @@ impl WindowCurve {
             assert_ne!(pair[0].0, pair[1].0, "duplicate window size {}", pair[0].0);
         }
         WindowCurve { points }
-    }
-
-    /// The measured points, sorted by window size.
-    #[must_use]
-    pub fn points(&self) -> &[(usize, Cycle)] {
-        &self.points
-    }
-
-    /// The execution time at a measured window size, if present.
-    #[must_use]
-    pub fn cycles_at(&self, window: usize) -> Option<Cycle> {
-        self.points
-            .iter()
-            .find(|&&(w, _)| w == window)
-            .map(|&(_, c)| c)
     }
 
     /// The smallest (interpolated) window size at which the machine achieves
@@ -140,9 +125,7 @@ mod tests {
     #[test]
     fn window_curve_sorts_and_looks_up_points() {
         let curve = WindowCurve::new(vec![(64, 100), (8, 900), (32, 300)]);
-        assert_eq!(curve.points()[0], (8, 900));
-        assert_eq!(curve.cycles_at(32), Some(300));
-        assert_eq!(curve.cycles_at(16), None);
+        assert_eq!(curve.points, vec![(8, 900), (32, 300), (64, 100)]);
     }
 
     #[test]

@@ -26,10 +26,9 @@ use dae_trace::TraceHash;
 use std::hash::Hasher;
 
 /// The sweep-result cache key: the structural content hash of the lowered
-/// program plus the machine parameters of the point.  Identical to the
-/// session cache's internal key — exposed so placement layers can hash
-/// the exact identity the per-backend caches will be queried with.
-pub type SweepCacheKey = (TraceHash, Machine, WindowSpec, Cycle);
+/// program plus the machine parameters of the point.  The session cache
+/// keys on it, and [`cache_key_digest`] hashes the same four fields.
+pub(crate) type SweepCacheKey = (TraceHash, Machine, WindowSpec, Cycle);
 
 /// The `window` word for [`WindowSpec::Unlimited`] in the canonical
 /// encoding (matches the on-disk store's schema).

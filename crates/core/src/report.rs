@@ -42,18 +42,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// The number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as comma-separated values (headers first).  Cells
     /// containing commas or quotes are quoted.
     #[must_use]
@@ -127,7 +115,7 @@ impl fmt::Display for TextTable {
 /// Formats a floating point value the way the paper's tables do (three
 /// significant decimals, `-` for missing values).
 #[must_use]
-pub fn fmt_metric(value: Option<f64>) -> String {
+pub(crate) fn fmt_metric(value: Option<f64>) -> String {
     match value {
         Some(v) => format!("{v:.3}"),
         None => "-".to_string(),
@@ -179,8 +167,7 @@ mod tests {
         t.push_row(vec!["only".into()]);
         let text = t.to_string();
         assert!(text.contains("only"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

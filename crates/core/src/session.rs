@@ -178,9 +178,7 @@ pub struct CacheStats {
 /// worker has not started it yet is skipped (its simulation never runs and
 /// the stream reports it in [`SweepStream::skipped`]); a point already
 /// simulating is aborted mid-run — the engine polls the token's flag every
-/// few hundred event-loop iterations
-/// ([`dae_machines::ABORT_POLL_INTERVAL`]) and unwinds out of the
-/// simulation, so even a multi-millisecond point stops within microseconds
+/// few hundred event-loop iterations and unwinds out of the simulation, so even a multi-millisecond point stops within microseconds
 /// ([`SweepStream::aborted`] counts these).  Cloning shares the same flag,
 /// and cancelling is idempotent.
 #[derive(Debug, Clone, Default)]
@@ -202,7 +200,7 @@ impl CancelToken {
 
     /// Whether cancellation has been requested.
     #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 
@@ -249,11 +247,10 @@ impl RequestClass {
 /// which process: that is what lets re-pinned programs and restarted
 /// servers reuse earlier figures, and what makes persisting entries to
 /// disk meaningful.  The differential suite pins the safety direction:
-/// hash-equal lowerings produce bit-for-bit-equal results.  The alias is
-/// public as [`crate::SweepCacheKey`] so placement layers (the shard
-/// coordinator in `dae-serve`) hash the exact identity this cache is
-/// queried with.
-type CacheKey = crate::SweepCacheKey;
+/// hash-equal lowerings produce bit-for-bit-equal results.  Placement
+/// layers (the shard coordinator in `dae-serve`) hash the same identity
+/// through [`crate::cache_key_digest`].
+type CacheKey = crate::placement::SweepCacheKey;
 
 /// A resident cache entry: the figure plus the measured simulation time
 /// that the cost-aware eviction policy weighs.
@@ -600,19 +597,15 @@ impl SweepSession {
         self.cache.compact_store()
     }
 
-    /// The number of programs pinned now (unpinned ones excluded).
+    /// The number of programs pinned now (unpinned ones excluded), for
+    /// this crate's tests.
+    #[cfg(test)]
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.traces
             .iter()
             .filter(|slot| slot.trace.is_some())
             .count()
-    }
-
-    /// Whether no program is pinned now.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Pins an already-lowered trace, returning its handle.
@@ -1255,7 +1248,7 @@ mod tests {
         let in_flight = session.stream(&grid(old));
         assert!(session.unpin(old));
         assert!(!session.unpin(old), "a handle unpins once");
-        assert!(session.is_empty());
+        assert_eq!(session.len(), 0);
         // The slot is reused under a new generation: the stale handle
         // must not alias the newcomer.
         let new = session.pin_trace(&stream().trace(100));

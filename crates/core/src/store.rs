@@ -202,7 +202,7 @@ impl CacheStore {
     /// crash mid-compaction leaves the previous log intact).  Called with
     /// the resident set on shutdown — dropping entries that were
     /// superseded or evicted — and with an empty set on `clear`.
-    pub fn compact(&mut self, records: &[StoreRecord]) -> io::Result<()> {
+    pub(crate) fn compact(&mut self, records: &[StoreRecord]) -> io::Result<()> {
         self.file = rewrite(&self.path, records)?;
         Ok(())
     }

@@ -22,22 +22,20 @@ use crate::{AddressSpec, Kernel, KernelError, OpKind, Operand, Statement, StmtId
 ///
 /// // s[i] = a[i] * b[i]; acc += s[i]
 /// let mut b = KernelBuilder::new("dot-product");
-/// b.describe("inner product with a floating point reduction");
 /// let i = b.induction();
 /// let a = b.load_strided(&[Operand::Local(i)], 0x0000, 8);
 /// let bb = b.load_strided(&[Operand::Local(i)], 0x4000, 8);
 /// let prod = b.fp_mul(&[Operand::Local(a), Operand::Local(bb)]);
-/// let acc = b.fp_add_carried_self(&[Operand::Local(prod)]);
+/// b.fp_add_carried_self(&[Operand::Local(prod)]);
 /// let kernel = b.build()?;
 /// assert_eq!(kernel.name(), "dot-product");
 /// assert_eq!(kernel.len(), 5);
-/// assert!(kernel.statements()[acc].has_carried_input());
+/// assert_eq!(kernel.stats().carried_stmts, 2);
 /// # Ok::<(), dae_isa::KernelError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct KernelBuilder {
     name: String,
-    description: String,
     statements: Vec<Statement>,
 }
 
@@ -47,15 +45,8 @@ impl KernelBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         KernelBuilder {
             name: name.into(),
-            description: String::new(),
             statements: Vec::new(),
         }
-    }
-
-    /// Sets the kernel's one-line description.
-    pub fn describe(&mut self, description: impl Into<String>) -> &mut Self {
-        self.description = description.into();
-        self
     }
 
     /// The number of statements added so far.
@@ -164,18 +155,6 @@ impl KernelBuilder {
         id
     }
 
-    /// Adds an integer statement (on the access stream) that consumes its own
-    /// value from `distance` iterations back — used for serial integer
-    /// recurrences such as linked-list style index updates.
-    pub fn int_carried_self(&mut self, inputs: &[Operand], distance: u32) -> StmtId {
-        let id = self.statements.len();
-        let mut all = inputs.to_vec();
-        all.push(Operand::Carried { stmt: id, distance });
-        self.statements
-            .push(Statement::arith(OpKind::IntAlu, UnitClass::Access, all));
-        id
-    }
-
     /// Adds a load with a strided (affine) address stream on the access
     /// stream.
     pub fn load_strided(&mut self, inputs: &[Operand], base: u64, stride: u64) -> StmtId {
@@ -184,23 +163,6 @@ impl KernelBuilder {
             UnitClass::Access,
             inputs.to_vec(),
             AddressSpec::strided(base, stride),
-        ))
-    }
-
-    /// Adds a load whose strided address stream wraps within `span` bytes
-    /// (temporal locality for the bypass / cache extensions).
-    pub fn load_wrapped(
-        &mut self,
-        inputs: &[Operand],
-        base: u64,
-        stride: u64,
-        span: u64,
-    ) -> StmtId {
-        self.push(Statement::memory(
-            OpKind::Load,
-            UnitClass::Access,
-            inputs.to_vec(),
-            AddressSpec::strided_wrapped(base, stride, span),
         ))
     }
 
@@ -268,7 +230,7 @@ impl KernelBuilder {
     ///
     /// Returns a [`KernelError`] if the kernel is structurally invalid.
     pub fn build(self) -> Result<Kernel, KernelError> {
-        Kernel::new(self.name, self.description, self.statements)
+        Kernel::new(self.name, self.statements)
     }
 }
 
@@ -315,9 +277,8 @@ mod tests {
         let x = b.load_strided(&[Operand::Local(i)], 0, 8);
         let acc = b.fp_add_carried_self(&[Operand::Local(x)]);
         let prod = b.fp_mul_carried_self(&[Operand::Local(x)]);
-        let chase = b.int_carried_self(&[], 2);
         let k = b.build().unwrap();
-        for (id, dist) in [(acc, 1), (prod, 1), (chase, 2)] {
+        for id in [acc, prod] {
             let carried = k.statements()[id]
                 .inputs
                 .iter()
@@ -326,7 +287,7 @@ mod tests {
                     _ => None,
                 })
                 .expect("self-carried operand present");
-            assert_eq!(carried, dist);
+            assert_eq!(carried, 1);
         }
     }
 
@@ -370,14 +331,5 @@ mod tests {
         let b = KernelBuilder::new("empty");
         assert!(b.is_empty());
         assert_eq!(b.build().unwrap_err(), KernelError::Empty);
-    }
-
-    #[test]
-    fn describe_sets_description() {
-        let mut b = KernelBuilder::new("desc");
-        b.describe("a description");
-        b.induction();
-        let k = b.build().unwrap();
-        assert_eq!(k.description(), "a description");
     }
 }

@@ -31,30 +31,6 @@ pub enum Operand {
     Invariant(u32),
 }
 
-impl Operand {
-    /// Convenience constructor for a loop-carried reference at distance 1.
-    #[must_use]
-    pub fn carried(stmt: StmtId) -> Self {
-        Operand::Carried { stmt, distance: 1 }
-    }
-
-    /// Returns `true` if the operand is available before the loop starts
-    /// (invariant); such operands never create a dynamic dependence.
-    #[must_use]
-    pub fn is_invariant(self) -> bool {
-        matches!(self, Operand::Invariant(_))
-    }
-
-    /// The statement this operand references, if any.
-    #[must_use]
-    pub fn referenced_stmt(self) -> Option<StmtId> {
-        match self {
-            Operand::Local(s) | Operand::Carried { stmt: s, .. } => Some(s),
-            Operand::Invariant(_) => None,
-        }
-    }
-}
-
 /// How a memory statement generates its effective addresses across
 /// iterations.
 ///
@@ -124,7 +100,7 @@ impl AddressPattern {
 
     /// Returns `true` if the pattern is data-dependent (indirect).
     #[must_use]
-    pub fn is_indirect(&self) -> bool {
+    pub(crate) fn is_indirect(&self) -> bool {
         matches!(self, AddressPattern::Indirect { .. })
     }
 }
@@ -152,19 +128,10 @@ impl AddressSpec {
         }
     }
 
-    /// A strided specification wrapping within `span` bytes.
-    #[must_use]
-    pub fn strided_wrapped(base: Address, stride: u64, span: u64) -> Self {
-        AddressSpec {
-            pattern: AddressPattern::StridedWrapped { base, stride, span },
-            index_operand: None,
-        }
-    }
-
     /// An indirect (data-dependent) specification whose index value is the
     /// statement operand at `index_operand`.
     #[must_use]
-    pub fn indirect(base: Address, span: u64, index_operand: usize) -> Self {
+    pub(crate) fn indirect(base: Address, span: u64, index_operand: usize) -> Self {
         AddressSpec {
             pattern: AddressPattern::Indirect { base, span },
             index_operand: Some(index_operand),
@@ -216,14 +183,14 @@ impl Statement {
 
     /// Attaches a debugging label, consuming and returning the statement.
     #[must_use]
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
     }
 
     /// Returns `true` if any operand is loop-carried.
     #[must_use]
-    pub fn has_carried_input(&self) -> bool {
+    pub(crate) fn has_carried_input(&self) -> bool {
         self.inputs
             .iter()
             .any(|o| matches!(o, Operand::Carried { .. }))
@@ -267,17 +234,6 @@ impl KernelStats {
             (self.loads + self.stores) as f64 / self.statements as f64
         }
     }
-
-    /// Floating-point operations per load (a crude arithmetic-intensity
-    /// figure).
-    #[must_use]
-    pub fn fp_per_load(&self) -> f64 {
-        if self.loads == 0 {
-            f64::INFINITY
-        } else {
-            self.fp_ops as f64 / self.loads as f64
-        }
-    }
 }
 
 /// A static kernel: one iteration of an innermost loop, described as a list
@@ -295,15 +251,15 @@ impl KernelStats {
 /// let i = b.induction();
 /// let x = b.load_strided(&[Operand::Local(i)], 0, 8);
 /// // acc += x[i]  — a loop-carried floating point recurrence.
-/// let acc = b.fp_add_carried_self(&[Operand::Local(x)]);
+/// b.fp_add_carried_self(&[Operand::Local(x)]);
 /// let kernel = b.build()?;
-/// assert!(kernel.statements()[acc].has_carried_input());
+/// // The induction variable and the accumulator are both loop-carried.
+/// assert_eq!(kernel.stats().carried_stmts, 2);
 /// # Ok::<(), dae_isa::KernelError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Kernel {
     name: String,
-    description: String,
     statements: Vec<Statement>,
 }
 
@@ -314,14 +270,9 @@ impl Kernel {
     ///
     /// Returns a [`KernelError`] describing the first structural problem
     /// found (see [`Kernel::validate`]).
-    pub fn new(
-        name: impl Into<String>,
-        description: impl Into<String>,
-        statements: Vec<Statement>,
-    ) -> Result<Self, KernelError> {
+    pub fn new(name: impl Into<String>, statements: Vec<Statement>) -> Result<Self, KernelError> {
         let kernel = Kernel {
             name: name.into(),
-            description: description.into(),
             statements,
         };
         kernel.validate()?;
@@ -332,12 +283,6 @@ impl Kernel {
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// A one-line description of what the kernel models.
-    #[must_use]
-    pub fn description(&self) -> &str {
-        &self.description
     }
 
     /// The statements of one iteration, in program order.
@@ -357,12 +302,6 @@ impl Kernel {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.statements.is_empty()
-    }
-
-    /// Counts statements satisfying a predicate.
-    #[must_use]
-    pub fn count_of(&self, pred: impl Fn(&Statement) -> bool) -> usize {
-        self.statements.iter().filter(|s| pred(s)).count()
     }
 
     /// Computes aggregate per-iteration statistics.
@@ -507,7 +446,7 @@ mod tests {
     #[test]
     fn empty_kernel_is_rejected() {
         assert_eq!(
-            Kernel::new("empty", "", vec![]).unwrap_err(),
+            Kernel::new("empty", vec![]).unwrap_err(),
             KernelError::Empty
         );
     }
@@ -519,7 +458,7 @@ mod tests {
             simple_load(UnitClass::Access),
         ];
         assert_eq!(
-            Kernel::new("fwd", "", stmts).unwrap_err(),
+            Kernel::new("fwd", stmts).unwrap_err(),
             KernelError::ForwardReference {
                 stmt: 0,
                 referenced: 1
@@ -535,16 +474,19 @@ mod tests {
             vec![Operand::Local(0)],
         )];
         assert!(matches!(
-            Kernel::new("self", "", bad).unwrap_err(),
+            Kernel::new("self", bad).unwrap_err(),
             KernelError::ForwardReference { .. }
         ));
 
         let good = vec![Statement::arith(
             OpKind::IntAlu,
             UnitClass::Access,
-            vec![Operand::carried(0)],
+            vec![Operand::Carried {
+                stmt: 0,
+                distance: 1,
+            }],
         )];
-        assert!(Kernel::new("induction", "", good).is_ok());
+        assert!(Kernel::new("induction", good).is_ok());
     }
 
     #[test]
@@ -558,7 +500,7 @@ mod tests {
             }],
         )];
         assert_eq!(
-            Kernel::new("unknown", "", stmts).unwrap_err(),
+            Kernel::new("unknown", stmts).unwrap_err(),
             KernelError::UnknownStatement {
                 stmt: 0,
                 referenced: 7
@@ -580,7 +522,7 @@ mod tests {
             ),
         ];
         assert_eq!(
-            Kernel::new("zero", "", stmts).unwrap_err(),
+            Kernel::new("zero", stmts).unwrap_err(),
             KernelError::ZeroCarryDistance { stmt: 1 }
         );
     }
@@ -598,7 +540,7 @@ mod tests {
             Statement::arith(OpKind::FpAdd, UnitClass::Compute, vec![Operand::Local(1)]),
         ];
         assert_eq!(
-            Kernel::new("store-use", "", stmts).unwrap_err(),
+            Kernel::new("store-use", stmts).unwrap_err(),
             KernelError::ValuelessProducer {
                 stmt: 2,
                 referenced: 1,
@@ -611,7 +553,7 @@ mod tests {
     fn memory_statements_need_addresses() {
         let stmts = vec![Statement::arith(OpKind::Load, UnitClass::Access, vec![])];
         assert_eq!(
-            Kernel::new("noaddr", "", stmts).unwrap_err(),
+            Kernel::new("noaddr", stmts).unwrap_err(),
             KernelError::MissingAddress { stmt: 0 }
         );
 
@@ -622,7 +564,7 @@ mod tests {
             AddressSpec::strided(0, 8),
         )];
         assert_eq!(
-            Kernel::new("extraaddr", "", stmts).unwrap_err(),
+            Kernel::new("extraaddr", stmts).unwrap_err(),
             KernelError::UnexpectedAddress {
                 stmt: 0,
                 op: OpKind::FpAdd
@@ -639,7 +581,7 @@ mod tests {
             AddressSpec::indirect(0, 4096, 2),
         )];
         assert_eq!(
-            Kernel::new("badidx", "", stmts).unwrap_err(),
+            Kernel::new("badidx", stmts).unwrap_err(),
             KernelError::BadIndexOperand {
                 stmt: 0,
                 index: 2,
@@ -651,7 +593,14 @@ mod tests {
     #[test]
     fn stats_count_correctly() {
         let stmts = vec![
-            Statement::arith(OpKind::IntAlu, UnitClass::Access, vec![Operand::carried(0)]),
+            Statement::arith(
+                OpKind::IntAlu,
+                UnitClass::Access,
+                vec![Operand::Carried {
+                    stmt: 0,
+                    distance: 1,
+                }],
+            ),
             simple_load(UnitClass::Access),
             Statement::memory(
                 OpKind::Load,
@@ -668,7 +617,7 @@ mod tests {
                 AddressSpec::strided(0x2000, 8),
             ),
         ];
-        let kernel = Kernel::new("stats", "", stmts).unwrap();
+        let kernel = Kernel::new("stats", stmts).unwrap();
         let st = kernel.stats();
         assert_eq!(st.statements, 6);
         assert_eq!(st.int_ops, 1);
@@ -680,7 +629,6 @@ mod tests {
         assert_eq!(st.compute_stmts, 2);
         assert_eq!(st.carried_stmts, 1);
         assert!((st.memory_fraction() - 0.5).abs() < 1e-12);
-        assert!((st.fp_per_load() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -733,7 +681,7 @@ mod tests {
             Statement::arith(OpKind::FpAdd, UnitClass::Compute, vec![Operand::Local(0)])
                 .with_label("acc"),
         ];
-        let kernel = Kernel::new("disp", "two statements", stmts).unwrap();
+        let kernel = Kernel::new("disp", stmts).unwrap();
         let text = format!("{kernel}");
         assert!(text.contains("load"));
         assert!(text.contains("fadd"));

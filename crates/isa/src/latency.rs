@@ -54,19 +54,6 @@ impl LatencyModel {
         }
     }
 
-    /// A fully uniform single-cycle model, useful in unit tests where the
-    /// arithmetic latencies would only obscure the property being checked.
-    #[must_use]
-    pub fn unit() -> Self {
-        LatencyModel {
-            int_alu: 1,
-            fp_add: 1,
-            fp_mul: 1,
-            fp_div: 1,
-            mem_issue: 1,
-        }
-    }
-
     /// The execution latency of `op` (excluding any memory-system cost).
     #[must_use]
     pub fn latency_of(&self, op: OpKind) -> Cycle {
@@ -122,14 +109,6 @@ mod tests {
         assert_eq!(lat.latency_of(OpKind::FpMul), 2);
         assert_eq!(lat.latency_of(OpKind::Load), 1);
         assert_eq!(lat.latency_of(OpKind::Store), 1);
-    }
-
-    #[test]
-    fn unit_model_is_all_ones() {
-        let lat = LatencyModel::unit();
-        for op in OpKind::ALL {
-            assert_eq!(lat.latency_of(op), 1, "{op}");
-        }
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! let kernel = b.build()?;
 //!
 //! assert_eq!(kernel.statements().len(), 6);
-//! assert_eq!(kernel.count_of(|s| s.op.is_memory()), 3);
+//! assert_eq!(kernel.stats().loads + kernel.stats().stores, 3);
 //! assert_eq!(kernel.statements()[0].unit, UnitClass::Access);
 //! # Ok::<(), dae_isa::KernelError>(())
 //! ```

@@ -20,7 +20,7 @@ use std::fmt;
 /// assert!(OpKind::Load.is_memory());
 /// assert!(OpKind::FpMul.is_fp());
 /// assert!(!OpKind::IntAlu.is_fp());
-/// assert_eq!(OpKind::Store.mnemonic(), "store");
+/// assert_eq!(OpKind::Store.to_string(), "store");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpKind {
@@ -69,7 +69,7 @@ impl OpKind {
 
     /// Returns `true` for stores.
     #[must_use]
-    pub fn is_store(self) -> bool {
+    pub(crate) fn is_store(self) -> bool {
         matches!(self, OpKind::Store)
     }
 
@@ -77,12 +77,6 @@ impl OpKind {
     #[must_use]
     pub fn is_fp(self) -> bool {
         matches!(self, OpKind::FpAdd | OpKind::FpMul | OpKind::FpDiv)
-    }
-
-    /// Returns `true` for any non-memory (arithmetic) operation.
-    #[must_use]
-    pub fn is_arith(self) -> bool {
-        !self.is_memory()
     }
 
     /// Returns `true` if the operation produces a value that later
@@ -96,7 +90,7 @@ impl OpKind {
 
     /// A short lower-case mnemonic used in reports and `Display` output.
     #[must_use]
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             OpKind::IntAlu => "int",
             OpKind::FpAdd => "fadd",
@@ -143,13 +137,6 @@ mod tests {
         assert!(OpKind::FpDiv.is_fp());
         assert!(!OpKind::IntAlu.is_fp());
         assert!(!OpKind::Load.is_fp());
-    }
-
-    #[test]
-    fn arith_is_complement_of_memory() {
-        for op in OpKind::ALL {
-            assert_eq!(op.is_arith(), !op.is_memory(), "{op}");
-        }
     }
 
     #[test]

@@ -23,8 +23,7 @@ use std::fmt;
 /// ```
 /// use dae_isa::UnitClass;
 ///
-/// assert_eq!(UnitClass::Access.other(), UnitClass::Compute);
-/// assert_eq!(UnitClass::Compute.other(), UnitClass::Access);
+/// assert_eq!(UnitClass::ALL, [UnitClass::Access, UnitClass::Compute]);
 /// assert_eq!(format!("{}", UnitClass::Access), "AU");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,31 +38,10 @@ impl UnitClass {
     /// Both classes, in a stable order.
     pub const ALL: [UnitClass; 2] = [UnitClass::Access, UnitClass::Compute];
 
-    /// The opposite class.
-    #[must_use]
-    pub fn other(self) -> UnitClass {
-        match self {
-            UnitClass::Access => UnitClass::Compute,
-            UnitClass::Compute => UnitClass::Access,
-        }
-    }
-
-    /// Returns `true` for the access (AU) class.
-    #[must_use]
-    pub fn is_access(self) -> bool {
-        matches!(self, UnitClass::Access)
-    }
-
-    /// Returns `true` for the compute (DU) class.
-    #[must_use]
-    pub fn is_compute(self) -> bool {
-        matches!(self, UnitClass::Compute)
-    }
-
     /// The conventional short name of the unit executing this class
     /// (`"AU"` or `"DU"`).
     #[must_use]
-    pub fn unit_name(self) -> &'static str {
+    pub(crate) fn unit_name(self) -> &'static str {
         match self {
             UnitClass::Access => "AU",
             UnitClass::Compute => "DU",
@@ -80,21 +58,6 @@ impl fmt::Display for UnitClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn other_is_an_involution() {
-        for class in UnitClass::ALL {
-            assert_eq!(class.other().other(), class);
-            assert_ne!(class.other(), class);
-        }
-    }
-
-    #[test]
-    fn predicates_are_exclusive() {
-        for class in UnitClass::ALL {
-            assert_ne!(class.is_access(), class.is_compute());
-        }
-    }
 
     #[test]
     fn unit_names() {

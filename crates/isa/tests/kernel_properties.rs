@@ -144,7 +144,7 @@ proptest! {
             UnitClass::Access,
             vec![Operand::Local(position + offset)],
         ));
-        let err = Kernel::new("broken", "", statements).unwrap_err();
+        let err = Kernel::new("broken", statements).unwrap_err();
         let caught = matches!(
             err,
             KernelError::ForwardReference { .. } | KernelError::UnknownStatement { .. }
@@ -160,7 +160,7 @@ proptest! {
 
         let mut missing = kernel.statements().to_vec();
         missing.push(Statement::arith(OpKind::Load, UnitClass::Access, vec![]));
-        let missing_err = Kernel::new("missing", "", missing).unwrap_err();
+        let missing_err = Kernel::new("missing", missing).unwrap_err();
         let missing_caught = matches!(missing_err, KernelError::MissingAddress { .. });
         prop_assert!(missing_caught, "unexpected error: {}", missing_err);
 
@@ -171,7 +171,7 @@ proptest! {
             vec![],
             AddressSpec::strided(0, 8),
         ));
-        let unexpected_err = Kernel::new("unexpected", "", unexpected).unwrap_err();
+        let unexpected_err = Kernel::new("unexpected", unexpected).unwrap_err();
         let unexpected_caught = matches!(unexpected_err, KernelError::UnexpectedAddress { .. });
         prop_assert!(unexpected_caught, "unexpected error: {}", unexpected_err);
     }

@@ -16,7 +16,7 @@ use crate::rules::{prefix_match, Rule};
 
 /// The `default-hasher` rule; see module docs.
 #[derive(Debug, Default)]
-pub struct DefaultHasher;
+pub(crate) struct DefaultHasher;
 
 impl Rule for DefaultHasher {
     fn id(&self) -> &'static str {

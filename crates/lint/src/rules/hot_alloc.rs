@@ -49,7 +49,7 @@ const PATTERNS: &[(&[&str], &str)] = &[
 
 /// The `hot-path-alloc` rule; see module docs.
 #[derive(Debug, Default)]
-pub struct HotAlloc {
+pub(crate) struct HotAlloc {
     /// `(file pattern, function)` designations that matched a body.
     matched: Vec<(String, String)>,
 }

@@ -69,7 +69,7 @@ struct Func {
 
 /// The `lock-order` rule; see module docs.
 #[derive(Debug, Default)]
-pub struct LockOrder {
+pub(crate) struct LockOrder {
     /// Lock-path files, retained for whole-workspace analysis in `finish`.
     files: Vec<SourceFile>,
 }

@@ -16,7 +16,7 @@ use crate::lexer::SourceFile;
 /// [`Rule::check_file`] and calls [`Rule::finish`] once at the end —
 /// workspace-wide rules (the unsafe census, the lock graph) accumulate
 /// state across files and report from `finish`.
-pub trait Rule {
+pub(crate) trait Rule {
     /// The rule's id: its diagnostic tag and its `lint:allow(…)` key.
     fn id(&self) -> &'static str;
 
@@ -31,7 +31,7 @@ pub trait Rule {
 
 /// The shipped rule set, in reporting order.
 #[must_use]
-pub fn all() -> Vec<Box<dyn Rule>> {
+pub(crate) fn all() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(hot_alloc::HotAlloc::default()),
         Box::new(unsafe_audit::UnsafeAudit::default()),

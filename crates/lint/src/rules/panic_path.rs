@@ -21,7 +21,7 @@ const PATTERNS: &[(&[&str], &str)] = &[
 
 /// The `panic-path` rule; see module docs.
 #[derive(Debug, Default)]
-pub struct PanicPath;
+pub(crate) struct PanicPath;
 
 impl Rule for PanicPath {
     fn id(&self) -> &'static str {

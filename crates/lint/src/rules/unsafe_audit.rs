@@ -22,7 +22,7 @@ const SAFETY_WINDOW: u32 = 3;
 
 /// The `unsafe-audit` rule; see module docs.
 #[derive(Debug, Default)]
-pub struct UnsafeAudit {
+pub(crate) struct UnsafeAudit {
     /// Per-file `unsafe` occurrence counts, in walk order.
     counts: Vec<(String, usize)>,
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// time skips), so 512 iterations bound the abort latency to well under a
 /// millisecond of wall time while keeping the hot loop's common case to a
 /// single predictable branch.
-pub const ABORT_POLL_INTERVAL: u32 = 512;
+pub(crate) const ABORT_POLL_INTERVAL: u32 = 512;
 
 /// A shared flag that requests cooperative abort of any simulation run with
 /// this token installed (see [`with_abort_token`]).
@@ -55,11 +55,6 @@ impl AbortToken {
     /// with [`AbortedSimulation`] at its next poll.
     pub fn abort(&self) {
         self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether abort has been requested.
-    pub fn is_aborted(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
     }
 }
 
@@ -136,9 +131,9 @@ mod tests {
     fn tokens_share_their_flag_across_clones() {
         let token = AbortToken::new();
         let peer = token.clone();
-        assert!(!peer.is_aborted());
+        assert!(!peer.flag.load(Ordering::Relaxed));
         token.abort();
-        assert!(peer.is_aborted());
+        assert!(peer.flag.load(Ordering::Relaxed));
     }
 
     #[test]

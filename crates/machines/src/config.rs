@@ -62,27 +62,12 @@ impl DmConfig {
         }
     }
 
-    /// Returns this configuration with a different per-unit window size.
-    #[must_use]
-    pub fn with_window(mut self, window_size: usize) -> Self {
-        self.au.window_size = Some(window_size);
-        self.du.window_size = Some(window_size);
-        self
-    }
-
-    /// Returns this configuration with a different memory differential.
-    #[must_use]
-    pub fn with_memory_differential(mut self, memory_differential: Cycle) -> Self {
-        self.memory_differential = memory_differential;
-        self
-    }
-
     /// Validates both unit configurations.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.au.validate().map_err(|e| format!("AU: {e}"))?;
         self.du.validate().map_err(|e| format!("DU: {e}"))?;
         self.latencies
@@ -133,26 +118,12 @@ impl SwsmConfig {
         }
     }
 
-    /// Returns this configuration with a different window size.
-    #[must_use]
-    pub fn with_window(mut self, window_size: usize) -> Self {
-        self.unit.window_size = Some(window_size);
-        self
-    }
-
-    /// Returns this configuration with a different memory differential.
-    #[must_use]
-    pub fn with_memory_differential(mut self, memory_differential: Cycle) -> Self {
-        self.memory_differential = memory_differential;
-        self
-    }
-
     /// Validates the unit configuration.
     ///
     /// # Errors
     ///
     /// Returns a description of the first invalid parameter.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.unit.validate()?;
         self.latencies
             .validate()
@@ -209,9 +180,7 @@ mod tests {
 
     #[test]
     fn dm_builders_set_windows_and_md() {
-        let cfg = DmConfig::paper(16, 30)
-            .with_window(64)
-            .with_memory_differential(10);
+        let cfg = DmConfig::paper(64, 10);
         assert_eq!(cfg.au.window_size, Some(64));
         assert_eq!(cfg.du.window_size, Some(64));
         assert_eq!(cfg.memory_differential, 10);
@@ -223,9 +192,7 @@ mod tests {
 
     #[test]
     fn swsm_builders_set_windows_and_md() {
-        let cfg = SwsmConfig::paper(16, 30)
-            .with_window(128)
-            .with_memory_differential(0);
+        let cfg = SwsmConfig::paper(128, 0);
         assert_eq!(cfg.unit.window_size, Some(128));
         assert_eq!(cfg.unit.issue_width, 9);
         assert_eq!(cfg.memory_differential, 0);

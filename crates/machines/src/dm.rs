@@ -317,12 +317,6 @@ impl DecoupledMachine {
         DecoupledMachine { config }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &DmConfig {
-        &self.config
-    }
-
     /// Runs `trace` to completion and returns the detailed result.
     ///
     /// # Panics
@@ -505,7 +499,6 @@ mod tests {
         // short dependence chain: a few cycles per iteration at most.
         assert!(result.cycles() < 400, "cycles = {}", result.cycles());
         assert_eq!(result.summary.trace_instructions, 600);
-        assert!(result.summary.ipc() > 1.5);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub(crate) trait MachineSpec<U: SchedulerUnit> {
 /// multi-unit bookkeeping to begin with.
 ///
 /// Both event loops poll the thread's installed abort token (see
-/// [`crate::with_abort_token`]) every [`crate::ABORT_POLL_INTERVAL`]
+/// [`crate::with_abort_token`]) every [`crate::abort::ABORT_POLL_INTERVAL`]
 /// iterations, so a cancelled point unwinds mid-run instead of burning its
 /// worker to completion.  The lockstep reference loop is deliberately left
 /// uninstrumented: it is the oracle the event loops are differentially held

@@ -49,7 +49,7 @@ mod result;
 mod scalar;
 mod swsm;
 
-pub use abort::{with_abort_token, AbortToken, AbortedSimulation, ABORT_POLL_INTERVAL};
+pub use abort::{with_abort_token, AbortToken, AbortedSimulation};
 pub use config::{
     DmConfig, ScalarConfig, SwsmConfig, PAPER_AU_ISSUE_WIDTH, PAPER_DU_ISSUE_WIDTH,
     PAPER_SWSM_ISSUE_WIDTH,

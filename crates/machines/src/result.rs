@@ -17,28 +17,6 @@ pub struct ExecutionSummary {
     pub machine_instructions: usize,
 }
 
-impl ExecutionSummary {
-    /// Architectural instructions completed per cycle.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.trace_instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// Lowered machine instructions completed per cycle.
-    #[must_use]
-    pub fn machine_ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.machine_instructions as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// Slippage / effective-single-window statistics of a decoupled-machine run.
 ///
 /// The *effective single window* (ESW, §3 of the paper) is the span of
@@ -123,28 +101,5 @@ impl ScalarResult {
     #[must_use]
     pub fn cycles(&self) -> Cycle {
         self.summary.cycles
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ipc_rates_handle_zero_cycles() {
-        let s = ExecutionSummary::default();
-        assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.machine_ipc(), 0.0);
-    }
-
-    #[test]
-    fn ipc_rates_compute_expected_values() {
-        let s = ExecutionSummary {
-            cycles: 100,
-            trace_instructions: 250,
-            machine_instructions: 325,
-        };
-        assert!((s.ipc() - 2.5).abs() < 1e-12);
-        assert!((s.machine_ipc() - 3.25).abs() < 1e-12);
     }
 }

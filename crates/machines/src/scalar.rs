@@ -90,12 +90,6 @@ impl ScalarReference {
         ScalarReference { config }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &ScalarConfig {
-        &self.config
-    }
-
     /// Runs `trace` to completion.
     ///
     /// # Panics
@@ -253,7 +247,7 @@ mod tests {
     fn the_scalar_reference_never_overlaps_anything() {
         let trace = small_trace(30);
         let result = ScalarReference::new(ScalarConfig::new(20)).run(&trace);
-        assert!(result.summary.ipc() < 1.0);
+        assert!(result.cycles() > result.summary.trace_instructions as u64);
         assert_eq!(result.unit.occupancy_max, 1);
     }
 

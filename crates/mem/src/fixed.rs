@@ -57,15 +57,9 @@ impl FixedLatencyMemory {
         }
     }
 
-    /// The configured memory differential.
-    #[must_use]
-    pub fn differential(&self) -> Cycle {
-        self.differential
-    }
-
     /// The cycle at which data requested at `issue` becomes available.
     #[must_use]
-    pub fn completion_time(&self, issue: Cycle) -> Cycle {
+    pub(crate) fn completion_time(&self, issue: Cycle) -> Cycle {
         issue + 1 + self.differential
     }
 
@@ -91,12 +85,6 @@ impl FixedLatencyMemory {
         self.outstanding.push(done);
         self.stats.peak_outstanding = self.stats.peak_outstanding.max(self.outstanding.len());
         done
-    }
-
-    /// The number of requests still in flight at cycle `now`.
-    #[must_use]
-    pub fn outstanding_at(&self, now: Cycle) -> usize {
-        self.outstanding.iter().filter(|&&t| t > now).count()
     }
 
     /// Access counters accumulated so far.
@@ -136,9 +124,6 @@ mod tests {
         let mut mem = FixedLatencyMemory::new(20);
         mem.request_load(0, 0); // completes at 21
         mem.request_load(8, 5); // completes at 26
-        assert_eq!(mem.outstanding_at(10), 2);
-        assert_eq!(mem.outstanding_at(22), 1);
-        assert_eq!(mem.outstanding_at(30), 0);
         assert_eq!(mem.stats().peak_outstanding, 2);
     }
 

@@ -57,7 +57,7 @@ impl Hasher for FxHasher {
 }
 
 /// [`std::hash::BuildHasher`] producing [`FxHasher`]s.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using the Fx hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;

@@ -28,6 +28,6 @@ mod prefetch;
 
 pub use decoupled::{BypassConfig, DecoupledMemory, DecoupledMemoryConfig, DecoupledMemoryStats};
 pub use fixed::{FixedLatencyMemory, MemoryStats};
-pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
+pub use fx::{FxHashMap, FxHasher};
 pub use lru::LruMap;
 pub use prefetch::{PrefetchBuffer, PrefetchBufferConfig, PrefetchBufferStats};

@@ -59,7 +59,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 
     /// Returns `true` if `key` is resident (does not touch).
     #[must_use]
-    pub fn contains_key(&self, key: &K) -> bool {
+    pub(crate) fn contains_key(&self, key: &K) -> bool {
         self.entries.contains_key(key)
     }
 

@@ -106,12 +106,6 @@ impl PrefetchBuffer {
         }
     }
 
-    /// The configured memory differential.
-    #[must_use]
-    pub fn differential(&self) -> Cycle {
-        self.differential
-    }
-
     /// Current number of resident entries.
     #[must_use]
     pub fn occupancy(&self) -> usize {

@@ -43,7 +43,7 @@ impl IssueLogicModel {
     /// The issue-logic delay (arbitrary units) of a single window of
     /// `window_size` entries issuing `issue_width` instructions per cycle.
     #[must_use]
-    pub fn delay(&self, window_size: usize, issue_width: usize) -> f64 {
+    pub(crate) fn delay(&self, window_size: usize, issue_width: usize) -> f64 {
         let x = (window_size * issue_width) as f64;
         self.c_fixed + self.c_linear * x + self.c_quadratic * x * x
     }
@@ -51,7 +51,7 @@ impl IssueLogicModel {
     /// The issue-logic delay of a decoupled machine whose AU and DU windows
     /// operate independently: the slower of the two sets the clock.
     #[must_use]
-    pub fn decoupled_delay(
+    pub(crate) fn decoupled_delay(
         &self,
         au_window: usize,
         au_issue: usize,

@@ -39,7 +39,7 @@ pub struct FuConfig {
 impl FuConfig {
     /// The idealised configuration: no limits at all.
     #[must_use]
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         FuConfig::default()
     }
 
@@ -99,7 +99,7 @@ impl UnitConfig {
 
     /// The effective dispatch width.
     #[must_use]
-    pub fn effective_dispatch_width(&self) -> usize {
+    pub(crate) fn effective_dispatch_width(&self) -> usize {
         self.dispatch_width.unwrap_or(self.issue_width)
     }
 

@@ -6,7 +6,7 @@ use dae_trace::{ExecKind, MachineInst};
 
 /// The three resource classes distinguished by the functional-unit model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FuClass {
+pub(crate) enum FuClass {
     /// Integer / address ALUs (also used for cross-unit copies).
     Int,
     /// Floating point units.
@@ -18,7 +18,7 @@ pub enum FuClass {
 impl FuClass {
     /// The resource class an instruction occupies when it issues.
     #[must_use]
-    pub fn of(inst: &MachineInst) -> FuClass {
+    pub(crate) fn of(inst: &MachineInst) -> FuClass {
         match inst.kind {
             ExecKind::Arith => match inst.op {
                 OpKind::FpAdd | OpKind::FpMul | OpKind::FpDiv => FuClass::Fp,
@@ -38,21 +38,8 @@ impl FuClass {
 /// The paper's idealised machines have unlimited functional units; the pool
 /// therefore defaults to "always available" and only starts rejecting issues
 /// when limits are configured (the restricted-issue ablation).
-///
-/// # Example
-///
-/// ```
-/// use dae_ooo::{FuConfig, FuPool, FuClass};
-///
-/// let mut pool = FuPool::new(FuConfig::restricted(1, 1, 1));
-/// pool.begin_cycle();
-/// assert!(pool.try_acquire(FuClass::Int));
-/// assert!(!pool.try_acquire(FuClass::Int), "only one integer unit");
-/// pool.begin_cycle();
-/// assert!(pool.try_acquire(FuClass::Int), "units free up next cycle");
-/// ```
 #[derive(Debug, Clone)]
-pub struct FuPool {
+pub(crate) struct FuPool {
     config: FuConfig,
     /// No class is limited — the paper's default — so acquisition always
     /// succeeds and no per-cycle counters need maintaining.
@@ -67,7 +54,7 @@ pub struct FuPool {
 impl FuPool {
     /// Creates a pool with the given limits.
     #[must_use]
-    pub fn new(config: FuConfig) -> Self {
+    pub(crate) fn new(config: FuConfig) -> Self {
         FuPool {
             config,
             unlimited: config.int_units.is_none()
@@ -82,7 +69,7 @@ impl FuPool {
 
     /// Resets per-cycle usage; call once at the start of every cycle.
     #[inline]
-    pub fn begin_cycle(&mut self) {
+    pub(crate) fn begin_cycle(&mut self) {
         if self.unlimited {
             return;
         }
@@ -93,7 +80,7 @@ impl FuPool {
 
     /// Attempts to acquire a unit of the given class for this cycle.
     #[inline]
-    pub fn try_acquire(&mut self, class: FuClass) -> bool {
+    pub(crate) fn try_acquire(&mut self, class: FuClass) -> bool {
         if self.unlimited {
             return true;
         }
@@ -116,7 +103,7 @@ impl FuPool {
 
     /// Total issue attempts rejected due to exhausted functional units.
     #[must_use]
-    pub fn rejections(&self) -> u64 {
+    pub(crate) fn rejections(&self) -> u64 {
         self.rejections
     }
 }

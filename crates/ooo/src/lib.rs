@@ -13,7 +13,6 @@
 //! * [`UnitSim`] — the cycle-level simulator of one unit, which delegates
 //!   machine-specific behaviour (decoupled memory, prefetch buffer, blocking
 //!   loads) to an [`ExecContext`] implemented by `dae-machines`;
-//! * [`FuPool`] / [`FuClass`] — per-cycle functional-unit accounting;
 //! * [`UnitStats`] — occupancy, utilisation and stall counters;
 //! * [`IssueLogicModel`] — the Palacharla-style quadratic issue-logic delay
 //!   model backing the paper's "simpler window logic" argument.
@@ -51,7 +50,6 @@ mod unit;
 pub use complexity::IssueLogicModel;
 pub use config::{FuConfig, RetirePolicy, UnitConfig};
 pub use drive::{EventUnit, SchedulerUnit};
-pub use fu::{FuClass, FuPool};
 pub use reference::NaiveUnitSim;
 pub use stats::UnitStats;
 pub use unit::{ExecContext, GateWait, NoMemoryContext, UnitScratch, UnitSim};

@@ -10,7 +10,8 @@
 //! measures speedups against.  Its behaviour must never change; performance
 //! work happens in the event-driven scheduler only.
 
-use crate::{ExecContext, FuClass, FuPool, RetirePolicy, UnitConfig, UnitStats};
+use crate::fu::{FuClass, FuPool};
+use crate::{ExecContext, RetirePolicy, UnitConfig, UnitStats};
 use dae_isa::{Cycle, LatencyModel};
 use dae_trace::{ExecKind, MachineInst};
 use std::collections::VecDeque;
@@ -90,18 +91,6 @@ impl NaiveUnitSim {
         }
     }
 
-    /// The instruction stream being executed.
-    #[must_use]
-    pub fn stream(&self) -> &[MachineInst] {
-        &self.stream
-    }
-
-    /// The unit configuration.
-    #[must_use]
-    pub fn config(&self) -> &UnitConfig {
-        &self.config
-    }
-
     /// Returns `true` once the stream has been fully dispatched and every
     /// window slot has been released.
     #[must_use]
@@ -111,7 +100,7 @@ impl NaiveUnitSim {
 
     /// The completion cycle of stream instruction `idx`, if it has issued.
     #[must_use]
-    pub fn completion(&self, idx: usize) -> Option<Cycle> {
+    pub(crate) fn completion(&self, idx: usize) -> Option<Cycle> {
         self.completions.get(idx).copied().flatten()
     }
 
@@ -140,23 +129,17 @@ impl NaiveUnitSim {
         self.fu.rejections()
     }
 
-    /// Current window occupancy.
-    #[must_use]
-    pub fn window_occupancy(&self) -> usize {
-        self.window.len()
-    }
-
     /// The architectural trace position of the oldest instruction still
     /// holding a window slot.
     #[must_use]
-    pub fn oldest_inflight_trace_pos(&self) -> Option<usize> {
+    pub(crate) fn oldest_inflight_trace_pos(&self) -> Option<usize> {
         self.window.front().map(|e| self.stream[e.idx].trace_pos)
     }
 
     /// The architectural trace position of the most recently dispatched
     /// instruction.
     #[must_use]
-    pub fn youngest_dispatched_trace_pos(&self) -> Option<usize> {
+    pub(crate) fn youngest_dispatched_trace_pos(&self) -> Option<usize> {
         if self.dispatch_ptr == 0 {
             None
         } else {

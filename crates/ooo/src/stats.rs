@@ -29,16 +29,6 @@ pub struct UnitStats {
 }
 
 impl UnitStats {
-    /// Instructions issued per cycle.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.issued as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of issue slots actually used.
     #[must_use]
     pub fn issue_utilization(&self) -> f64 {
@@ -46,16 +36,6 @@ impl UnitStats {
             0.0
         } else {
             self.issued as f64 / self.issue_slots as f64
-        }
-    }
-
-    /// Mean window occupancy over the run.
-    #[must_use]
-    pub fn avg_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.occupancy_sum as f64 / self.cycles as f64
         }
     }
 
@@ -77,9 +57,7 @@ mod tests {
     #[test]
     fn derived_rates_handle_zero_cycles() {
         let st = UnitStats::default();
-        assert_eq!(st.ipc(), 0.0);
         assert_eq!(st.issue_utilization(), 0.0);
-        assert_eq!(st.avg_occupancy(), 0.0);
         assert_eq!(st.window_pressure(), 0.0);
     }
 
@@ -93,9 +71,7 @@ mod tests {
             window_full_cycles: 25,
             ..UnitStats::default()
         };
-        assert!((st.ipc() - 2.5).abs() < 1e-12);
         assert!((st.issue_utilization() - 0.625).abs() < 1e-12);
-        assert!((st.avg_occupancy() - 16.0).abs() < 1e-12);
         assert!((st.window_pressure() - 0.25).abs() < 1e-12);
     }
 }

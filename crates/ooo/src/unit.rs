@@ -38,7 +38,8 @@
 //! enforce.
 
 use crate::calendar::{EventRing, ReadySet, NIL as NIL_EVENT};
-use crate::{FuClass, FuPool, RetirePolicy, UnitConfig, UnitStats};
+use crate::fu::{FuClass, FuPool};
+use crate::{RetirePolicy, UnitConfig, UnitStats};
 use dae_isa::{Cycle, LatencyModel};
 use dae_trace::{ExecKind, MachineInst, WakeupList};
 use std::sync::{Arc, Weak};
@@ -310,10 +311,6 @@ pub struct UnitSim {
     completions: Vec<Cycle>,
     max_completion: Cycle,
     stats: UnitStats,
-    /// Diagnostic: how many times `step` actually ran (as opposed to cycles
-    /// bulk-accounted by `idle_advance`).  Not part of [`UnitStats`] so the
-    /// naive/event-driven equality over stats is unaffected.
-    steps: u64,
     /// Carried through from [`UnitScratch`] (never touched by the run) so
     /// [`UnitSim::into_scratch`] can hand the template cache back.
     remaining_template: Vec<u32>,
@@ -338,28 +335,13 @@ impl UnitSim {
     ) -> Self {
         let stream = stream.into();
         let wakeups = Arc::new(WakeupList::local(&stream));
-        Self::with_wakeups(stream, wakeups, config, latencies)
+        Self::with_wakeups_scratch(stream, wakeups, config, latencies, UnitScratch::default())
     }
 
     /// Creates a unit from a stream whose wakeup lists were already built
     /// (e.g. by the trace lowerings, which attach them to their program
-    /// structures so sweeps can reuse them across runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or `wakeups` does not cover
-    /// the stream.
-    #[must_use]
-    pub fn with_wakeups(
-        stream: Arc<Vec<MachineInst>>,
-        wakeups: Arc<WakeupList>,
-        config: UnitConfig,
-        latencies: LatencyModel,
-    ) -> Self {
-        Self::with_wakeups_scratch(stream, wakeups, config, latencies, UnitScratch::default())
-    }
-
-    /// [`UnitSim::with_wakeups`], recycling the buffers of a previous run.
+    /// structures so sweeps can reuse them across runs), recycling the
+    /// buffers of a previous run.
     ///
     /// Every per-run structure is cleared and re-sized for the new stream
     /// but keeps its allocation, so constructing a unit from a warm
@@ -469,7 +451,6 @@ impl UnitSim {
             completions,
             max_completion: 0,
             stats: UnitStats::default(),
-            steps: 0,
             remaining_template,
             template_of,
         }
@@ -507,25 +488,10 @@ impl UnitSim {
         }
     }
 
-    /// Diagnostic: the number of executed [`UnitSim::step`] calls — the
-    /// cycles *not* covered by [`UnitSim::idle_advance`].  The ratio of
-    /// steps to [`UnitStats::cycles`] measures how well time-skipping works
-    /// on a given workload.
-    #[must_use]
-    pub fn steps_executed(&self) -> u64 {
-        self.steps
-    }
-
     /// The instruction stream being executed.
     #[must_use]
     pub fn stream(&self) -> &[MachineInst] {
         &self.stream
-    }
-
-    /// The unit configuration.
-    #[must_use]
-    pub fn config(&self) -> &UnitConfig {
-        &self.config
     }
 
     /// Returns `true` once the stream has been fully dispatched and every
@@ -563,18 +529,12 @@ impl UnitSim {
         self.fu.rejections()
     }
 
-    /// Current window occupancy.
-    #[must_use]
-    pub fn window_occupancy(&self) -> usize {
-        self.window_len
-    }
-
     /// The architectural trace position of the oldest instruction still
     /// holding a window slot (used for effective-single-window and slippage
     /// measurements).
     #[must_use]
     #[inline]
-    pub fn oldest_inflight_trace_pos(&self) -> Option<usize> {
+    pub(crate) fn oldest_inflight_trace_pos(&self) -> Option<usize> {
         (self.win_head != NONE).then(|| self.stream[self.win_head as usize].trace_pos)
     }
 
@@ -582,7 +542,7 @@ impl UnitSim {
     /// instruction.
     #[must_use]
     #[inline]
-    pub fn youngest_dispatched_trace_pos(&self) -> Option<usize> {
+    pub(crate) fn youngest_dispatched_trace_pos(&self) -> Option<usize> {
         if self.dispatch_ptr == 0 {
             None
         } else {
@@ -595,7 +555,7 @@ impl UnitSim {
     /// unit to forward cross-unit wakeups to the other unit.
     #[must_use]
     #[inline]
-    pub fn issued_this_step(&self) -> &[(usize, Cycle)] {
+    pub(crate) fn issued_this_step(&self) -> &[(usize, Cycle)] {
         &self.issued_now
     }
 
@@ -607,7 +567,7 @@ impl UnitSim {
     /// Spurious wakeups are harmless — re-evaluation of a still-blocked or
     /// already-issued instruction is a no-op.
     #[inline]
-    pub fn schedule_reeval(&mut self, idx: usize, at: Cycle) {
+    pub(crate) fn schedule_reeval(&mut self, idx: usize, at: Cycle) {
         self.events.push_reeval(at, idx as u32);
     }
 
@@ -680,7 +640,6 @@ impl UnitSim {
 
     /// Executes one machine cycle.
     pub fn step<C: ExecContext>(&mut self, now: Cycle, ctx: &mut C) {
-        self.steps += 1;
         self.stats.cycles += 1;
         self.stats.issue_slots += self.config.issue_width as u64;
         self.fu.begin_cycle();
@@ -1072,7 +1031,6 @@ mod tests {
         );
         // 40 independent 1-cycle ops at width 4: 10 issue cycles.
         assert_eq!(run(&mut unit), 10);
-        assert!((unit.stats().ipc() - 40.0 / unit.stats().cycles as f64).abs() < 1e-9);
     }
 
     #[test]

@@ -88,7 +88,6 @@ const PLACEMENT_BUDGET: usize = 1 << 12;
 pub struct Partitioner {
     /// `(ring position, backend)`, sorted by position.
     ring: Vec<(u64, usize)>,
-    backends: usize,
 }
 
 impl Partitioner {
@@ -112,13 +111,7 @@ impl Partitioner {
         // a pure function of the configuration.
         ring.sort_unstable();
         ring.dedup_by_key(|&mut (position, _)| position);
-        Partitioner { ring, backends }
-    }
-
-    /// The number of backends the ring was built over.
-    #[must_use]
-    pub fn backends(&self) -> usize {
-        self.backends
+        Partitioner { ring }
     }
 
     /// The backend owning `digest` with every backend eligible.  `None`

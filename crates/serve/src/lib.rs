@@ -8,7 +8,7 @@
 //!
 //! * [`protocol`] — the wire format: [`Request`] / [`Response`] parsing
 //!   and printing shared by the server, the clients and the tests, plus
-//!   the inline-kernel grammar ([`parse_kernel`]).
+//!   the inline-kernel grammar (documented in `docs/PROTOCOL.md`).
 //! * [`lifecycle`] — the request lifecycle every serving mode shares,
 //!   generic over a [`SweepBackend`]: [`serve_connection`] (one client:
 //!   concurrent tagged sweeps, per-request cancellation and deadlines,
@@ -60,9 +60,8 @@ pub use lifecycle::serve_unix;
 pub use lifecycle::{await_drained, serve_connection, serve_local, serve_tcp, SweepBackend};
 
 pub use protocol::{
-    machine_token, parse_kernel, parse_request, parse_response, window_token, CacheAction,
-    DeliveryMode, DoneStatus, Request, RequestError, Response, ShutdownMode, SweepRequest,
-    TraceSource, DEFAULT_ITERATIONS, MAX_ITERATIONS, MAX_POINTS,
+    parse_request, parse_response, CacheAction, DeliveryMode, DoneStatus, Request, RequestError,
+    Response, ShutdownMode, SweepRequest, TraceSource,
 };
 
 /// The scheduling band of a sweep request's point jobs (the wire

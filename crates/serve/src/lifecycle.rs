@@ -36,7 +36,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(50);
 
 /// Cancels one submitted sweep from any thread: pending points are
 /// dropped, running points abort.  Idempotent.
-pub type Canceller = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type Canceller = Arc<dyn Fn() + Send + Sync>;
 
 /// The event source of one submitted sweep: one [`SweepEvent`] per point,
 /// then [`StreamWait::Exhausted`].

@@ -23,7 +23,7 @@ use std::fmt;
 /// ten-statement kernel is a ~10M-instruction trace per simulation — far
 /// beyond any figure of the paper, and a sensible ceiling for a shared
 /// server.
-pub const MAX_ITERATIONS: u64 = 1_000_000;
+pub(crate) const MAX_ITERATIONS: u64 = 1_000_000;
 
 /// The largest accepted memory differential in `mds=`, in cycles: far above
 /// any figure of the paper (60) or client of this crate, and low enough
@@ -32,11 +32,11 @@ const MAX_MD: Cycle = 1_000_000;
 
 /// The largest accepted grid (`machines × windows × mds`) per request;
 /// bigger studies split into several requests and interleave naturally.
-pub const MAX_POINTS: usize = 65_536;
+pub(crate) const MAX_POINTS: usize = 65_536;
 
 /// The default `iterations=` when a request omits the field (the quick
 /// experiment configuration's trace length).
-pub const DEFAULT_ITERATIONS: u64 = 300;
+pub(crate) const DEFAULT_ITERATIONS: u64 = 300;
 
 /// How a request wants its results delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -139,8 +139,8 @@ pub enum TraceSource {
     /// A named synthetic workload (`trace=stream`, `trace=stencil`, …);
     /// the stored name is normalised to lowercase.
     Synthetic(String),
-    /// An inline kernel specification (`kernel=i;ld:%0;…`); see
-    /// [`parse_kernel`] for the grammar.
+    /// An inline kernel specification (`kernel=i;ld:%0;…`); the grammar
+    /// is documented in `docs/PROTOCOL.md`.
     Inline(String),
 }
 
@@ -149,7 +149,7 @@ impl TraceSource {
     /// iteration counts) share one pinned lowering — and therefore the
     /// session's sweep-result cache — on the server.
     #[must_use]
-    pub fn key(&self) -> String {
+    pub(crate) fn key(&self) -> String {
         match self {
             TraceSource::Perfect(p) => format!("perfect:{}", p.name()),
             TraceSource::Synthetic(name) => format!("synthetic:{name}"),
@@ -499,7 +499,7 @@ fn join(items: impl Iterator<Item = String>) -> String {
 
 /// The protocol token of a machine (`dm` / `swsm` / `scalar`).
 #[must_use]
-pub fn machine_token(machine: Machine) -> &'static str {
+pub(crate) fn machine_token(machine: Machine) -> &'static str {
     match machine {
         Machine::Decoupled => "dm",
         Machine::Superscalar => "swsm",
@@ -520,7 +520,7 @@ fn parse_machine(token: &str) -> Result<Machine, String> {
 
 /// The protocol token of a window (`32` / `inf`).
 #[must_use]
-pub fn window_token(window: &WindowSpec) -> String {
+pub(crate) fn window_token(window: &WindowSpec) -> String {
     match window {
         WindowSpec::Entries(n) => n.to_string(),
         WindowSpec::Unlimited => "inf".to_string(),
@@ -872,7 +872,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 /// Reports the first offending statement or reference, or the kernel
 /// builder's own validation error (dangling reference, non-causal local
 /// dependence, empty kernel).
-pub fn parse_kernel(spec: &str) -> Result<dae_isa::Kernel, String> {
+pub(crate) fn parse_kernel(spec: &str) -> Result<dae_isa::Kernel, String> {
     use dae_isa::{KernelBuilder, Operand};
 
     let statements: Vec<&str> = spec.split(';').collect();

@@ -69,7 +69,7 @@ pub(crate) const LOWERING_BUDGET: usize = 1 << 17;
 /// Admission-control bounds for a [`SweepServer`].
 ///
 /// The defaults admit any single legal request (both limits are at least
-/// [`crate::MAX_POINTS`], the largest grid the protocol accepts) while
+/// the largest grid the protocol accepts, 65,536 points) while
 /// bounding what a misbehaving client — or a crowd of well-behaved ones —
 /// can pile onto the queue.
 #[derive(Debug, Clone, Copy)]
@@ -206,14 +206,8 @@ pub struct ClientGuard<'a> {
 impl ClientGuard<'_> {
     /// The server-assigned client id.
     #[must_use]
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Points this client currently has queued or running.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
     }
 }
 
@@ -264,12 +258,6 @@ impl SweepServer {
             timeout_requests: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
         }
-    }
-
-    /// The server's admission limits.
-    #[must_use]
-    pub fn limits(&self) -> ServerLimits {
-        self.limits
     }
 
     /// Points currently queued or running across all clients.

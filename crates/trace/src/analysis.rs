@@ -65,8 +65,8 @@ pub fn dataflow_summary(
     latencies: &LatencyModel,
     memory_differential: Cycle,
 ) -> DataflowSummary {
+    let critical_path_perfect = critical_path(trace, latencies, 0);
     let critical_path = critical_path(trace, latencies, memory_differential);
-    let critical_path_perfect = critical_path_inner(trace, latencies, 0);
     let instructions = trace.len();
     let total_work: Cycle = trace.iter().map(|inst| latencies.latency_of(inst.op)).sum();
     let ideal_ilp = if critical_path_perfect == 0 {
@@ -91,12 +91,7 @@ pub fn dataflow_summary(
 
 /// The length in cycles of the longest dependence chain of `trace`, charging
 /// each load `1 + memory_differential` cycles.
-#[must_use]
-pub fn critical_path(trace: &Trace, latencies: &LatencyModel, memory_differential: Cycle) -> Cycle {
-    critical_path_inner(trace, latencies, memory_differential)
-}
-
-fn critical_path_inner(trace: &Trace, latencies: &LatencyModel, md: Cycle) -> Cycle {
+fn critical_path(trace: &Trace, latencies: &LatencyModel, md: Cycle) -> Cycle {
     // Longest-path DP over the (acyclic, topologically ordered) trace.
     let mut finish: Vec<Cycle> = Vec::with_capacity(trace.len());
     let mut longest = 0;
@@ -111,23 +106,6 @@ fn critical_path_inner(trace: &Trace, latencies: &LatencyModel, md: Cycle) -> Cy
         finish.push(done);
     }
     longest
-}
-
-/// Per-instruction depth (critical-path distance from the start of the
-/// trace), useful for tests and for visualising available parallelism.
-#[must_use]
-pub fn dataflow_depths(trace: &Trace, latencies: &LatencyModel, md: Cycle) -> Vec<Cycle> {
-    let mut finish: Vec<Cycle> = Vec::with_capacity(trace.len());
-    for inst in trace.iter() {
-        let ready = inst.all_deps().map(|p| finish[p]).max().unwrap_or(0);
-        let cost = if inst.op.is_load() {
-            latencies.latency_of(inst.op) + md
-        } else {
-            latencies.latency_of(inst.op)
-        };
-        finish.push(ready + cost);
-    }
-    finish
 }
 
 #[cfg(test)]
@@ -189,22 +167,6 @@ mod tests {
         let summary = dataflow_summary(&t, &lat, 60);
         assert!(summary.memory_bound_fraction > 0.0);
         assert!(summary.memory_bound_fraction < 1.0);
-    }
-
-    #[test]
-    fn depths_are_monotone_along_dependences() {
-        let lat = LatencyModel::paper_default();
-        let t = expand(&parallel_kernel(), 20);
-        let depths = dataflow_depths(&t, &lat, 10);
-        for inst in t.iter() {
-            for dep in &inst.deps {
-                assert!(depths[dep.producer] < depths[inst.id]);
-            }
-        }
-        assert_eq!(
-            depths.iter().copied().max().unwrap(),
-            critical_path(&t, &lat, 10)
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@ use dae_isa::{Address, OpKind, UnitClass};
 
 /// Identifier of a dynamic instruction: its position in program order within
 /// a [`Trace`](crate::Trace).
-pub type InstId = usize;
+pub(crate) type InstId = usize;
 
 /// The role a dependence edge plays at its consumer.
 ///
@@ -28,26 +28,6 @@ pub struct DepEdge {
     pub producer: InstId,
     /// How the consumer uses the value.
     pub role: DepRole,
-}
-
-impl DepEdge {
-    /// An address-role dependence on `producer`.
-    #[must_use]
-    pub fn address(producer: InstId) -> Self {
-        DepEdge {
-            producer,
-            role: DepRole::Address,
-        }
-    }
-
-    /// A data-role dependence on `producer`.
-    #[must_use]
-    pub fn data(producer: InstId) -> Self {
-        DepEdge {
-            producer,
-            role: DepRole::Data,
-        }
-    }
 }
 
 /// One dynamic instruction of the architectural trace.
@@ -77,33 +57,31 @@ pub struct DynInst {
 }
 
 impl DynInst {
-    /// Returns `true` if this is a load or store.
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        self.op.is_memory()
-    }
-
-    /// Iterates over the producers of this instruction's address-role
-    /// dependences.
-    pub fn address_deps(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.deps
-            .iter()
-            .filter(|d| d.role == DepRole::Address)
-            .map(|d| d.producer)
-    }
-
-    /// Iterates over the producers of this instruction's data-role
-    /// dependences.
-    pub fn data_deps(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.deps
-            .iter()
-            .filter(|d| d.role == DepRole::Data)
-            .map(|d| d.producer)
-    }
-
     /// Iterates over all producers regardless of role.
-    pub fn all_deps(&self) -> impl Iterator<Item = InstId> + '_ {
+    pub(crate) fn all_deps(&self) -> impl Iterator<Item = InstId> + '_ {
         self.deps.iter().map(|d| d.producer)
+    }
+}
+
+/// Edge constructors for the unit tests of this crate.
+#[cfg(test)]
+impl DepEdge {
+    /// An address-role dependence on `producer`.
+    #[must_use]
+    pub(crate) fn address(producer: InstId) -> Self {
+        DepEdge {
+            producer,
+            role: DepRole::Address,
+        }
+    }
+
+    /// A data-role dependence on `producer`.
+    #[must_use]
+    pub(crate) fn data(producer: InstId) -> Self {
+        DepEdge {
+            producer,
+            role: DepRole::Data,
+        }
     }
 }
 
@@ -130,8 +108,6 @@ mod tests {
             OpKind::Store,
             vec![DepEdge::data(1), DepEdge::address(2), DepEdge::address(0)],
         );
-        assert_eq!(i.address_deps().collect::<Vec<_>>(), vec![2, 0]);
-        assert_eq!(i.data_deps().collect::<Vec<_>>(), vec![1]);
         assert_eq!(i.all_deps().count(), 3);
     }
 
@@ -140,12 +116,5 @@ mod tests {
         assert_eq!(DepEdge::address(5).role, DepRole::Address);
         assert_eq!(DepEdge::data(5).role, DepRole::Data);
         assert_eq!(DepEdge::data(5).producer, 5);
-    }
-
-    #[test]
-    fn memory_predicate() {
-        assert!(inst(0, OpKind::Load, vec![]).is_memory());
-        assert!(inst(0, OpKind::Store, vec![]).is_memory());
-        assert!(!inst(0, OpKind::FpAdd, vec![]).is_memory());
     }
 }

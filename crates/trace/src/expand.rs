@@ -87,7 +87,7 @@ pub fn expand(kernel: &Kernel, iterations: u64) -> Trace {
         }
     }
 
-    Trace::from_parts(kernel.name(), iterations, per_iter, insts)
+    Trace::from_parts(kernel.name(), iterations, insts)
 }
 
 /// The dependence role of operand `index` of an operation of kind `op`.
@@ -97,7 +97,7 @@ pub fn expand(kernel: &Kernel, iterations: u64) -> Trace {
 ///   inputs;
 /// * every other operation consumes data.
 #[must_use]
-pub fn operand_role(op: OpKind, index: usize) -> DepRole {
+pub(crate) fn operand_role(op: OpKind, index: usize) -> DepRole {
     match op {
         OpKind::Load => DepRole::Address,
         OpKind::Store => {
@@ -134,7 +134,6 @@ mod tests {
             let t = expand(&k, iters);
             assert_eq!(t.len(), k.len() * iters as usize);
             assert_eq!(t.iterations(), iters);
-            assert_eq!(t.kernel_len(), k.len());
         }
     }
 

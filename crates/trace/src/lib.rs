@@ -55,12 +55,12 @@ mod swsm;
 mod trace;
 mod wakeup;
 
-pub use analysis::{critical_path, dataflow_depths, dataflow_summary, DataflowSummary};
+pub use analysis::{dataflow_summary, DataflowSummary};
 pub use classify::{classification_disagreement, classify};
 pub use content::{ContentHasher, TraceHash};
-pub use dyninst::{DepEdge, DepRole, DynInst, InstId};
-pub use expand::{expand, operand_role};
-pub use machine_inst::{stream_stats, Dep, DepList, ExecKind, MachineInst, MemTag, StreamStats};
+pub use dyninst::{DepEdge, DepRole, DynInst};
+pub use expand::expand;
+pub use machine_inst::{Dep, DepList, ExecKind, MachineInst};
 pub use partition::{partition, DecoupledProgram, PartitionMode, PartitionStats};
 pub use scalar::{lower_scalar, ScalarProgram};
 pub use swsm::{expand_swsm, SwsmProgram, SwsmStats};

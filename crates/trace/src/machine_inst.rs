@@ -24,7 +24,7 @@ use std::ops::Deref;
 /// Identifies one memory transaction (a request / consume pair, or a
 /// prefetch / access pair).  Tags are dense indices assigned by the
 /// lowerings, so simulators can use them to index flat arrays.
-pub type MemTag = u32;
+pub(crate) type MemTag = u32;
 
 /// How a lowered instruction executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,18 +63,6 @@ impl ExecKind {
     #[must_use]
     pub fn produces_value(self) -> bool {
         !matches!(self, ExecKind::StoreOp | ExecKind::LoadRequest)
-    }
-
-    /// Returns `true` if this instruction interacts with the memory system.
-    #[must_use]
-    pub fn touches_memory(self) -> bool {
-        matches!(
-            self,
-            ExecKind::LoadRequest
-                | ExecKind::LoadConsume
-                | ExecKind::LoadBlocking
-                | ExecKind::StoreOp
-        )
     }
 }
 
@@ -199,7 +187,7 @@ enum DepListRepr {
 impl DepList {
     /// An empty list (inline, no allocation).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DepList(DepListRepr::Inline {
             buf: [Dep::default(); 2],
             len: 0,
@@ -208,7 +196,7 @@ impl DepList {
 
     /// A single-edge list (inline, no allocation).
     #[must_use]
-    pub fn one(dep: Dep) -> Self {
+    pub(crate) fn one(dep: Dep) -> Self {
         DepList(DepListRepr::Inline {
             buf: [dep, Dep::default()],
             len: 1,
@@ -216,7 +204,7 @@ impl DepList {
     }
 
     /// Appends an edge, spilling to the heap past two inline slots.
-    pub fn push(&mut self, dep: Dep) {
+    pub(crate) fn push(&mut self, dep: Dep) {
         match &mut self.0 {
             DepListRepr::Inline { buf, len } => {
                 if (*len as usize) < buf.len() {
@@ -231,12 +219,6 @@ impl DepList {
             }
             DepListRepr::Spilled(vec) => vec.push(dep),
         }
-    }
-
-    /// Returns `true` if the edges have spilled to the heap.
-    #[must_use]
-    pub fn spilled(&self) -> bool {
-        matches!(self.0, DepListRepr::Spilled(_))
     }
 }
 
@@ -359,30 +341,32 @@ impl MachineInst {
     }
 }
 
-/// Simple aggregate counts over a lowered stream.
+/// Simple aggregate counts over a lowered stream, for the lowering tests.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
+pub(crate) struct StreamStats {
     /// Number of lowered instructions.
-    pub instructions: usize,
+    pub(crate) instructions: usize,
     /// Arithmetic instructions.
-    pub arith: usize,
+    pub(crate) arith: usize,
     /// Load requests / prefetches.
-    pub load_requests: usize,
+    pub(crate) load_requests: usize,
     /// Load consumes / accesses.
-    pub load_consumes: usize,
+    pub(crate) load_consumes: usize,
     /// Blocking loads.
-    pub load_blocking: usize,
+    pub(crate) load_blocking: usize,
     /// Store-side operations.
-    pub stores: usize,
+    pub(crate) stores: usize,
     /// Cross-unit copies.
-    pub copies: usize,
+    pub(crate) copies: usize,
     /// Cross-unit dependence edges.
-    pub cross_deps: usize,
+    pub(crate) cross_deps: usize,
 }
 
 /// Computes [`StreamStats`] for a lowered stream.
+#[cfg(test)]
 #[must_use]
-pub fn stream_stats(stream: &[MachineInst]) -> StreamStats {
+pub(crate) fn stream_stats(stream: &[MachineInst]) -> StreamStats {
     let mut st = StreamStats {
         instructions: stream.len(),
         ..StreamStats::default()
@@ -413,16 +397,6 @@ mod tests {
         assert!(ExecKind::CopySend.produces_value());
         assert!(!ExecKind::StoreOp.produces_value());
         assert!(!ExecKind::LoadRequest.produces_value());
-    }
-
-    #[test]
-    fn exec_kind_memory_classification() {
-        assert!(ExecKind::LoadRequest.touches_memory());
-        assert!(ExecKind::LoadConsume.touches_memory());
-        assert!(ExecKind::LoadBlocking.touches_memory());
-        assert!(ExecKind::StoreOp.touches_memory());
-        assert!(!ExecKind::Arith.touches_memory());
-        assert!(!ExecKind::CopySend.touches_memory());
     }
 
     #[test]
@@ -469,10 +443,10 @@ mod tests {
         assert!(list.is_empty());
         list.push(Dep::local(1));
         list.push(Dep::cross(2));
-        assert!(!list.spilled());
+        assert!(!matches!(list.0, DepListRepr::Spilled(_)));
         assert_eq!(&list[..], &[Dep::local(1), Dep::cross(2)]);
         list.push(Dep::local(3));
-        assert!(list.spilled());
+        assert!(matches!(list.0, DepListRepr::Spilled(_)));
         assert_eq!(&list[..], &[Dep::local(1), Dep::cross(2), Dep::local(3)]);
         assert!(list.contains(&Dep::cross(2)));
         // Construction from iterators and vectors agrees with pushes.

@@ -1,6 +1,7 @@
 //! The decoupled-machine partition: lowering a trace into AU and DU streams.
 
-use crate::{classify, Dep, DepList, DepRole, ExecKind, MachineInst, MemTag, Trace, WakeupList};
+use crate::machine_inst::MemTag;
+use crate::{classify, Dep, DepList, DepRole, ExecKind, MachineInst, Trace, WakeupList};
 use dae_isa::{OpKind, UnitClass};
 use std::sync::Arc;
 
@@ -50,28 +51,6 @@ impl PartitionStats {
     pub fn total_copies(&self) -> usize {
         self.copies_au_to_du + self.copies_du_to_au
     }
-
-    /// Loss-of-decoupling events per architectural load (a measure of how
-    /// badly a program decouples; 0 for perfectly decoupled code).
-    #[must_use]
-    pub fn loss_of_decoupling_rate(&self) -> f64 {
-        if self.loads == 0 {
-            0.0
-        } else {
-            self.copies_du_to_au as f64 / self.loads as f64
-        }
-    }
-
-    /// Ratio of lowered to architectural instructions (the code expansion
-    /// caused by the request/consume split and the copies).
-    #[must_use]
-    pub fn expansion_ratio(&self) -> f64 {
-        if self.trace_instructions == 0 {
-            0.0
-        } else {
-            (self.au_instructions + self.du_instructions) as f64 / self.trace_instructions as f64
-        }
-    }
 }
 
 /// A trace lowered onto the two units of the access decoupled machine.
@@ -100,17 +79,6 @@ pub struct DecoupledProgram {
     pub stats: PartitionStats,
     /// The number of memory transactions (tags) issued by the AU.
     pub transactions: u32,
-}
-
-impl DecoupledProgram {
-    /// The stream for `unit`.
-    #[must_use]
-    pub fn stream(&self, unit: UnitClass) -> &[MachineInst] {
-        match unit {
-            UnitClass::Access => &self.au,
-            UnitClass::Compute => &self.du,
-        }
-    }
 }
 
 /// Where the value of an architectural instruction lives after lowering.
@@ -437,7 +405,8 @@ fn resolve_value(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{expand, stream_stats};
+    use crate::expand;
+    use crate::machine_inst::stream_stats;
     use dae_isa::{KernelBuilder, Operand};
 
     fn axpy_trace(iters: u64) -> Trace {
@@ -481,7 +450,6 @@ mod tests {
         let trace = axpy_trace(50);
         let dm = partition(&trace, PartitionMode::Tagged);
         assert_eq!(dm.stats.copies_du_to_au, 0);
-        assert_eq!(dm.stats.loss_of_decoupling_rate(), 0.0);
     }
 
     #[test]
@@ -497,7 +465,6 @@ mod tests {
         let trace = expand(&b.build().unwrap(), 10);
         let dm = partition(&trace, PartitionMode::Tagged);
         assert_eq!(dm.stats.copies_du_to_au, 10);
-        assert!(dm.stats.loss_of_decoupling_rate() > 0.0);
     }
 
     #[test]
@@ -592,15 +559,10 @@ mod tests {
         let dm = partition(&trace, PartitionMode::Tagged);
         // 6 architectural instructions per iteration become 9 lowered ones
         // (2 loads and 1 store each split in two).
-        assert!((dm.stats.expansion_ratio() - 9.0 / 6.0).abs() < 1e-9);
+        assert_eq!(
+            (dm.stats.au_instructions + dm.stats.du_instructions) * 6,
+            dm.stats.trace_instructions * 9
+        );
         assert_eq!(dm.transactions, 30);
-    }
-
-    #[test]
-    fn stream_accessor_matches_fields() {
-        let trace = axpy_trace(5);
-        let dm = partition(&trace, PartitionMode::Tagged);
-        assert_eq!(dm.stream(UnitClass::Access).len(), dm.au.len());
-        assert_eq!(dm.stream(UnitClass::Compute).len(), dm.du.len());
     }
 }

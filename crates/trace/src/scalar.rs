@@ -1,6 +1,7 @@
 //! Lowering for the scalar reference machine (no prefetching).
 
-use crate::{Dep, DepList, ExecKind, MachineInst, MemTag, Trace, WakeupList};
+use crate::machine_inst::MemTag;
+use crate::{Dep, DepList, ExecKind, MachineInst, Trace, WakeupList};
 use dae_isa::OpKind;
 use std::sync::Arc;
 
@@ -99,7 +100,8 @@ pub fn lower_scalar(trace: &Trace) -> ScalarProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{expand, stream_stats};
+    use crate::expand;
+    use crate::machine_inst::stream_stats;
     use dae_isa::{KernelBuilder, Operand};
 
     fn trace(iters: u64) -> Trace {

@@ -1,7 +1,8 @@
 //! Lowering for the single-window superscalar machine (SWSM): the hybrid
 //! prefetch expansion.
 
-use crate::{Dep, DepList, DepRole, ExecKind, MachineInst, MemTag, Trace, WakeupList};
+use crate::machine_inst::MemTag;
+use crate::{Dep, DepList, DepRole, ExecKind, MachineInst, Trace, WakeupList};
 use dae_isa::OpKind;
 use std::sync::Arc;
 
@@ -188,7 +189,8 @@ pub fn expand_swsm(trace: &Trace) -> SwsmProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{expand, stream_stats};
+    use crate::expand;
+    use crate::machine_inst::stream_stats;
     use dae_isa::{KernelBuilder, Operand};
 
     fn scale_trace(iters: u64) -> Trace {
@@ -256,7 +258,8 @@ mod tests {
     #[test]
     fn expansion_ratio_is_one_plus_memory_fraction() {
         let trace = scale_trace(10);
-        let memory_fraction = trace.stats().memory_fraction();
+        let st = trace.stats();
+        let memory_fraction = (st.loads + st.stores) as f64 / st.instructions as f64;
         let swsm = expand_swsm(&trace);
         assert!((swsm.stats.expansion_ratio() - (1.0 + memory_fraction)).abs() < 1e-9);
     }

@@ -1,6 +1,7 @@
 //! The dynamic instruction trace and its aggregate statistics.
 
-use crate::{DynInst, InstId};
+use crate::dyninst::InstId;
+use crate::DynInst;
 use dae_isa::{OpKind, UnitClass};
 use std::fmt;
 use std::ops::Index;
@@ -26,28 +27,6 @@ pub struct TraceStats {
     pub compute_insts: usize,
     /// Total dependence edges.
     pub dep_edges: usize,
-}
-
-impl TraceStats {
-    /// Fraction of dynamic instructions that access memory.
-    #[must_use]
-    pub fn memory_fraction(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            (self.loads + self.stores) as f64 / self.instructions as f64
-        }
-    }
-
-    /// Fraction of dynamic loads with data-dependent addresses.
-    #[must_use]
-    pub fn indirect_load_fraction(&self) -> f64 {
-        if self.loads == 0 {
-            0.0
-        } else {
-            self.indirect_loads as f64 / self.loads as f64
-        }
-    }
 }
 
 /// A dynamic instruction trace in program order.
@@ -80,7 +59,6 @@ impl TraceStats {
 pub struct Trace {
     name: String,
     iterations: u64,
-    kernel_len: usize,
     insts: Vec<DynInst>,
 }
 
@@ -93,10 +71,9 @@ impl Trace {
     /// Panics (in debug builds) if instruction ids are not consecutive from
     /// zero or if a dependence points forward.
     #[must_use]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         name: impl Into<String>,
         iterations: u64,
-        kernel_len: usize,
         insts: Vec<DynInst>,
     ) -> Self {
         #[cfg(debug_assertions)]
@@ -109,27 +86,14 @@ impl Trace {
         Trace {
             name: name.into(),
             iterations,
-            kernel_len,
             insts,
         }
-    }
-
-    /// The workload / kernel name this trace was generated from.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// How many kernel iterations the trace covers.
     #[must_use]
     pub fn iterations(&self) -> u64 {
         self.iterations
-    }
-
-    /// The number of statements per kernel iteration.
-    #[must_use]
-    pub fn kernel_len(&self) -> usize {
-        self.kernel_len
     }
 
     /// The number of dynamic instructions.
@@ -146,19 +110,13 @@ impl Trace {
 
     /// The instructions in program order.
     #[must_use]
-    pub fn insts(&self) -> &[DynInst] {
+    pub(crate) fn insts(&self) -> &[DynInst] {
         &self.insts
     }
 
     /// Iterates over the instructions in program order.
     pub fn iter(&self) -> impl Iterator<Item = &DynInst> {
         self.insts.iter()
-    }
-
-    /// Looks up an instruction by id.
-    #[must_use]
-    pub fn get(&self, id: InstId) -> Option<&DynInst> {
-        self.insts.get(id)
     }
 
     /// Computes aggregate statistics over the whole trace.
@@ -192,21 +150,6 @@ impl Trace {
             st.dep_edges += inst.deps.len();
         }
         st
-    }
-
-    /// The ids of all consumers of each instruction (forward adjacency).
-    ///
-    /// Useful for classification and dataflow analyses that walk the graph
-    /// from producers to consumers.
-    #[must_use]
-    pub fn consumers(&self) -> Vec<Vec<InstId>> {
-        let mut out = vec![Vec::new(); self.insts.len()];
-        for inst in &self.insts {
-            for dep in &inst.deps {
-                out[dep.producer].push(inst.id);
-            }
-        }
-        out
     }
 }
 
@@ -282,7 +225,7 @@ mod tests {
                 iteration: 0,
             },
         ];
-        Trace::from_parts("tiny", 1, 4, insts)
+        Trace::from_parts("tiny", 1, insts)
     }
 
     #[test]
@@ -297,17 +240,6 @@ mod tests {
         assert_eq!(st.dep_edges, 4);
         assert_eq!(st.access_insts, 3);
         assert_eq!(st.compute_insts, 1);
-        assert!((st.memory_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn consumers_are_forward_edges() {
-        let t = tiny_trace();
-        let cons = t.consumers();
-        assert_eq!(cons[0], vec![1, 3]);
-        assert_eq!(cons[1], vec![2]);
-        assert_eq!(cons[2], vec![3]);
-        assert!(cons[3].is_empty());
     }
 
     #[test]
@@ -316,8 +248,6 @@ mod tests {
         assert_eq!(t[2].op, OpKind::FpAdd);
         assert_eq!(t.iter().count(), 4);
         assert_eq!((&t).into_iter().count(), 4);
-        assert_eq!(t.get(3).unwrap().op, OpKind::Store);
-        assert!(t.get(4).is_none());
     }
 
     #[test]
@@ -340,6 +270,6 @@ mod tests {
             stmt: 0,
             iteration: 0,
         }];
-        let _ = Trace::from_parts("bad", 1, 1, insts);
+        let _ = Trace::from_parts("bad", 1, insts);
     }
 }

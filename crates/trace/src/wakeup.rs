@@ -42,7 +42,7 @@ impl WakeupList {
     /// `producer_len` instructions: for every index of the *other* stream,
     /// the instructions of `stream` that name it in a cross [`Dep`] edge.
     #[must_use]
-    pub fn cross(stream: &[MachineInst], producer_len: usize) -> Self {
+    pub(crate) fn cross(stream: &[MachineInst], producer_len: usize) -> Self {
         Self::build(stream, producer_len, true)
     }
 
@@ -95,12 +95,6 @@ impl WakeupList {
     pub fn producers(&self) -> usize {
         self.offsets.len() - 1
     }
-
-    /// Total dependence edges recorded.
-    #[must_use]
-    pub fn edges(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +119,7 @@ mod tests {
         assert_eq!(wl.of(0), &[1, 2]);
         assert_eq!(wl.of(1), &[2]);
         assert_eq!(wl.of(2), &[] as &[u32]);
-        assert_eq!(wl.edges(), 3, "cross edges are excluded");
+        assert_eq!(wl.targets.len(), 3, "cross edges are excluded");
     }
 
     #[test]
@@ -156,6 +150,6 @@ mod tests {
     fn empty_streams_build_empty_lists() {
         let wl = WakeupList::local(&[]);
         assert_eq!(wl.producers(), 0);
-        assert_eq!(wl.edges(), 0);
+        assert_eq!(wl.targets.len(), 0);
     }
 }

@@ -58,7 +58,7 @@ fn kernel_from_recipe(recipe: &[(u8, u8)]) -> Kernel {
             producers.push(id);
         }
     }
-    Kernel::new("recipe", "proptest recipe kernel", statements).expect("recipe kernels are valid")
+    Kernel::new("recipe", statements).expect("recipe kernels are valid")
 }
 
 fn trace_from_recipe(recipe: &[(u8, u8)], iterations: u64) -> Trace {

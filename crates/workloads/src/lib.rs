@@ -22,8 +22,8 @@
 //!
 //! // The paper's three representative programs.
 //! let flo = PerfectProgram::Flo52q.workload();
-//! let trace = flo.trace(500);
-//! assert!(trace.stats().memory_fraction() > 0.3);
+//! let stats = flo.trace(500).stats();
+//! assert!(10 * (stats.loads + stats.stores) > 3 * stats.instructions);
 //! ```
 
 mod meta;
@@ -31,7 +31,7 @@ mod perfect;
 mod synthetic;
 
 pub use meta::{LatencyHidingBand, Workload, WorkloadMeta};
-pub use perfect::{adm, dyfesm, flo52q, mdg, qcd, suite, track, trfd, PerfectProgram};
+pub use perfect::{suite, PerfectProgram};
 pub use synthetic::{
     gather_scatter, pointer_chase, random_kernel, reduction, stencil, stream, synthetic_suite,
 };

@@ -42,9 +42,9 @@ pub struct WorkloadMeta {
     /// The latency-hiding band the workload is expected to fall into at a
     /// memory differential of 60 cycles (None for synthetic extras).
     pub expected_band: Option<LatencyHidingBand>,
-    /// The iteration count used by [`Workload::default_trace`]; chosen so
-    /// that the default trace has a few tens of thousands of dynamic
-    /// instructions.
+    /// The workload's natural trace length in iterations, chosen so that
+    /// a trace has a few tens of thousands of dynamic instructions (the
+    /// bypass ablation caps its traces at this length).
     pub default_iterations: u64,
 }
 
@@ -69,7 +69,7 @@ pub struct Workload {
 impl Workload {
     /// Wraps a kernel with its metadata.
     #[must_use]
-    pub fn new(kernel: Kernel, meta: WorkloadMeta) -> Self {
+    pub(crate) fn new(kernel: Kernel, meta: WorkloadMeta) -> Self {
         Workload { kernel, meta }
     }
 
@@ -85,9 +85,10 @@ impl Workload {
         &self.meta
     }
 
-    /// The underlying static kernel.
+    /// The underlying static kernel (for this crate's kernel checks).
+    #[cfg(test)]
     #[must_use]
-    pub fn kernel(&self) -> &Kernel {
+    pub(crate) fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
@@ -95,19 +96,6 @@ impl Workload {
     #[must_use]
     pub fn trace(&self, iterations: u64) -> Trace {
         expand(&self.kernel, iterations)
-    }
-
-    /// Expands the kernel for the default iteration count.
-    #[must_use]
-    pub fn default_trace(&self) -> Trace {
-        self.trace(self.meta.default_iterations)
-    }
-
-    /// A smaller trace (a quarter of the default iterations, at least 64)
-    /// for quick experiments and tests.
-    #[must_use]
-    pub fn small_trace(&self) -> Trace {
-        self.trace((self.meta.default_iterations / 4).max(64))
     }
 }
 
@@ -148,8 +136,6 @@ mod tests {
     fn traces_scale_with_iteration_count() {
         let w = tiny_workload();
         assert_eq!(w.trace(10).len(), 30);
-        assert_eq!(w.default_trace().len(), 3 * 256);
-        assert_eq!(w.small_trace().iterations(), 64);
     }
 
     #[test]

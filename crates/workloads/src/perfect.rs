@@ -32,17 +32,17 @@ use std::fmt;
 /// Base addresses of the simulated data regions, spaced far apart so the
 /// streams of one kernel never alias.
 mod region {
-    pub const A: u64 = 0x0100_0000;
-    pub const B: u64 = 0x0200_0000;
-    pub const C: u64 = 0x0300_0000;
-    pub const D: u64 = 0x0400_0000;
-    pub const E: u64 = 0x0500_0000;
-    pub const F: u64 = 0x0600_0000;
-    pub const INDEX: u64 = 0x0700_0000;
-    pub const GATHER: u64 = 0x0800_0000;
-    pub const CHASE: u64 = 0x0900_0000;
-    pub const OUT: u64 = 0x0a00_0000;
-    pub const OUT2: u64 = 0x0b00_0000;
+    pub(super) const A: u64 = 0x0100_0000;
+    pub(super) const B: u64 = 0x0200_0000;
+    pub(super) const C: u64 = 0x0300_0000;
+    pub(super) const D: u64 = 0x0400_0000;
+    pub(super) const E: u64 = 0x0500_0000;
+    pub(super) const F: u64 = 0x0600_0000;
+    pub(super) const INDEX: u64 = 0x0700_0000;
+    pub(super) const GATHER: u64 = 0x0800_0000;
+    pub(super) const CHASE: u64 = 0x0900_0000;
+    pub(super) const OUT: u64 = 0x0a00_0000;
+    pub(super) const OUT2: u64 = 0x0b00_0000;
 }
 
 /// Adds an index load (`idx = load index[i]`) and returns its statement id.
@@ -106,9 +106,8 @@ fn workload(
 /// indexed operand.  High arithmetic regularity, no memory-carried
 /// recurrences: the top of the latency-hiding table.
 #[must_use]
-pub fn trfd() -> Workload {
+pub(crate) fn trfd() -> Workload {
     let mut b = KernelBuilder::new("TRFD");
-    b.describe("two-electron integral transformation (dense matrix products)");
     let i = b.induction();
     let idx = index_load(&mut b, i, 4);
     let a1 = gather(&mut b, idx, region::A, 1 << 20);
@@ -136,9 +135,8 @@ pub fn trfd() -> Workload {
 /// Regular field sweeps with one indexed lookup and a very long-distance
 /// pointer chain (the species table walk): still in the high band.
 #[must_use]
-pub fn adm() -> Workload {
+pub(crate) fn adm() -> Workload {
     let mut b = KernelBuilder::new("ADM");
-    b.describe("pseudospectral air pollution model (regular field sweeps)");
     let i = b.induction();
     let idx = index_load(&mut b, i, 4);
     let x1 = gather(&mut b, idx, region::A, 2 << 20);
@@ -163,9 +161,8 @@ pub fn adm() -> Workload {
 /// program for which the paper reports the largest gap between the
 /// decoupled machine and the superscalar.
 #[must_use]
-pub fn flo52q() -> Workload {
+pub(crate) fn flo52q() -> Workload {
     let mut b = KernelBuilder::new("FLO52Q");
-    b.describe("transonic flow multigrid solver (wide stencil, highly parallel)");
     let i = b.induction();
     let idx = index_load(&mut b, i, 4);
     let w0 = gather(&mut b, idx, region::A, 4 << 20);
@@ -197,9 +194,8 @@ pub fn flo52q() -> Workload {
 /// Element gathers and scatters through index vectors with a moderate
 /// memory-carried recurrence: the middle band.
 #[must_use]
-pub fn dyfesm() -> Workload {
+pub(crate) fn dyfesm() -> Workload {
     let mut b = KernelBuilder::new("DYFESM");
-    b.describe("finite-element structural dynamics (gather/scatter element loops)");
     let i = b.induction();
     let idx = index_load(&mut b, i, 4);
     let u = gather(&mut b, idx, region::A, 1 << 20);
@@ -240,9 +236,8 @@ pub fn dyfesm() -> Workload {
 /// Link gathers through site indices with complex-arithmetic chains and a
 /// distance-16 memory-carried chain: middle band.
 #[must_use]
-pub fn qcd() -> Workload {
+pub(crate) fn qcd() -> Workload {
     let mut b = KernelBuilder::new("QCD");
-    b.describe("lattice gauge theory (link gathers, complex arithmetic)");
     let i = b.induction();
     let idx = index_load(&mut b, i, 4);
     let l1 = gather(&mut b, idx, region::A, 2 << 20);
@@ -270,9 +265,8 @@ pub fn qcd() -> Workload {
 /// a distance-14 memory-carried chain: the lower middle band and the paper's
 /// middle representative program.
 #[must_use]
-pub fn mdg() -> Workload {
+pub(crate) fn mdg() -> Workload {
     let mut b = KernelBuilder::new("MDG");
-    b.describe("molecular dynamics of water (neighbour-list pair interactions)");
     let i = b.induction();
     let nbr = index_load(&mut b, i, 4);
     let x = gather(&mut b, nbr, region::A, 2 << 20);
@@ -320,9 +314,8 @@ pub fn mdg() -> Workload {
 /// data (loss-of-decoupling events).  Bottom band; little difference between
 /// the two machines.
 #[must_use]
-pub fn track() -> Workload {
+pub(crate) fn track() -> Workload {
     let mut b = KernelBuilder::new("TRACK");
-    b.describe("missile tracking (serial track-record updates, data-dependent addressing)");
     let i = b.induction();
     let obs = b.load_strided(&[Operand::Local(i)], region::A, 8);
     let ptr = chase_load(&mut b, 6, 1 << 18);

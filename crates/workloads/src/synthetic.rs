@@ -28,7 +28,6 @@ fn wrap(kernel: Kernel, iterations: u64, description: &str) -> Workload {
 #[must_use]
 pub fn stream() -> Workload {
     let mut b = KernelBuilder::new("stream");
-    b.describe("y[i] = a * x[i]");
     let i = b.induction();
     let x = b.load_strided(&[Operand::Local(i)], 0x0100_0000, 8);
     let y = b.fp_mul(&[Operand::Local(x), Operand::Invariant(0)]);
@@ -45,7 +44,6 @@ pub fn stream() -> Workload {
 #[must_use]
 pub fn stencil() -> Workload {
     let mut b = KernelBuilder::new("stencil");
-    b.describe("y[i] = (x[i-1] + x[i] + x[i+1]) / 3");
     let i = b.induction();
     // Neighbouring loads share lines with the previous iteration's loads.
     let xm = b.load_strided(&[Operand::Local(i)], 0x0100_0000, 8);
@@ -67,7 +65,6 @@ pub fn stencil() -> Workload {
 #[must_use]
 pub fn pointer_chase() -> Workload {
     let mut b = KernelBuilder::new("pointer-chase");
-    b.describe("p = *p with one floating point operation per node");
     let p_id = b.len();
     let p = b.load_indirect(
         &[Operand::Carried {
@@ -91,7 +88,6 @@ pub fn pointer_chase() -> Workload {
 #[must_use]
 pub fn reduction() -> Workload {
     let mut b = KernelBuilder::new("reduction");
-    b.describe("acc += x[i] * y[i]");
     let i = b.induction();
     let x = b.load_strided(&[Operand::Local(i)], 0x0100_0000, 8);
     let y = b.load_strided(&[Operand::Local(i)], 0x0200_0000, 8);
@@ -109,7 +105,6 @@ pub fn reduction() -> Workload {
 #[must_use]
 pub fn gather_scatter() -> Workload {
     let mut b = KernelBuilder::new("gather-scatter");
-    b.describe("y[ix[i]] = f(x[ix[i]])");
     let i = b.induction();
     let ix = b.load_strided(&[Operand::Local(i)], 0x0100_0000, 4);
     let x = b.load_indirect(&[Operand::Local(ix)], 0x0200_0000, 1 << 20, 0);
@@ -151,7 +146,6 @@ pub fn random_kernel(seed: u64, statements: usize) -> Kernel {
     let mut rng = StdRng::seed_from_u64(seed);
     let statements = statements.clamp(3, 128);
     let mut b = KernelBuilder::new(format!("random-{seed}"));
-    b.describe("randomly generated kernel for property tests");
     let i = b.induction();
     let first_load = b.load_strided(&[Operand::Local(i)], 0x0100_0000, 8);
     let mut producers: Vec<usize> = vec![first_load];

@@ -11,7 +11,7 @@
 //! * [`workloads`] — the seven PERFECT Club workload models and synthetic
 //!   extras;
 //! * [`mem`] — the memory differential model, decoupled memory, prefetch
-//!   buffer and cache hierarchy;
+//!   buffer and LRU structures;
 //! * [`ooo`] — the out-of-order unit simulator and the issue-logic
 //!   complexity model;
 //! * [`machines`] — the access decoupled machine (DM), the single-window

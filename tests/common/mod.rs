@@ -7,7 +7,7 @@ use dae::trace::Trace;
 /// The execution time of `machine` on `trace` from a machine built for this
 /// one run (the scalar reference by its analytic formula) — an oracle
 /// independent of `LoweredTrace::machine_cycles` and the sweep sessions.
-pub fn direct_cycles(machine: Machine, trace: &Trace, window: WindowSpec, md: u64) -> u64 {
+pub(crate) fn direct_cycles(machine: Machine, trace: &Trace, window: WindowSpec, md: u64) -> u64 {
     match machine {
         Machine::Decoupled => DecoupledMachine::new(dm_config(window, md))
             .run(trace)
