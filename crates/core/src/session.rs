@@ -708,7 +708,7 @@ impl SweepSession {
         }
         let lowered: Vec<(PerfectProgram, LoweredTrace)> = missing
             .into_par_iter()
-            .map(|program| {
+            .map(move |program| {
                 (
                     program,
                     LoweredTrace::new(&program.workload().trace(iterations)),

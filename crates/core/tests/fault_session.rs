@@ -210,7 +210,7 @@ fn next_event_timeout_reports_idle_streams() {
     assert_eq!(outcomes, stream.total());
 }
 
-/// Racing cancellation against the work-stealing claim path: with a wide
+/// Racing cancellation against the pool's claim path: with a wide
 /// grid queued behind one slow point, jobs cancelled *while still queued*
 /// are dropped at claim time (the pool's `claim_drops` counter advances)
 /// and surface as `Skipped` — never `Point` — no matter which worker claims

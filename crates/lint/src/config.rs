@@ -133,9 +133,9 @@ impl LintConfig {
                 "crates/core/src".to_string(),
                 "vendor/rayon/src".to_string(),
             ],
-            // PR 4/7: the workspace carries exactly one unsafe block — the
-            // rayon stub's batch lifetime erasure.
-            unsafe_allowlist: vec![("vendor/rayon/src/lib.rs".to_string(), 1)],
+            // The workspace carries no unsafe block; a new one must be
+            // allowlisted here and in the census pin.
+            unsafe_allowlist: Vec::new(),
         }
     }
 

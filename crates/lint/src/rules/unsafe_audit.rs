@@ -1,9 +1,10 @@
 //! Rule `unsafe-audit`: every `unsafe` carries a `SAFETY:` comment, and
 //! the workspace unsafe census is pinned to an allowlist.
 //!
-//! PR 4 vendored a work-stealing pool whose one lifetime-erasure block is
-//! the workspace's entire unsafe surface, and `ROADMAP.md` / the vendor
-//! README assert as much.  This rule turns the assertion into a gate:
+//! The workspace has no `unsafe` (the vendored rayon pool, whose
+//! lifetime-erasure block once was the whole unsafe surface, now forbids
+//! it), and `docs/LINTS.md` / the vendor README assert as much.  This rule
+//! turns the assertion into a gate:
 //!
 //! * any `unsafe` without a `SAFETY:` comment within the 3 lines above it
 //!   (or on its own line) is a finding;

@@ -32,17 +32,16 @@ fn live_workspace_is_clean() {
     );
 }
 
-/// `ROADMAP.md` and `vendor/README.md` claim the workspace carries exactly
-/// one `unsafe` block — the rayon stub's batch lifetime erasure.  Pin the
-/// census so the claim is enforced, not asserted: any new `unsafe` (or a
-/// removal that strands the allowlist) fails here with the exact file list.
+/// `vendor/README.md` and `docs/LINTS.md` claim the workspace carries no
+/// `unsafe` block.  Pin the census so the claim is enforced, not asserted:
+/// any new `unsafe` fails here with the exact file list.
 #[test]
 fn unsafe_census_is_pinned() {
     let files = dae_lint::lex_workspace(&workspace_root());
     let census = dae_lint::unsafe_census(&files);
     assert_eq!(
         census,
-        vec![("vendor/rayon/src/lib.rs".to_string(), 1)],
+        Vec::<(String, usize)>::new(),
         "the workspace unsafe census drifted; update the allowlist in \
          crates/lint/src/config.rs and the docs only after review"
     );

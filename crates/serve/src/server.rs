@@ -505,11 +505,8 @@ impl SweepBackend for SweepServer {
             count("timeout_requests", &self.timeout_requests),
             count("busy_rejections", &self.busy_rejections),
             ("worker_task_panics".to_string(), pool_stats.task_panics),
-            // Work-stealing scheduler counters: steal traffic, claim-time
-            // drops of cancelled jobs, and the per-band queue-depth gauges.
-            ("steals".to_string(), pool_stats.steals),
-            ("steal_attempts".to_string(), pool_stats.steal_attempts),
-            ("local_pops".to_string(), pool_stats.local_pops),
+            // Dispatcher counters: claim-time drops of cancelled jobs and
+            // the per-band queue-depth gauges.
             ("claim_drops".to_string(), pool_stats.claim_drops),
             (
                 "queued_interactive".to_string(),

@@ -155,12 +155,12 @@ fn global_pool_survives_panicking_parallel_calls() {
     assert!(cycles.iter().all(|&c| c > 0));
 }
 
-/// Randomized stress over the work-stealing deques: four external
-/// submitter threads race fire-and-forget spawns, skew-cost batches and a
-/// batch that panics while its sibling spans sit exposed to thieves, all
-/// on one 4-worker pool. Every batch returns in order, the panic reaches
-/// only its own submitter, every spawned task runs by drop time, and the
-/// pool's accounting is exact.
+/// Randomized stress over the one dispatcher: four external submitter
+/// threads race fire-and-forget spawns, skew-cost maps and a map that
+/// panics while its sibling items are still being claimed, all on one
+/// 4-worker pool. Every map returns in order, the panic reaches only its
+/// own submitter, every spawned task runs by drop time, and the pool's
+/// accounting is exact.
 #[test]
 fn randomized_push_steal_stress_survives_mid_flight_panics() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,8 +215,8 @@ fn randomized_push_steal_stress_survives_mid_flight_panics() {
                             expected_items.fetch_add(128, Ordering::Relaxed);
                             let skew = next() % 11;
                             let out: Vec<u64> = pool.map((0u64..128).collect(), move |x| {
-                                // Skewed spin: early items cost more, so
-                                // idle workers must steal the tail.
+                                // Skewed spin: uneven item costs, so free
+                                // threads must claim the tail.
                                 for _ in 0..(x % (skew + 2)) * 25 {
                                     std::hint::spin_loop();
                                 }
@@ -225,7 +225,7 @@ fn randomized_push_steal_stress_survives_mid_flight_panics() {
                             let expect: Vec<u64> = (0u64..128)
                                 .map(|x| x.wrapping_mul(2_654_435_761).rotate_left((x % 31) as u32))
                                 .collect();
-                            assert_eq!(out, expect, "stolen spans must land in order");
+                            assert_eq!(out, expect, "every item must land in order");
                         }
                     }
                 }
@@ -239,12 +239,6 @@ fn randomized_push_steal_stress_survives_mid_flight_panics() {
         expected_items.load(Ordering::Relaxed) as u64,
         "every batch item is accounted exactly once, panicked batches included"
     );
-    assert!(
-        stats.local_pops + stats.steals > 0,
-        "the deques must have moved work (local pops: {}, steals: {})",
-        stats.local_pops,
-        stats.steals
-    );
     assert_eq!(stats.task_panics, 0, "no fire-and-forget task panics here");
 
     // Drop drains the queued fire-and-forget tasks and joins.
@@ -253,13 +247,15 @@ fn randomized_push_steal_stress_survives_mid_flight_panics() {
     assert_eq!(spawned_ran.load(Ordering::Relaxed), expected);
 }
 
-/// Differential guarantee for the stealing scheduler: pooled sweeps are
-/// bit-for-bit equal to a naive sequential reference at every worker count
-/// from 1 through 8 and beyond — scheduling order, stealing and span
-/// splitting can never change a simulated cycle count.
+/// Differential guarantee for the pool: pooled sweeps are bit-for-bit
+/// equal to a naive sequential reference at every worker count from 1
+/// through 8 and beyond — which thread claims which point can never change
+/// a simulated cycle count.
 #[test]
 fn pooled_sweeps_match_the_naive_reference_at_every_worker_count() {
-    let trace = PerfectProgram::Trfd.workload().trace(80);
+    use std::sync::Arc;
+
+    let trace = Arc::new(PerfectProgram::Trfd.workload().trace(80));
     let mut grid: Vec<(Machine, WindowSpec, u64)> = Vec::new();
     for &window in &[4usize, 8, 16, 32, 64, 128] {
         for &md in &[0u64, 30, 60] {
@@ -269,14 +265,17 @@ fn pooled_sweeps_match_the_naive_reference_at_every_worker_count() {
     }
     grid.push((Machine::Scalar, WindowSpec::Entries(1), 60));
 
-    let eval = |&(machine, window, md): &(Machine, WindowSpec, u64)| {
-        direct_cycles(machine, &trace, window, md)
-    };
-    let naive: Vec<u64> = grid.iter().map(eval).collect();
+    let naive: Vec<u64> = grid
+        .iter()
+        .map(|&(machine, window, md)| direct_cycles(machine, &trace, window, md))
+        .collect();
 
     for threads in [1usize, 2, 3, 4, 5, 6, 7, 8, 12] {
         let pool = rayon::ThreadPool::new(threads);
-        let pooled: Vec<u64> = pool.map(grid.clone(), |point| eval(&point));
+        let trace = Arc::clone(&trace);
+        let pooled: Vec<u64> = pool.map(grid.clone(), move |(machine, window, md)| {
+            direct_cycles(machine, &trace, window, md)
+        });
         assert_eq!(
             pooled, naive,
             "a {threads}-worker pool must match the sequential reference bit for bit"
