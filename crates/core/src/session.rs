@@ -143,16 +143,19 @@ pub struct SessionStats {
 }
 
 /// Counters of a session's sweep-result cache (see
-/// [`SweepSession::cache_stats`]).  Everything except `entries` is
-/// monotone, and `hits + misses == lookups` always holds — each lookup is
-/// classified exactly once, under the same lock that consulted the map.
+/// [`SweepSession::cache_stats`]).  Everything except `entries` and
+/// `misses` is monotone, and `hits + misses == lookups` always holds —
+/// each lookup is classified once, under the same lock that consulted the
+/// map.  A miss that its worker then finds resident (an identical point
+/// of a concurrent grid finished first) is moved to `hits`, so every
+/// point delivered as cached is counted as a hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Points answered without dispatching a simulation — from an entry
-    /// left by an earlier grid (or loaded from disk), or by deduplicating
-    /// a repeat within one grid.
+    /// Points answered without simulating them — from an entry left by
+    /// an earlier or concurrent grid (or loaded from disk), or by
+    /// deduplicating a repeat within one grid.
     pub hits: u64,
-    /// Points the cache could not answer, dispatched to the simulator.
+    /// Points the cache could not answer, left to the simulator.
     pub misses: u64,
     /// Cache consultations (`hits + misses`).
     pub lookups: u64,
@@ -340,13 +343,16 @@ impl SweepCache {
     }
 
     /// Second-chance lookup for a worker that already holds a counted
-    /// miss for `key`: refreshes recency but classifies nothing, so the
-    /// point is not double-counted.
+    /// miss for `key`.  A resident entry answers the point from the cache,
+    /// so its miss becomes a hit (and the lookup count stays as it was):
+    /// a point delivered `cached` is always counted as a hit.
     fn revisit(&self, key: &CacheKey) -> Option<Cycle> {
         let inner = &mut *self.inner();
         let entry = inner.map.get(key).copied();
         if entry.is_some() {
             inner.map.touch(key);
+            inner.misses -= 1;
+            inner.hits += 1;
         }
         entry.map(|entry| entry.cycles)
     }
@@ -916,8 +922,8 @@ impl Job {
             return SweepEvent::Skipped { index };
         }
         // Second-chance lookup: an identical point of a concurrent grid
-        // may have finished in the meantime.  `revisit` classifies nothing
-        // — this point was already counted as a miss at submit time.
+        // may have finished in the meantime.  This point was counted as a
+        // miss at submit time; `revisit` recounts it as a hit if so.
         if let Some(cycles) = cache.and_then(|c| c.revisit(&self.key)) {
             return SweepEvent::Point(StreamedPoint {
                 index,
@@ -1353,10 +1359,16 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 1);
-        assert!(cache.revisit(&key(1)).is_some(), "expensive head survives");
-        assert!(cache.revisit(&key(2)).is_none(), "cheap entry evicted");
-        assert!(cache.revisit(&key(3)).is_some());
-        assert!(cache.revisit(&key(4)).is_some());
+        assert!(
+            cache.lookup(&key(1), false).is_some(),
+            "expensive head survives"
+        );
+        assert!(
+            cache.lookup(&key(2), false).is_none(),
+            "cheap entry evicted"
+        );
+        assert!(cache.lookup(&key(3), false).is_some());
+        assert!(cache.lookup(&key(4), false).is_some());
         // Shrinking the limit evicts down immediately.
         cache.set_limit(Some(1));
         assert_eq!(cache.stats().entries, 1);

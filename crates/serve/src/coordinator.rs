@@ -572,9 +572,11 @@ impl CoordInner {
         Ok(hash)
     }
 
-    /// Writes one protocol line on a backend's data connection.  `false`
-    /// means the backend is unreachable (the connection is torn down so
-    /// later writers fail fast; the caller escalates to `mark_dead`).
+    /// Writes one protocol line on a backend's data connection, line and
+    /// newline in one `write` (a separate newline would wait out the
+    /// backend's delayed ACK under Nagle).  `false` means the backend is
+    /// unreachable (the connection is torn down so later writers fail
+    /// fast; the caller escalates to `mark_dead`).
     fn write_backend(&self, backend: usize, line: &str) -> bool {
         let Some(slot) = self.backends.get(backend) else {
             return false;
@@ -584,8 +586,7 @@ impl CoordInner {
             return false;
         };
         let ok = stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+            .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| stream.flush())
             .is_ok();
         if !ok {
@@ -929,8 +930,7 @@ fn control_roundtrip(addr: &str, line: &str) -> Option<String> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(CONTROL_TIMEOUT)).ok()?;
     let mut write_half = stream.try_clone().ok()?;
-    write_half.write_all(line.as_bytes()).ok()?;
-    write_half.write_all(b"\n").ok()?;
+    write_half.write_all(format!("{line}\n").as_bytes()).ok()?;
     write_half.flush().ok()?;
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).ok()?;

@@ -10,9 +10,15 @@
 //! tracking, cancellation, deadlines, stream/batch ordering, dead-client
 //! cleanup, balanced `done` accounting and shutdown.
 //!
+//! Each connection writes through one buffer.  A drainer adds its lines
+//! to it and flushes only when it is about to wait for its next event,
+//! and once more after its `done` line; the reader loop's own replies
+//! flush at once.  So the lines that are ready together leave in one
+//! `write`, and no line sits in the buffer while its drainer waits.
+//!
 //! Lock order: the per-connection writer mutex is taken only inside
-//! `write_line`, which never calls into the backend, so it is never
-//! held together with a backend lock (the server's state, the
+//! `buffer_line` and `flush`, which never call into the backend, so it is
+//! never held together with a backend lock (the server's state, the
 //! coordinator's `pending` routing map).
 
 use crate::protocol::{
@@ -22,10 +28,10 @@ use crate::protocol::{
 use crate::server::SubmitError;
 use dae_core::{StreamWait, SweepEvent};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The refusal written for a sweep that arrives after `shutdown`.
@@ -98,21 +104,40 @@ pub trait SweepBackend: Send + Sync {
     fn note_timeout(&self);
 }
 
-/// Writes one response line and flushes it.  `false` means the client
-/// went away; callers use the signal to cancel the work they relay.
-pub(crate) fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
-    // Poison recovery: a writer is a byte sink whose worst torn state is a
-    // partial line on a connection that is being abandoned anyway.
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_ok()
+/// The connection writer, recovering from poisoning: a writer is a byte
+/// sink whose worst torn state is a partial line on a connection that is
+/// being abandoned anyway.
+fn lock<W: Write>(writer: &Mutex<W>) -> MutexGuard<'_, W> {
+    writer.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Adds one response line to the connection's buffer.  `false` means the
+/// client went away; callers use the signal to cancel the work they
+/// relay.
+fn buffer_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
+    writeln!(lock(writer), "{response}").is_ok()
+}
+
+/// Sends what the connection's buffer holds.  `false` means the client
+/// went away.
+fn flush<W: Write>(writer: &Mutex<W>) -> bool {
+    lock(writer).flush().is_ok()
+}
+
+/// Writes one reply of the reader loop itself and flushes it.
+fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) {
+    if buffer_line(writer, response) {
+        flush(writer);
+    }
 }
 
 /// Drains one submitted sweep to the connection writer: `point` lines
-/// (immediately in stream mode, sorted into grid order in batch mode),
+/// (as they arrive in stream mode, sorted into grid order in batch mode),
 /// `error` lines for points whose simulation failed, and finally the
-/// request's `done` accounting line with its terminal status.
+/// request's `done` accounting line with its terminal status.  Lines go
+/// into the connection's buffer, which is flushed before each wait for
+/// an event and once after `done`: what is ready together is written
+/// together.
 ///
 /// A deadline, when present, bounds the whole drain: on expiry the sweep
 /// is cancelled (running points abort mid-simulation) and the residue is
@@ -135,19 +160,30 @@ fn drain<B: SweepBackend, W: Write>(
     let (mut delivered, mut aborted, mut failed, mut cached) = (0usize, 0usize, 0usize, 0u64);
     let mut batched: Vec<Response> = Vec::new();
     let mut failures: Vec<Response> = Vec::new();
-    // Stream mode writes each line now, batch mode holds it for the end.
-    // A failed write cancels the sweep; its events still drain, keeping
-    // the accounting consistent.
+    // Stream mode buffers each line now, batch mode holds it for the end.
+    // A failed write or flush cancels the sweep; its events still drain,
+    // keeping the accounting consistent.
     let emit = |line: Response, held: &mut Vec<Response>| match mode {
         DeliveryMode::Stream => {
-            if !write_line(writer, &line) {
+            if !buffer_line(writer, &line) {
                 cancel();
             }
         }
         DeliveryMode::Batch => held.push(line),
     };
     loop {
-        let event = match events.next_event(deadline) {
+        // Take what is ready without waiting; only when nothing is does
+        // the buffer go out, before the wait for the next event.
+        let wait = match events.next_event(Some(Instant::now())) {
+            StreamWait::TimedOut => {
+                if !flush(writer) {
+                    cancel();
+                }
+                events.next_event(deadline)
+            }
+            ready => ready,
+        };
+        let event = match wait {
             StreamWait::Event(event) => event,
             StreamWait::Exhausted => break,
             StreamWait::TimedOut => {
@@ -194,7 +230,7 @@ fn drain<B: SweepBackend, W: Write>(
         _ => usize::MAX,
     });
     for line in batched.iter().chain(&failures) {
-        write_line(writer, line);
+        buffer_line(writer, line);
     }
     // Every point settles exactly once, so whatever was neither delivered,
     // aborted nor failed was dropped — which also keeps the accounting
@@ -210,7 +246,7 @@ fn drain<B: SweepBackend, W: Write>(
     } else {
         DoneStatus::Ok
     };
-    write_line(
+    buffer_line(
         writer,
         &Response::Done {
             id: id.to_string(),
@@ -223,6 +259,7 @@ fn drain<B: SweepBackend, W: Write>(
             status,
         },
     );
+    flush(writer);
 }
 
 /// One in-flight request of a connection, as the reader loop tracks it.
@@ -292,7 +329,7 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    let writer = Mutex::new(writer);
+    let writer = Mutex::new(BufWriter::new(writer));
     let client = backend.register();
     let error = |id: String, message: String| Response::Error {
         id: Some(id),

@@ -180,6 +180,59 @@ fn a_panicking_point_fails_its_own_request_only() {
     assert_still_serving(&server, "healed");
 }
 
+/// Two grids pipelined on one connection, the second a copy of the
+/// first's first two points: the second is submitted while the first
+/// still runs, so its points miss at submit time, yet its jobs find the
+/// first grid's results resident and deliver them `cached`.  Those points
+/// count as cache hits, so with every request `status=ok` the `done`
+/// lines' `cached` sum equals `cache_hits`.  The slow-point hook orders it
+/// without a race: each simulated point sleeps first, and the pool runs
+/// one client's jobs first in, first out, so the second grid's jobs start
+/// only once all sixteen of the first grid's have, long after its first
+/// two finished.
+#[test]
+fn points_delivered_cached_are_counted_as_cache_hits() {
+    let _guard = faults();
+    let server = Arc::new(SweepServer::new());
+    let first = "sweep id=first trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32,64 \
+                 mds=0,60 mode=stream";
+    let second = "sweep id=second trace=TRFD iterations=120 machines=dm windows=8 mds=0,60 \
+                  mode=stream";
+
+    fault::slow_every_point_ms(10);
+    let outcomes = run(&server, &format!("{first}\n{second}\n"));
+    fault::reset();
+    let mut cached = HashMap::new();
+    for (id, points) in [("first", 16), ("second", 2)] {
+        let Some(Response::Done {
+            delivered,
+            cached: from_cache,
+            status,
+            ..
+        }) = outcomes[id].done
+        else {
+            panic!("{id} must finish");
+        };
+        assert_eq!((delivered, status), (points, DoneStatus::Ok), "{id}");
+        cached.insert(id, from_cache);
+    }
+    assert_eq!(cached["first"], 0, "the first grid simulates everything");
+    assert_eq!(
+        cached["second"], 2,
+        "the second grid rode the first's results"
+    );
+    let stats: HashMap<String, u64> = server.stats_fields().into_iter().collect();
+    assert_eq!(
+        cached.values().sum::<u64>(),
+        stats["cache_hits"],
+        "every point delivered cached is a cache hit: {stats:?}"
+    );
+    assert_eq!(
+        stats["cache_hits"] + stats["cache_misses"],
+        stats["cache_lookups"]
+    );
+}
+
 /// A sweep whose deadline expires is cancelled mid-flight: running points
 /// abort, the `done` reports `status=timeout` with balanced accounting,
 /// and the request returns long before the grid could have finished.

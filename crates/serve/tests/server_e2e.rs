@@ -9,10 +9,10 @@ use dae_serve::{
     Response, SweepServer,
 };
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Starts a server on an ephemeral TCP port, returning the port.
@@ -206,6 +206,101 @@ fn repeated_requests_hit_the_cache_across_the_wire() {
         cached, n as u64,
         "a warm repeat is answered entirely from cache"
     );
+}
+
+/// An 8-point grid of the TRFD kernel, one request line with its newline.
+fn hot_line(id: &str, mode: &str) -> String {
+    format!(
+        "sweep id={id} trace=TRFD iterations=120 machines=dm,swsm windows=8,32 mds=0,60 \
+         mode={mode}\n"
+    )
+}
+
+/// Nagle's algorithm left on at both ends: a client that does not set
+/// `TCP_NODELAY` gets a cache-hot grid back well inside the ~40 ms a
+/// delayed ACK costs, because the server sends the lines that are ready
+/// together in one `write` rather than one per format fragment.  (The
+/// client, too, sends each request in one `write`.)
+#[test]
+fn cache_hot_grids_are_not_held_back_by_nagle() {
+    let port = start_tcp_server();
+    let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    client
+        .write_all(hot_line("warm", "stream").as_bytes())
+        .unwrap();
+    read_all(&mut reader, &["warm"]);
+
+    let mut elapsed_ms: Vec<f64> = (0..20)
+        .map(|i| {
+            let id = format!("hot{i}");
+            let started = Instant::now();
+            client
+                .write_all(hot_line(&id, "stream").as_bytes())
+                .unwrap();
+            let got = read_all(&mut reader, &[&id]).remove(&id).unwrap();
+            let elapsed = started.elapsed().as_secs_f64() * 1e3;
+            let Some(Response::Done { cached, .. }) = got.done else {
+                unreachable!()
+            };
+            assert_eq!(cached, 8, "a repeat is answered from the cache");
+            elapsed
+        })
+        .collect();
+    elapsed_ms.sort_by(f64::total_cmp);
+    let median = elapsed_ms[elapsed_ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "cache-hot median {median:.2} ms: response lines held back by Nagle \
+         (sorted: {elapsed_ms:?})"
+    );
+}
+
+/// A writer that records every `write` call that reaches it.
+struct CountingWriter {
+    writes: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The mechanism behind the test above, with no clock: a fully cached
+/// grid's nine lines (eight `point`s and the `done`) are all ready when
+/// its drainer starts, so they reach the connection in exactly one
+/// `write`, in stream and in batch mode alike.
+#[test]
+fn a_cache_hot_grid_reaches_the_socket_in_one_write() {
+    let server = Arc::new(SweepServer::new());
+    serve_connection(&server, hot_line("warm", "stream").as_bytes(), io::sink()).expect("warm");
+    for mode in ["stream", "batch"] {
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let writer = CountingWriter {
+            writes: Arc::clone(&writes),
+        };
+        serve_connection(&server, hot_line(mode, mode).as_bytes(), writer).expect("serve");
+        let writes = writes.lock().unwrap();
+        let text = String::from_utf8(writes.concat()).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 9, "{mode}: eight points and done:\n{text}");
+        let Ok(Response::Done { cached, .. }) = parse_response(lines[8]) else {
+            panic!("{mode}: the last line is done:\n{text}");
+        };
+        assert_eq!(cached, 8, "{mode}: every point from the cache");
+        assert_eq!(
+            writes.len(),
+            1,
+            "{mode}: nine lines in {} writes",
+            writes.len()
+        );
+    }
 }
 
 /// Cancelling an in-flight request drops its pending points: the `done`
