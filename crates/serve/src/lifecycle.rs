@@ -10,15 +10,17 @@
 //! tracking, cancellation, deadlines, stream/batch ordering, dead-client
 //! cleanup, balanced `done` accounting and shutdown.
 //!
-//! Each connection writes through one buffer.  A drainer adds its lines
-//! to it and flushes only when it is about to wait for its next event,
-//! and once more after its `done` line; the reader loop's own replies
-//! flush at once.  So the lines that are ready together leave in one
-//! `write`, and no line sits in the buffer while its drainer waits.
+//! Each connection writes through one buffer, its `Outbox`.  The reader
+//! loop and every drainer add their lines to it; the buffer is flushed
+//! when the last of them goes idle — the reader once no whole request is
+//! queued in its input, a drainer about to wait for its next event or
+//! done — and the reader loop's own replies flush at once.  So the lines a connection has ready
+//! leave in one `write`, even when several pipelined requests produced
+//! them, and no line sits in the buffer while every party waits.
 //!
-//! Lock order: the per-connection writer mutex is taken only inside
-//! `buffer_line` and `flush`, which never call into the backend, so it is
-//! never held together with a backend lock (the server's state, the
+//! Lock order: the per-connection outbox mutex is taken only inside
+//! `Outbox` methods, which never call into the backend, so it is never
+//! held together with a backend lock (the server's state, the
 //! coordinator's `pending` routing map).
 
 use crate::protocol::{
@@ -104,30 +106,59 @@ pub trait SweepBackend: Send + Sync {
     fn note_timeout(&self);
 }
 
-/// The connection writer, recovering from poisoning: a writer is a byte
-/// sink whose worst torn state is a partial line on a connection that is
-/// being abandoned anyway.
-fn lock<W: Write>(writer: &Mutex<W>) -> MutexGuard<'_, W> {
-    writer.lock().unwrap_or_else(PoisonError::into_inner)
+/// One connection's outgoing side: its response buffer, and how many of
+/// the parties writing into it — the reader loop and each drainer — are
+/// producing lines right now.  The buffer is flushed when the last of
+/// them goes idle (out of queued requests, waiting for an event, or
+/// done), so what the connection has ready leaves in one `write` however
+/// many requests it came from, and no line sits in the buffer while
+/// every party waits.
+struct Outbox<W: Write> {
+    buffer: Mutex<BufWriter<W>>,
+    /// Kept outside the mutex so that going busy or idle takes the lock
+    /// only to flush, and the reader loop never contends with a drainer
+    /// that is writing its lines.
+    busy: AtomicUsize,
 }
 
-/// Adds one response line to the connection's buffer.  `false` means the
-/// client went away; callers use the signal to cancel the work they
-/// relay.
-fn buffer_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
-    writeln!(lock(writer), "{response}").is_ok()
-}
+impl<W: Write> Outbox<W> {
+    /// An outbox with no party busy.
+    fn new(writer: W) -> Self {
+        Outbox {
+            buffer: Mutex::new(BufWriter::new(writer)),
+            busy: AtomicUsize::new(0),
+        }
+    }
 
-/// Sends what the connection's buffer holds.  `false` means the client
-/// went away.
-fn flush<W: Write>(writer: &Mutex<W>) -> bool {
-    lock(writer).flush().is_ok()
-}
+    /// The buffer, recovering from poisoning: a writer is a byte sink
+    /// whose worst torn state is a partial line on a connection that is
+    /// being abandoned anyway.
+    fn lock(&self) -> MutexGuard<'_, BufWriter<W>> {
+        self.buffer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Writes one reply of the reader loop itself and flushes it.
-fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) {
-    if buffer_line(writer, response) {
-        flush(writer);
+    /// Adds one response line to the buffer.  `false` means the client
+    /// went away; callers use the signal to cancel the work they relay.
+    fn buffer_line(&self, response: &Response) -> bool {
+        writeln!(self.lock(), "{response}").is_ok()
+    }
+
+    /// Writes one reply of the reader loop itself and sends the buffer.
+    fn reply(&self, response: &Response) {
+        let mut buffer = self.lock();
+        let _ = writeln!(buffer, "{response}").and_then(|()| buffer.flush());
+    }
+
+    /// One more party is producing lines.
+    fn busy(&self) {
+        self.busy.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One party goes idle; the last one sends the buffer, which holds
+    /// every line written before any party's `idle`.  `false` means the
+    /// client went away.
+    fn idle(&self) -> bool {
+        self.busy.fetch_sub(1, Ordering::AcqRel) > 1 || self.lock().flush().is_ok()
     }
 }
 
@@ -135,9 +166,9 @@ fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) {
 /// (as they arrive in stream mode, sorted into grid order in batch mode),
 /// `error` lines for points whose simulation failed, and finally the
 /// request's `done` accounting line with its terminal status.  Lines go
-/// into the connection's buffer, which is flushed before each wait for
-/// an event and once after `done`: what is ready together is written
-/// together.
+/// into the connection's [`Outbox`]; the drainer counts as busy there
+/// from its submission (the caller marks it) until it waits for an event
+/// or has written `done`, so what is ready together is written together.
 ///
 /// A deadline, when present, bounds the whole drain: on expiry the sweep
 /// is cancelled (running points abort mid-simulation) and the residue is
@@ -148,7 +179,7 @@ fn drain<B: SweepBackend, W: Write>(
     backend: &B,
     mut events: Box<dyn SweepEvents + '_>,
     request: &SweepRequest,
-    writer: &Mutex<W>,
+    out: &Outbox<W>,
 ) {
     let (id, mode) = (&request.id, request.mode);
     let total = request.grid().len();
@@ -165,7 +196,7 @@ fn drain<B: SweepBackend, W: Write>(
     // keeping the accounting consistent.
     let emit = |line: Response, held: &mut Vec<Response>| match mode {
         DeliveryMode::Stream => {
-            if !buffer_line(writer, &line) {
+            if !out.buffer_line(&line) {
                 cancel();
             }
         }
@@ -173,13 +204,16 @@ fn drain<B: SweepBackend, W: Write>(
     };
     loop {
         // Take what is ready without waiting; only when nothing is does
-        // the buffer go out, before the wait for the next event.
+        // the drainer go idle (the last idle party sends the buffer) for
+        // the wait for the next event.
         let wait = match events.next_event(Some(Instant::now())) {
             StreamWait::TimedOut => {
-                if !flush(writer) {
+                if !out.idle() {
                     cancel();
                 }
-                events.next_event(deadline)
+                let wait = events.next_event(deadline);
+                out.busy();
+                wait
             }
             ready => ready,
         };
@@ -230,7 +264,7 @@ fn drain<B: SweepBackend, W: Write>(
         _ => usize::MAX,
     });
     for line in batched.iter().chain(&failures) {
-        buffer_line(writer, line);
+        out.buffer_line(line);
     }
     // Every point settles exactly once, so whatever was neither delivered,
     // aborted nor failed was dropped — which also keeps the accounting
@@ -246,20 +280,17 @@ fn drain<B: SweepBackend, W: Write>(
     } else {
         DoneStatus::Ok
     };
-    buffer_line(
-        writer,
-        &Response::Done {
-            id: id.to_string(),
-            points: total,
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
-            status,
-        },
-    );
-    flush(writer);
+    out.buffer_line(&Response::Done {
+        id: id.to_string(),
+        points: total,
+        delivered,
+        dropped,
+        aborted,
+        failed,
+        cached,
+        status,
+    });
+    out.idle();
 }
 
 /// One in-flight request of a connection, as the reader loop tracks it.
@@ -291,7 +322,14 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), false)
+    serve_requests(
+        &**backend,
+        reader,
+        writer,
+        &AtomicUsize::new(0),
+        false,
+        |_| false,
+    )
 }
 
 /// Runs the same requests *sequentially in-process* — each sweep drains to
@@ -309,27 +347,37 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), true)
+    serve_requests(
+        &**backend,
+        reader,
+        writer,
+        &AtomicUsize::new(0),
+        true,
+        |_| false,
+    )
 }
 
 /// The reader loop behind [`serve_connection`] and [`serve_local`].
 /// `acking` counts the accept loop's connections still acknowledging a
 /// `shutdown`: raised before the backend is told to stop, lowered once the
 /// ack line is written.  `sequential` drains each sweep in grid order, with
-/// no deadline, before reading on.
+/// no deadline, before reading on.  `buffered` tells whether `reader`
+/// already holds a whole request line; while it does, the reader loop
+/// counts as busy in the connection's [`Outbox`].
 fn serve_requests<B, R, W>(
     backend: &B,
-    reader: R,
+    mut reader: R,
     writer: W,
     acking: &AtomicUsize,
     sequential: bool,
+    buffered: fn(&R) -> bool,
 ) -> io::Result<()>
 where
     B: SweepBackend,
     R: BufRead,
     W: Write + Send,
 {
-    let writer = Mutex::new(BufWriter::new(writer));
+    let out = Outbox::new(writer);
     let client = backend.register();
     let error = |id: String, message: String| Response::Error {
         id: Some(id),
@@ -339,12 +387,40 @@ where
     // line written) before this call returns, even on a read error.
     std::thread::scope(|scope| {
         let mut active: HashMap<String, Active> = HashMap::new();
-        for line in reader.lines() {
-            let line = line?;
+        let mut read = Ok(());
+        let mut line = String::new();
+        // The reader counts as busy only while whole requests are queued
+        // in its input: it holds back the replies of the ones it already
+        // submitted until the burst is submitted.  One request at a time
+        // leaves the flush to its drainer alone.
+        let mut holding = false;
+        loop {
+            if holding && !buffered(&reader) {
+                out.idle();
+                holding = false;
+            }
+            line.clear();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    read = Err(e);
+                    break;
+                }
+            }
+            if !holding && buffered(&reader) {
+                out.busy();
+                holding = true;
+            }
+            // The framing of `BufRead::lines`: `\n` or `\r\n` ends a line.
+            let line = match line.strip_suffix('\n') {
+                Some(line) => line.strip_suffix('\r').unwrap_or(line),
+                None => &line,
+            };
             if line.trim().is_empty() {
                 continue;
             }
-            let response = match parse_request(&line) {
+            let response = match parse_request(line) {
                 Err(e) => Response::Error {
                     id: e.id,
                     message: e.message,
@@ -356,7 +432,7 @@ where
                 Ok(Request::Shutdown { mode }) => {
                     acking.fetch_add(1, Ordering::SeqCst);
                     backend.shutdown(mode);
-                    write_line(&writer, &Response::Shutdown { mode });
+                    out.reply(&Response::Shutdown { mode });
                     acking.fetch_sub(1, Ordering::SeqCst);
                     // Stop reading: nothing this connection could send
                     // would be admitted.  The scope still joins the
@@ -400,7 +476,8 @@ where
                         },
                         Err(SubmitError::Rejected(message)) => error(request.id, message),
                         Ok(events) if sequential => {
-                            drain(backend, events, &request, &writer);
+                            out.busy();
+                            drain(backend, events, &request, &out);
                             continue;
                         }
                         Ok(events) => {
@@ -408,9 +485,10 @@ where
                             let cancel = events.canceller();
                             let tracked = Arc::clone(&finished);
                             active.insert(request.id.clone(), Active { cancel, finished });
-                            let writer = &writer;
+                            let out = &out;
+                            out.busy();
                             scope.spawn(move || {
-                                drain(backend, events, &request, writer);
+                                drain(backend, events, &request, out);
                                 tracked.store(true, Ordering::Release);
                             });
                             continue;
@@ -418,9 +496,12 @@ where
                     }
                 }
             };
-            write_line(&writer, &response);
+            out.reply(&response);
         }
-        Ok(())
+        if holding {
+            out.idle();
+        }
+        read
     })
 }
 
@@ -450,7 +531,14 @@ where
                 std::thread::spawn(move || {
                     if let Ok(read_half) = split(&connection) {
                         let reader = BufReader::new(read_half);
-                        let _ = serve_requests(&*backend, reader, connection, &acking, false);
+                        let _ = serve_requests(
+                            &*backend,
+                            reader,
+                            connection,
+                            &acking,
+                            false,
+                            |reader| reader.buffer().contains(&b'\n'),
+                        );
                     }
                 });
             }

@@ -256,6 +256,71 @@ fn cache_hot_grids_are_not_held_back_by_nagle() {
     );
 }
 
+/// The same with requests pipelined: four cache-hot grids sent in one
+/// `write` are drained by four threads, and their 36 lines still leave in
+/// one `write`, because the connection flushes only once its reader and
+/// every drainer are idle.  Flushed drainer by drainer, all but the first
+/// write would wait for the client's delayed ACK.
+#[test]
+fn pipelined_cache_hot_grids_are_not_held_back_by_nagle() {
+    let port = start_tcp_server();
+    let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    client
+        .write_all(hot_line("warm", "stream").as_bytes())
+        .unwrap();
+    read_all(&mut reader, &["warm"]);
+
+    let mut elapsed_ms: Vec<f64> = (0..20)
+        .map(|round| {
+            let ids: Vec<String> = (0..4).map(|k| format!("hot{round}-{k}")).collect();
+            let burst: String = ids.iter().map(|id| hot_line(id, "stream")).collect();
+            let started = Instant::now();
+            client.write_all(burst.as_bytes()).unwrap();
+            let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+            let got = read_all(&mut reader, &ids);
+            let elapsed = started.elapsed().as_secs_f64() * 1e3;
+            for id in ids {
+                let Some(Response::Done { cached, .. }) = got[id].done else {
+                    unreachable!()
+                };
+                assert_eq!(cached, 8, "{id}: a repeat is answered from the cache");
+            }
+            elapsed
+        })
+        .collect();
+    elapsed_ms.sort_by(f64::total_cmp);
+    let median = elapsed_ms[elapsed_ms.len() / 2];
+    assert!(
+        median < 10.0,
+        "pipelined cache-hot median {median:.2} ms: response lines held back by Nagle \
+         (sorted: {elapsed_ms:?})"
+    );
+}
+
+/// The reader loop holds the connection's output back only while a whole
+/// request line is buffered: the start of the next line, sent with a
+/// request, does not keep that request's reply from the client.
+#[test]
+fn a_partial_request_line_does_not_hold_back_replies() {
+    let port = start_tcp_server();
+    let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    let burst = format!("{}sta", hot_line("first", "stream"));
+    client.write_all(burst.as_bytes()).unwrap();
+    read_all(&mut reader, &["first"]);
+    client.write_all(b"ts\n").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("stats reply");
+    assert!(
+        matches!(parse_response(line.trim_end()), Ok(Response::Stats { .. })),
+        "the completed line is served: {line}"
+    );
+}
+
 /// A writer that records every `write` call that reaches it.
 struct CountingWriter {
     writes: Arc<Mutex<Vec<Vec<u8>>>>,
