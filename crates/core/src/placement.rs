@@ -3,21 +3,19 @@
 //! The sweep-result cache keys every finished point by
 //! `(TraceHash, machine, window, MD)` — the structural identity of the
 //! lowering plus the machine parameters of the point (see
-//! [`SweepSession`](crate::SweepSession)).  A shard coordinator that
-//! partitions a grid across several `dae-serve` backends wants to place
-//! each point by *that same key*, so repeated grids land their repeated
-//! points on the same backend and every shard's result cache stays hot
-//! for its slice.
-//!
-//! This module exposes the key as a public alias ([`SweepCacheKey`]) and
-//! folds it into a process-independent 64-bit digest
-//! ([`cache_key_digest`]) suitable for consistent hashing.  The digest
-//! reuses the canonical word encoding the on-disk store
+//! [`SweepSession`](crate::SweepSession)).  This module names the key
+//! ([`SweepCacheKey`]) and folds it into a process-independent 64-bit
+//! digest ([`cache_key_digest`]) suitable for consistent hashing.  The
+//! digest reuses the canonical word encoding the on-disk store
 //! ([`CacheStore`](crate::CacheStore)) writes — the machine discriminant
 //! and the window/MD words are pinned by the store's schema, and
-//! [`TraceHash`] is already deterministic across processes — so two
-//! coordinators (or a coordinator and a future rebalancer) always agree
-//! on where a point lives.
+//! [`TraceHash`] is already deterministic across processes — so any two
+//! processes agree on it.
+//!
+//! The `dae-serve` shard coordinator does not lower traces, so it places
+//! whole `(program, MD)` slices by the same `FxHasher` construction over
+//! the request text instead (`SweepRequest::placement_digest`).  Placing
+//! by this digest needs the lowered program's `TraceHash`.
 
 use crate::{Machine, WindowSpec};
 use dae_isa::Cycle;

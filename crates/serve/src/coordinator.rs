@@ -3,26 +3,31 @@
 //!
 //! `dae-serve --coordinator backend1,backend2,…` speaks the *same*
 //! newline-delimited protocol as a single server (`docs/PROTOCOL.md`) but
-//! owns no session of its own: each accepted grid is split into
-//! per-point subrequests, each point is placed on a backend by consistent
-//! hashing over its sweep-cache key ([`dae_core::cache_key_digest`] —
-//! `TraceHash`, machine, window, MD), and the request-tagged replies are
-//! merged back into one client response.  Placement by the cache key is
-//! the load-bearing choice: a repeated grid re-lands every repeated point
-//! on the backend whose result cache already holds it, so a sharded
-//! deployment keeps the single-server warm-cache behaviour per shard.
+//! owns no session of its own: each accepted grid is split into one
+//! *slice* per memory differential — its `machines × windows × {md}`
+//! subgrid, itself a valid `sweep` line — each slice is placed on a
+//! backend by consistent hashing over its request text
+//! ([`SweepRequest::placement_digest`] — trace source, iterations, MD),
+//! and the request-tagged replies are merged back into one client
+//! response.  Placement by the request text is the load-bearing choice: a
+//! repeated grid re-lands every repeated slice on the backend whose
+//! result cache already holds it, so a sharded deployment keeps the
+//! single-server warm-cache behaviour per shard, and the coordinator
+//! never lowers a trace.
 //!
 //! ## Fault model
 //!
-//! A point is forwarded to the client once, when its subrequest's `done`
-//! line arrives: the backend's `point` line only records the cycles, and
-//! the `done` line settles the point with them and its `cached` flag.  A
-//! backend that dies (its data connection drops) or sits on a point past
-//! the retry timeout gets its unfinished points re-dispatched to the
-//! surviving backends; points whose cycles it already reported are
-//! settled as delivered, uncached.  Every point therefore settles
-//! exactly once — delivered, dropped, aborted or failed — and the
-//! client's `done` line keeps the protocol invariant
+//! A slice's points are forwarded to the client when its subrequest's
+//! `done` line arrives: the backend's `point` lines only record the
+//! cycles, and the `done` line settles the points with them and its
+//! `cached` count.  A backend that dies (its data connection drops), sits
+//! on a slice past the retry timeout, or answers `busy` has its slice
+//! reclaimed: points whose cycles it already reported settle as
+//! delivered, uncached, and the whole slice is resent to the next ring
+//! owner, which relays only the points still unsettled.  A point settles
+//! only through its slice's `settled` bitmap, so it settles exactly once
+//! — delivered, dropped, aborted or failed — and the client's `done` line
+//! keeps the protocol invariant
 //! `delivered + dropped + aborted + failed == points` through any
 //! combination of deaths, retries, cancels and deadlines.  Determinism
 //! makes re-dispatch safe: a re-simulated point produces bit-for-bit the
@@ -36,11 +41,10 @@
 
 use crate::lifecycle::{Canceller, SweepBackend, SweepEvents};
 use crate::protocol::{
-    parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest, TraceSource,
+    parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest,
 };
 use crate::server::SubmitError;
-use crate::table::ProgramTable;
-use dae_core::{cache_key_digest, StreamWait, StreamedPoint, SweepEvent, TraceHash};
+use dae_core::{StreamWait, StreamedPoint, SweepEvent};
 use dae_isa::Cycle;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -55,7 +59,7 @@ use std::time::{Duration, Instant};
 /// searching the ring is negligible.
 const DEFAULT_VNODES: usize = 64;
 
-/// How long a dispatched, unsettled point may sit on one backend before
+/// How long a dispatched, unsettled slice may sit on one backend before
 /// the watchdog reclaims it.  Deliberately generous: death detection (the
 /// dropped connection) is the fast path, and a false timeout only costs a
 /// redundant deterministic simulation (or a finished point's `cached`
@@ -68,11 +72,6 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(100);
 /// Read timeout on ephemeral control connections (`stats` / `cache` /
 /// `shutdown` fan-out), so a wedged backend cannot hang a control verb.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Programs whose placement hash the coordinator keeps (each entry is a
-/// key and a hash, whatever the program's length); past it the least
-/// recently used are dropped, and re-lowered if requested again.
-const PLACEMENT_BUDGET: usize = 1 << 12;
 
 /// A consistent-hash ring over `backends` numbered `0..n`.
 ///
@@ -168,11 +167,9 @@ struct Backend {
 /// a death sweep) needs to push results back to the request's drainer.
 #[derive(Debug)]
 struct RequestRoute {
-    /// The original client request (re-dispatch rebuilds subrequest lines
-    /// from its source / iterations / priority).
+    /// The original client request (each slice's subrequest line is cut
+    /// from its source / iterations / grid / priority).
     request: SweepRequest,
-    /// The structural content hash placement digests are built from.
-    hash: TraceHash,
     /// Each point's one settling event, to the request's drainer thread.
     tx: mpsc::Sender<SweepEvent>,
     /// Set by client `cancel`, deadline expiry and dead-client cleanup;
@@ -181,23 +178,25 @@ struct RequestRoute {
     cancelled: AtomicBool,
 }
 
-/// One dispatched, unsettled point.
+/// One dispatched slice with unsettled points: the `machines × windows`
+/// subgrid of a client request at one of its MDs.  Slice-local index `j`
+/// is client index `j * mds + md_index`.
 #[derive(Debug)]
-struct PendingPoint {
+struct PendingSlice {
     route: Arc<RequestRoute>,
-    /// Index in the client request's canonical grid order (its machine,
-    /// window and MD come from the route's request).
-    index: usize,
-    /// The backend currently responsible for the point.
+    /// The slice's position in the request's `mds`.
+    md_index: usize,
+    /// The backend currently responsible for the slice.
     backend: usize,
     /// When the current dispatch was written (watchdog timeout base).
     dispatched: Instant,
-    /// The cycles of the backend's `point` line; the point settles with
-    /// them when the closing `done` (with its `cached` flag) arrives.
-    cycles: Option<Cycle>,
-    /// A `point … failed:` error message the backend sent ahead of its
-    /// `done failed=1` line.
-    failure: Option<String>,
+    /// Per point, what the current backend reported ahead of its `done`:
+    /// the cycles of its `point` line, or the message of its `point …
+    /// failed:` error line.
+    replies: Vec<Option<Result<Cycle, String>>>,
+    /// Per point, whether it has settled towards the client.  Kept across
+    /// re-dispatches, and the only way a point settles.
+    settled: Vec<bool>,
     /// A backend to avoid on the next dispatch (the one that just timed
     /// out), unless it is the only survivor.
     avoid: Option<usize>,
@@ -209,15 +208,10 @@ struct PendingPoint {
 struct CoordInner {
     backends: Vec<Backend>,
     partitioner: Partitioner,
-    /// subrequest id → unsettled point.  The single routing authority:
-    /// whoever removes an entry (reply handler, death sweep, watchdog,
-    /// failed dispatch) owns its settlement, so a point cannot settle
-    /// twice.
-    pending: Mutex<HashMap<String, PendingPoint>>,
-    /// `(source key, iterations)` → content hash, so placement lowers a
-    /// program once while it stays in this [`PLACEMENT_BUDGET`]-bounded
-    /// table.
-    hashes: Mutex<ProgramTable<TraceHash>>,
+    /// subrequest id → slice with unsettled points.  The single routing
+    /// authority: whoever removes an entry (reply handler, death sweep,
+    /// watchdog, failed dispatch) owns its settlement.
+    pending: Mutex<HashMap<String, PendingSlice>>,
     next_subid: AtomicU64,
     shutting_down: AtomicBool,
     retry_timeout: Duration,
@@ -226,7 +220,8 @@ struct CoordInner {
     redispatched_points: AtomicU64,
     backend_deaths: AtomicU64,
     backend_reply_errors: AtomicU64,
-    /// Watchdog re-dispatches of points that sat too long on one backend.
+    /// Unsettled points whose slice sat too long on one backend and was
+    /// reclaimed by the watchdog.
     coordinator_timeouts: AtomicU64,
     /// Client requests whose `deadline_ms` expired here.
     timeout_requests: AtomicU64,
@@ -254,7 +249,7 @@ impl Coordinator {
         Coordinator::connect_with(addrs, DEFAULT_RETRY_TIMEOUT)
     }
 
-    /// [`Coordinator::connect`] reclaiming points that sit unsettled on one
+    /// [`Coordinator::connect`] reclaiming slices that sit unsettled on one
     /// backend longer than `retry_timeout`.
     ///
     /// # Errors
@@ -311,9 +306,10 @@ impl Coordinator {
     /// Feeds one backend reply line through the coordinator's parse and
     /// routing path — the entry point the reader threads use, public so
     /// the fuzz suite can drive it with malformed input.  Never panics:
-    /// unparsable lines bump a counter, and parsable lines for unknown
-    /// subrequest ids are ignored (they are the expected residue of
-    /// re-dispatched or cancelled points).
+    /// unparsable lines and point indices outside their slice bump a
+    /// counter, and parsable lines for unknown subrequest ids are ignored
+    /// (they are the expected residue of re-dispatched or cancelled
+    /// slices).
     pub fn handle_backend_reply(&self, line: &str) {
         self.inner.handle_backend_reply(line);
     }
@@ -321,12 +317,17 @@ impl Coordinator {
     /// Points dispatched to backends and not yet settled.
     #[must_use]
     pub fn pending_points(&self) -> usize {
-        self.inner.lock_pending().len()
+        self.inner
+            .lock_pending()
+            .values()
+            .map(PendingSlice::unsettled)
+            .sum()
     }
 }
 
-/// The fleet backend: each grid point is forwarded to the backend owning
-/// its sweep-cache key, and the replies settle through the routing map.
+/// The fleet backend: each slice of a grid is forwarded to the backend
+/// owning its placement digest, and the replies settle through the
+/// routing map.
 impl SweepBackend for Coordinator {
     type Client<'a> = ();
 
@@ -337,25 +338,21 @@ impl SweepBackend for Coordinator {
         request: &SweepRequest,
         _client: &(),
     ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
-        let hash = self
-            .inner
-            .resolve_hash(&request.source, request.iterations)
-            .map_err(SubmitError::Rejected)?;
         let (tx, rx) = mpsc::channel();
         let route = Arc::new(RequestRoute {
             request: request.clone(),
-            hash,
             tx,
             cancelled: AtomicBool::new(false),
         });
-        for index in 0..request.grid().len() {
-            self.inner.dispatch(PendingPoint {
+        let points = request.machines.len() * request.windows.len();
+        for md_index in 0..request.mds.len() {
+            self.inner.dispatch(PendingSlice {
                 route: Arc::clone(&route),
-                index,
+                md_index,
                 backend: 0,
                 dispatched: Instant::now(),
-                cycles: None,
-                failure: None,
+                replies: vec![None; points],
+                settled: vec![false; points],
                 avoid: None,
             });
         }
@@ -529,7 +526,6 @@ impl CoordInner {
             partitioner: Partitioner::new(backends.len()),
             backends,
             pending: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(ProgramTable::new(PLACEMENT_BUDGET)),
             next_subid: AtomicU64::new(1),
             shutting_down: AtomicBool::new(false),
             retry_timeout,
@@ -544,32 +540,12 @@ impl CoordInner {
 
     /// The routing map, recovering from poisoning (every mutation under
     /// it is transactional: whole-entry inserts and removes).
-    fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingPoint>> {
+    fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingSlice>> {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The placement-hash cache, recovering from poisoning.
-    fn lock_hashes(&self) -> MutexGuard<'_, ProgramTable<TraceHash>> {
-        self.hashes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn is_shutting_down(&self) -> bool {
         self.shutting_down.load(Ordering::Acquire)
-    }
-
-    /// The content hash of `(source, iterations)`, lowering on first
-    /// sight (or after eviction).  Lowering is pure and can take
-    /// milliseconds, so it runs outside the lock; a racing duplicate
-    /// insert is harmless (equal keys hash equal).
-    fn resolve_hash(&self, source: &TraceSource, iterations: u64) -> Result<TraceHash, String> {
-        let key = (source.key(), iterations);
-        if let Some(hash) = self.lock_hashes().get(&key) {
-            return Ok(hash);
-        }
-        let trace = source.trace(iterations)?;
-        let hash = dae_core::LoweredTrace::new(&trace).content_hash();
-        self.lock_hashes().insert(key, hash, 1);
-        Ok(hash)
     }
 
     /// Writes one protocol line on a backend's data connection, line and
@@ -595,24 +571,21 @@ impl CoordInner {
         ok
     }
 
-    /// Dispatches (or re-dispatches) one point: picks a live backend by
-    /// the point's cache-key digest, registers the subrequest in the
-    /// routing map, and writes the single-point sweep line.  Falls back
-    /// across backends on write failure; settles the point as dropped
-    /// under cancellation/shutdown and as failed when no backend
-    /// survives.
-    fn dispatch(&self, mut point: PendingPoint) {
+    /// Dispatches (or re-dispatches) one slice: picks a live backend by
+    /// the slice's placement digest, registers the subrequest in the
+    /// routing map, and writes the slice's sweep line.  Falls back across
+    /// backends on write failure; settles the unsettled points as dropped
+    /// under cancellation/shutdown and as failed when no backend survives.
+    fn dispatch(&self, mut slice: PendingSlice) {
+        let route = Arc::clone(&slice.route);
+        let md = route.request.mds[slice.md_index];
+        let digest = route.request.placement_digest(md);
         loop {
-            if point.route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
-                let _ = point
-                    .route
-                    .tx
-                    .send(SweepEvent::Skipped { index: point.index });
+            if route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
+                slice.settle_all(|index| SweepEvent::Skipped { index });
                 return;
             }
-            let (machine, window, md) = point.route.request.coordinate(point.index);
-            let digest = cache_key_digest(point.route.hash, machine, window, md);
-            let avoid = point.avoid.take();
+            let avoid = slice.avoid.take();
             let eligible = |b: usize| {
                 self.backends
                     .get(b)
@@ -626,69 +599,78 @@ impl CoordInner {
                 None => self.partitioner.assign_among(digest, eligible),
             };
             let Some(backend) = choice else {
-                let _ = point.route.tx.send(SweepEvent::Failed {
-                    index: point.index,
+                slice.settle_all(|index| SweepEvent::Failed {
+                    index,
                     message: "no backends available".to_string(),
                 });
                 return;
             };
             let subid = format!("x{}", self.next_subid.fetch_add(1, Ordering::Relaxed));
-            let line = subrequest_line(&point, &subid);
-            point.backend = backend;
-            point.dispatched = Instant::now();
-            point.failure = None;
-            {
-                let mut pending = self.lock_pending();
-                pending.insert(subid.clone(), point);
-            }
+            let line = slice_line(&route.request, md, &subid);
+            let points = slice.unsettled() as u64;
+            slice.backend = backend;
+            slice.dispatched = Instant::now();
+            slice.replies.fill(None);
+            self.lock_pending().insert(subid.clone(), slice);
             if self.write_backend(backend, &line) {
-                self.forwarded_points.fetch_add(1, Ordering::Relaxed);
+                self.forwarded_points.fetch_add(points, Ordering::Relaxed);
                 return;
             }
             // The write failed: reclaim the entry (unless the death sweep
             // raced us to it and already re-dispatched) and try another
             // backend.
-            let reclaimed = {
-                let mut pending = self.lock_pending();
-                pending.remove(&subid)
-            };
+            let reclaimed = self.lock_pending().remove(&subid);
             self.mark_dead(backend);
             match reclaimed {
-                Some(p) => point = p,
+                Some(s) => slice = s,
                 None => return,
             }
         }
     }
 
-    /// Re-dispatches a reclaimed point to a surviving backend.
-    fn redispatch(&self, point: PendingPoint) {
-        self.redispatched_points.fetch_add(1, Ordering::Relaxed);
-        self.dispatch(point);
+    /// Takes a slice off a dead, slow or `busy` backend: points with
+    /// reported cycles settle as delivered, uncached (only the backend's
+    /// `done` was lost), and the rest go to [`CoordInner::settle_rest`].
+    fn reclaim(&self, mut slice: PendingSlice, avoid: Option<usize>) {
+        slice.deliver_reported(0);
+        self.settle_rest(slice, 0, avoid);
     }
 
-    /// Settles or re-dispatches a point taken off a dead or slow backend:
-    /// with its cycles already reported it is delivered, uncached (only
-    /// the backend's `done` was lost); under cancellation it is dropped;
-    /// otherwise it is re-dispatched, away from `avoid` when another
-    /// backend survives.
-    fn reclaim(&self, mut point: PendingPoint, avoid: Option<usize>) {
-        let index = point.index;
-        if let Some(cycles) = point.cycles {
-            let _ = point.route.tx.send(SweepEvent::Point(StreamedPoint {
-                index,
-                cycles,
-                cached: false,
-            }));
-        } else if point.route.cancelled.load(Ordering::Acquire) {
-            let _ = point.route.tx.send(SweepEvent::Skipped { index });
-        } else {
-            point.avoid = avoid;
-            self.redispatch(point);
+    /// Settles or resends what a backend left unsettled of a slice.  Under
+    /// cancellation the first `aborted` points settle as aborted and the
+    /// rest as dropped.  Otherwise the client still needs them — a
+    /// backend-side abort, a lost `point` line, a death or a timeout — so
+    /// the whole slice is resent to the ring owner, away from `avoid` when
+    /// another backend survives.
+    fn settle_rest(&self, mut slice: PendingSlice, mut aborted: usize, avoid: Option<usize>) {
+        if slice.route.cancelled.load(Ordering::Acquire) {
+            for j in 0..slice.settled.len() {
+                let abort = aborted > 0;
+                let event = |index| match abort {
+                    true => SweepEvent::Aborted { index },
+                    false => SweepEvent::Skipped { index },
+                };
+                if slice.settle(j, event) && abort {
+                    aborted -= 1;
+                }
+            }
+        } else if slice.unsettled() > 0 {
+            self.redispatched_points
+                .fetch_add(slice.unsettled() as u64, Ordering::Relaxed);
+            slice.avoid = avoid;
+            self.dispatch(slice);
         }
     }
 
+    /// Removes and returns every pending slice `matches` selects.
+    fn take_pending(&self, matches: impl Fn(&PendingSlice) -> bool) -> Vec<PendingSlice> {
+        let mut pending = self.lock_pending();
+        let taken = pending.extract_if(|_, slice| matches(slice));
+        taken.map(|(_, slice)| slice).collect()
+    }
+
     /// Declares a backend dead: tears down its connection, then reclaims
-    /// every point routed to it.
+    /// every slice routed to it.
     fn mark_dead(&self, backend: usize) {
         let Some(slot) = self.backends.get(backend) else {
             return;
@@ -702,20 +684,8 @@ impl CoordInner {
             return;
         }
         self.backend_deaths.fetch_add(1, Ordering::Relaxed);
-        let swept: Vec<PendingPoint> = {
-            let mut pending = self.lock_pending();
-            let subids: Vec<String> = pending
-                .iter()
-                .filter(|(_, p)| p.backend == backend)
-                .map(|(subid, _)| subid.clone())
-                .collect();
-            subids
-                .iter()
-                .filter_map(|subid| pending.remove(subid))
-                .collect()
-        };
-        for point in swept {
-            self.reclaim(point, None);
+        for slice in self.take_pending(|slice| slice.backend == backend) {
+            self.reclaim(slice, None);
         }
     }
 
@@ -729,7 +699,9 @@ impl CoordInner {
             Err(_) => {
                 self.backend_reply_errors.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(Response::Point { id, cycles, .. }) => self.note_point(&id, cycles),
+            Ok(Response::Point {
+                id, index, cycles, ..
+            }) => self.note_reply(&id, index, Ok(cycles)),
             Ok(Response::Done {
                 id,
                 aborted,
@@ -740,85 +712,69 @@ impl CoordInner {
             Ok(Response::Error {
                 id: Some(id),
                 message,
-            }) => self.note_failure(&id, message),
-            Ok(Response::Busy { id, .. }) => self.requeue_busy(&id),
-            // Cancel acknowledgements, un-attributed errors and control
-            // replies that strayed onto the data connection carry no
-            // routing information.
+            }) => {
+                if let Some((index, message)) = point_failure(&message) {
+                    self.note_reply(&id, index, Err(message));
+                }
+            }
+            // Never queued there: resend the slice (the ring walk lands on
+            // the same backend once its queue drains, or elsewhere if it
+            // died meanwhile).
+            Ok(Response::Busy { id, .. }) => {
+                let reclaimed = self.lock_pending().remove(&id);
+                if let Some(slice) = reclaimed {
+                    self.reclaim(slice, None);
+                }
+            }
+            // Cancel acknowledgements, errors that name no point (the
+            // `done` counts settle those) and control replies that strayed
+            // onto the data connection carry no routing information.
             Ok(_) => {}
         }
     }
 
-    /// A backend `point` line: record its cycles for the settlement the
-    /// subrequest's `done` makes.
-    fn note_point(&self, subid: &str, cycles: Cycle) {
+    /// Records what a backend reported for point `index` of a slice
+    /// ahead of its `done`: the cycles of a `point` line, or the message
+    /// of a `point <index> failed:` error.  An index outside the slice is
+    /// a reply error.
+    fn note_reply(&self, subid: &str, index: usize, reply: Result<Cycle, &str>) {
         let mut pending = self.lock_pending();
-        if let Some(point) = pending.get_mut(subid) {
-            point.cycles = Some(cycles);
-        }
-    }
-
-    /// A backend `error id=…` line ahead of a failing subrequest's
-    /// `done`: remember the message for the settlement.
-    fn note_failure(&self, subid: &str, message: String) {
-        let mut pending = self.lock_pending();
-        if let Some(point) = pending.get_mut(subid) {
-            point.failure = Some(message);
-        }
-    }
-
-    /// A backend `busy` rejection: the subrequest was never queued there;
-    /// re-dispatch it (the ring walk naturally lands on the same backend
-    /// once its queue drains, or elsewhere if it died meanwhile).
-    fn requeue_busy(&self, subid: &str) {
-        let reclaimed = {
-            let mut pending = self.lock_pending();
-            pending.remove(subid)
-        };
-        if let Some(point) = reclaimed {
-            self.redispatch(point);
-        }
-    }
-
-    /// A subrequest's closing `done` line: settle its point, with the
-    /// cycles its `point` line reported when there was one.  Unfinished
-    /// uncancelled points (a backend shutdown-abort, or a `done` whose
-    /// `point` line was lost) are re-dispatched rather than dropped.
-    fn settle_done(&self, subid: &str, aborted: usize, failed: usize, cached: u64) {
-        let reclaimed = {
-            let mut pending = self.lock_pending();
-            pending.remove(subid)
-        };
-        let Some(mut point) = reclaimed else {
+        let Some(slice) = pending.get_mut(subid) else {
             return;
         };
-        let index = point.index;
-        if let Some(cycles) = point.cycles {
-            let _ = point.route.tx.send(SweepEvent::Point(StreamedPoint {
-                index,
-                cycles,
-                cached: cached > 0,
-            }));
-        } else if failed > 0 {
-            let message = point
-                .failure
-                .take()
-                .map(|m| strip_point_prefix(&m))
-                .unwrap_or_else(|| "backend simulation failed".to_string());
-            let _ = point.route.tx.send(SweepEvent::Failed { index, message });
-        } else if point.route.cancelled.load(Ordering::Acquire) {
-            let event = if aborted > 0 {
-                SweepEvent::Aborted { index }
-            } else {
-                SweepEvent::Skipped { index }
-            };
-            let _ = point.route.tx.send(event);
-        } else {
-            // Dropped or aborted without our cancel (backend-side abort),
-            // or delivered by the backend without a parsable point line:
-            // the client still needs the point — re-dispatch.
-            self.redispatch(point);
+        match slice.replies.get_mut(index) {
+            Some(slot) => *slot = Some(reply.map_err(str::to_string)),
+            None => {
+                self.backend_reply_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
+    }
+
+    /// A subrequest's closing `done` line: settle its slice.  Points with
+    /// reported cycles are delivered, the first `cached` as cache hits;
+    /// `failed` of the rest fail, those the backend named in an `error`
+    /// line first; what is left goes to [`CoordInner::settle_rest`].
+    fn settle_done(&self, subid: &str, aborted: usize, mut failed: usize, cached: u64) {
+        let Some(mut slice) = self.lock_pending().remove(subid) else {
+            return;
+        };
+        slice.deliver_reported(cached);
+        // `failed` falls on the points the backend named first.
+        let mut order: Vec<usize> = (0..slice.replies.len()).collect();
+        order.sort_by_key(|&j| !matches!(slice.replies[j], Some(Err(_))));
+        for j in order {
+            if failed == 0 {
+                break;
+            }
+            let message = match slice.replies[j].take() {
+                Some(Err(message)) => message,
+                _ => "backend simulation failed".to_string(),
+            };
+            if slice.settle(j, |index| SweepEvent::Failed { index, message }) {
+                failed -= 1;
+            }
+        }
+        self.settle_rest(slice, aborted, None);
     }
 
     /// Cancels one request: flags the route, then forwards a `cancel` for
@@ -830,8 +786,8 @@ impl CoordInner {
             let pending = self.lock_pending();
             pending
                 .iter()
-                .filter(|(_, p)| Arc::ptr_eq(&p.route, route))
-                .map(|(subid, p)| (p.backend, subid.clone()))
+                .filter(|(_, slice)| Arc::ptr_eq(&slice.route, route))
+                .map(|(subid, slice)| (slice.backend, subid.clone()))
                 .collect()
         };
         for (backend, subid) in targets {
@@ -841,44 +797,81 @@ impl CoordInner {
         }
     }
 
-    /// One watchdog pass: reclaim points older than the retry timeout,
-    /// re-dispatching unfinished ones away from their slow backend.
+    /// One watchdog pass: reclaim slices older than the retry timeout,
+    /// re-dispatching their unfinished points away from the slow backend.
     fn scan_timeouts(&self) {
-        let expired: Vec<PendingPoint> = {
-            let mut pending = self.lock_pending();
-            let subids: Vec<String> = pending
-                .iter()
-                .filter(|(_, p)| p.dispatched.elapsed() >= self.retry_timeout)
-                .map(|(subid, _)| subid.clone())
-                .collect();
-            subids
-                .iter()
-                .filter_map(|subid| pending.remove(subid))
-                .collect()
-        };
-        for point in expired {
-            self.coordinator_timeouts.fetch_add(1, Ordering::Relaxed);
-            let slow = point.backend;
-            self.reclaim(point, Some(slow));
+        for slice in self.take_pending(|slice| slice.dispatched.elapsed() >= self.retry_timeout) {
+            self.coordinator_timeouts
+                .fetch_add(slice.unsettled() as u64, Ordering::Relaxed);
+            let slow = slice.backend;
+            self.reclaim(slice, Some(slow));
         }
     }
 }
 
-/// The canonical single-point subrequest line for a dispatch: the
-/// original request's source, iterations and priority with a
-/// one-machine × one-window × one-MD grid under the coordinator-issued
-/// subid.  Mode is always `stream` (one point has no ordering to batch)
-/// and the client deadline is *not* forwarded — deadlines act at the
-/// coordinator, where the whole grid is visible.
-fn subrequest_line(point: &PendingPoint, subid: &str) -> String {
-    let request = &point.route.request;
-    let (machine, window, md) = request.coordinate(point.index);
+impl PendingSlice {
+    /// Points not yet settled towards the client.
+    fn unsettled(&self) -> usize {
+        self.settled.iter().filter(|&&settled| !settled).count()
+    }
+
+    /// Settles point `j` with the event `event` builds from its client
+    /// index — the one way a point reaches the client.  `false`, and
+    /// nothing sent, when `j` already settled.
+    fn settle(&mut self, j: usize, event: impl FnOnce(usize) -> SweepEvent) -> bool {
+        let Some(settled) = self.settled.get_mut(j) else {
+            return false;
+        };
+        if std::mem::replace(settled, true) {
+            return false;
+        }
+        let index = j * self.route.request.mds.len() + self.md_index;
+        let _ = self.route.tx.send(event(index));
+        true
+    }
+
+    /// Settles every unsettled point with `event`.
+    fn settle_all(&mut self, event: impl Fn(usize) -> SweepEvent) {
+        for j in 0..self.settled.len() {
+            self.settle(j, &event);
+        }
+    }
+
+    /// Delivers every unsettled point whose cycles the backend reported,
+    /// the first `cached` of them as cache hits.
+    fn deliver_reported(&mut self, mut cached: u64) {
+        for j in 0..self.replies.len() {
+            let Some(Ok(cycles)) = self.replies[j] else {
+                continue;
+            };
+            let hit = cached > 0;
+            let point = |index| {
+                SweepEvent::Point(StreamedPoint {
+                    index,
+                    cycles,
+                    cached: hit,
+                })
+            };
+            if self.settle(j, point) && hit {
+                cached -= 1;
+            }
+        }
+    }
+}
+
+/// The subrequest line of a slice: the original request's source,
+/// iterations, machines, windows and priority at the one MD `md`, under
+/// the coordinator-issued subid.  Mode is always `stream` (the slice
+/// settles on its `done` either way) and the client deadline is *not*
+/// forwarded — deadlines act at the coordinator, where the whole grid is
+/// visible.
+fn slice_line(request: &SweepRequest, md: Cycle, subid: &str) -> String {
     SweepRequest {
         id: subid.to_string(),
         source: request.source.clone(),
         iterations: request.iterations,
-        machines: vec![machine],
-        windows: vec![window],
+        machines: request.machines.clone(),
+        windows: request.windows.clone(),
         mds: vec![md],
         mode: DeliveryMode::Stream,
         deadline_ms: None,
@@ -887,14 +880,12 @@ fn subrequest_line(point: &PendingPoint, subid: &str) -> String {
     .to_string()
 }
 
-/// Strips the backend's `point 0 failed: ` framing from a forwarded
-/// failure message (the coordinator re-frames it with the client-side
-/// point index).
-fn strip_point_prefix(message: &str) -> String {
-    match message.split_once(" failed: ") {
-        Some((head, tail)) if head.starts_with("point ") => tail.to_string(),
-        _ => message.to_string(),
-    }
+/// Splits a backend's `point <j> failed: <message>` error into the slice
+/// index and the message (the coordinator re-frames the message with the
+/// client-side index).
+fn point_failure(message: &str) -> Option<(usize, &str)> {
+    let (index, message) = message.strip_prefix("point ")?.split_once(" failed: ")?;
+    Some((index.parse().ok()?, message))
 }
 
 /// Reads one backend's replies until the connection drops, then declares

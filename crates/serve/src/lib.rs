@@ -17,10 +17,11 @@
 //! * [`server`] — [`SweepServer`], the local backend: the shared session
 //!   behind one brief mutex, with admission control.
 //! * [`coordinator`] — [`Coordinator`], the fleet backend: the same wire
-//!   protocol over backend `dae-serve` processes, with each grid point
-//!   placed by consistent hashing on its sweep-cache key
-//!   ([`dae_core::cache_key_digest`]) so every shard's result cache stays
-//!   hot, and with undelivered points re-dispatched when a backend dies.
+//!   protocol over backend `dae-serve` processes.  Each grid is forwarded
+//!   as one `sweep` line per memory differential (a `machines × windows ×
+//!   {md}` slice), placed by consistent hashing on the request text
+//!   ([`SweepRequest::placement_digest`]) so every shard's result cache
+//!   stays hot, and a dead backend's unsettled points are re-dispatched.
 //!
 //! What the session layer provides, the server inherits: lowered programs
 //! pin once per `(source, iterations)` and are shared by every client, the

@@ -19,14 +19,15 @@
 //!                                previously-served grids without simulating
 //!       --coordinator B1,B2,…    run as a shard coordinator over the listed
 //!                                backend addresses instead of simulating
-//!                                locally: grids are partitioned across the
-//!                                backends by consistent hashing on each
-//!                                point's sweep-cache key, and points lost to
-//!                                a dead backend are re-dispatched to the
+//!                                locally: each grid is forwarded as one
+//!                                slice per memory differential, placed by
+//!                                consistent hashing on the slice's trace,
+//!                                iterations and MD, and points lost to a
+//!                                dead backend are re-dispatched to the
 //!                                survivors (composes with every mode above;
 //!                                the session flags do not apply — caching
 //!                                happens on the backends)
-//!       --retry-timeout-ms N     coordinator only: reclaim a point that
+//!       --retry-timeout-ms N     coordinator only: reclaim a slice that
 //!                                sat unsettled on one backend this long
 //!                                (default 30000)
 //! ```

@@ -13,11 +13,13 @@
 
 use dae_core::{Machine, Priority, SweepPoint, TraceId, WindowSpec};
 use dae_isa::Cycle;
+use dae_mem::FxHasher;
 use dae_trace::{expand, Trace};
 use dae_workloads::{
     gather_scatter, pointer_chase, reduction, stencil, stream, PerfectProgram, Workload,
 };
 use std::fmt;
+use std::hash::Hasher;
 
 /// The largest accepted `iterations=` value: a million iterations of a
 /// ten-statement kernel is a ~10M-instruction trace per simulation — far
@@ -247,6 +249,25 @@ impl SweepRequest {
             self.windows[index / mds % windows],
             self.mds[index % mds],
         )
+    }
+
+    /// The shard placement digest of this request's slice at memory
+    /// differential `md`: an `FxHasher` over the trace source's identity
+    /// key, the iteration count and `md` — the construction of
+    /// [`dae_core::cache_key_digest`], over the request text instead of
+    /// the lowered program.  Id, machines, windows, mode, priority and
+    /// deadline do not enter it, so a slice lands where the same program
+    /// and MD landed before, whatever grid it came in.  Two spellings of
+    /// one trace that parse to the same [`TraceSource`] (`trace=trfd`,
+    /// `trace=TRFD`) share a digest; two spellings of one inline kernel
+    /// may not.
+    #[must_use]
+    pub fn placement_digest(&self, md: Cycle) -> u64 {
+        let mut hasher = FxHasher::default();
+        hasher.write(self.source.key().as_bytes());
+        hasher.write_u64(self.iterations);
+        hasher.write_u64(md);
+        hasher.finish()
     }
 
     /// The canonical grid ([`SweepRequest::grid`]) addressed at the pinned
@@ -1152,6 +1173,34 @@ mod tests {
         let hyphen = parse("sweep id=x trace=pointer-chase machines=dm windows=8 mds=0");
         let underscore = parse("sweep id=x trace=POINTER_CHASE machines=dm windows=8 mds=0");
         assert_eq!(hyphen, underscore, "aliases must pin one lowering");
+    }
+
+    #[test]
+    fn placement_digest_covers_program_iterations_and_md_only() {
+        let digest = |line: &str, md| {
+            let Ok(Request::Sweep(req)) = parse_request(line) else {
+                panic!("{line}");
+            };
+            req.placement_digest(md)
+        };
+        let base = digest(
+            "sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=0",
+            20,
+        );
+        let same = [
+            "sweep id=a trace=trfd iterations=120 machines=dm windows=8 mds=0",
+            "sweep id=zz trace=TRFD iterations=120 machines=swsm,scalar windows=16,inf \
+             mds=0,60 mode=batch priority=bulk deadline_ms=5",
+        ];
+        for line in same {
+            assert_eq!(digest(line, 20), base, "{line}");
+        }
+        let iterations = "sweep id=a trace=TRFD iterations=121 machines=dm windows=8 mds=0";
+        assert_ne!(digest(iterations, 20), base, "iterations enter the digest");
+        let program = "sweep id=a trace=MDG iterations=120 machines=dm windows=8 mds=0";
+        assert_ne!(digest(program, 20), base, "the program enters the digest");
+        let md = "sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=0";
+        assert_ne!(digest(md, 60), base, "the MD enters the digest");
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The bounded program table both serve backends resolve trace sources
-//! through.
+//! The bounded program table the server resolves trace sources through.
 //!
 //! A long-lived server sees an open-ended stream of `(source key,
-//! iterations)` pairs, and what it keeps per pair — a pinned lowering on a
-//! [`SweepServer`](crate::SweepServer), a placement hash on a
-//! [`Coordinator`](crate::Coordinator) — must not grow with that stream.
-//! A [`ProgramTable`] holds its entries under a constant budget of
-//! caller-defined weight (trace instructions for lowerings, one per entry
-//! for hashes).  When an insert would exceed the budget it evicts the
-//! least recently used entries until the newcomer fits.  The entry being
-//! inserted is never a victim: a single entry larger than the whole budget
-//! stays resident until the next insert.
+//! iterations)` pairs, and the pinned lowering a
+//! [`SweepServer`](crate::SweepServer) keeps per pair must not grow with
+//! that stream.  A [`ProgramTable`] holds its entries under a constant
+//! budget of caller-defined weight (trace instructions for lowerings).
+//! When an insert would exceed the budget it evicts the least recently
+//! used entries until the newcomer fits.  The entry being inserted is
+//! never a victim: a single entry larger than the whole budget stays
+//! resident until the next insert.
 
 use dae_mem::LruMap;
 

@@ -5,23 +5,25 @@
 //! and one grid must run through the shared accept loop over a Unix
 //! socket for each backend.
 //!
-//! Through the coordinator, a repeated grid is answered from the
-//! backends' caches, the retry watchdog is driven against a backend that
-//! never answers, and a backend that dies between its `point` and `done`
-//! lines still settles every point exactly once.
+//! Through the coordinator, a grid goes out as one line per MD slice, a
+//! repeated grid is answered from the backends' caches, the retry
+//! watchdog is driven against a backend that never answers, a backend
+//! that dies after some or all of a slice's `point` lines still settles
+//! every point exactly once, and replies naming points outside their
+//! slice are counted, not obeyed.
 //!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
 //! [`FAULT_LOCK`].
 
-use dae_core::{cache_key_digest, fault, LoweredTrace, Machine, SweepSession, WindowSpec};
+use dae_core::{fault, Machine, SweepSession, WindowSpec};
 use dae_serve::{
     parse_request, parse_response, serve_connection, serve_tcp, Coordinator, DoneStatus,
     Partitioner, Request, Response, SweepBackend, SweepRequest, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -264,9 +266,13 @@ fn both_backends_serve_a_grid_over_a_unix_socket() {
     unix_grid(in_process_fleet(), "coordinator");
 }
 
-/// The 12-point TRFD grid the coordinator fault tests send.
+/// The 12-point TRFD grid the coordinator fault tests send: two slices,
+/// MD 0 on backend 0 and MD 20 on backend 1 of a two-backend ring.
 const FLEET_GRID: &str =
-    "sweep id=fleet trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,60";
+    "sweep id=fleet trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,20";
+
+/// A grid point's coordinates, the key of an oracle's cycles.
+type Coordinate = (Machine, WindowSpec, u64);
 
 /// `line`'s request, its cycles from a cache-off session in grid order,
 /// and how many of its points a two-backend ring places on backend 1.
@@ -278,13 +284,11 @@ fn oracle(line: &str) -> (SweepRequest, Vec<u64>, usize) {
     let mut reference = SweepSession::new();
     reference.set_cache_enabled(false);
     let id = reference.pin_trace(&trace);
-    let points = request.points(id);
-    let expected = reference.sweep_multi(&points);
-    let hash = LoweredTrace::new(&trace).content_hash();
+    let expected = reference.sweep_multi(&request.points(id));
     let ring = Partitioner::new(2);
-    let on_second = points
-        .iter()
-        .filter(|&&(_, m, w, md)| ring.assign(cache_key_digest(hash, m, w, md)) == Some(1))
+    let on_second = request
+        .grid()
+        .filter(|&(_, _, md)| ring.assign(request.placement_digest(md)) == Some(1))
         .count();
     (request, expected, on_second)
 }
@@ -365,24 +369,73 @@ fn a_repeated_grid_is_answered_from_the_backends_caches() {
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 
-/// A backend that accepts the coordinator's data connection and never
-/// answers on it, and closes every later (control) connection at once so
-/// `stats` does not wait out the control timeout.  Returns its address.
-fn silent_backend() -> String {
+/// A stub backend on an ephemeral port.  Each sweep line on the
+/// coordinator's data connection is handed to `answer` with the
+/// connection to reply on; the connection closes once `answer` returns
+/// `false`.  Control connections close at once, so `stats` does not wait
+/// out the control timeout.  Returns its address.
+fn stub_backend<F>(mut answer: F) -> String
+where
+    F: FnMut(SweepRequest, &mut TcpStream) -> bool + Send + 'static,
+{
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
     let addr = listener.local_addr().expect("stub addr").to_string();
     std::thread::spawn(move || {
         let mut incoming = listener.incoming();
-        let Some(Ok(mut data)) = incoming.next() else {
+        let Some(Ok(data)) = incoming.next() else {
             return;
         };
-        // Swallow every forwarded sweep line; never reply.
-        std::thread::spawn(move || std::io::copy(&mut data, &mut std::io::sink()));
+        std::thread::spawn(move || {
+            let mut writer = data.try_clone().expect("clone the stub connection");
+            for line in BufReader::new(data).lines() {
+                let line = line.expect("read a subrequest");
+                let Ok(Request::Sweep(sub)) = parse_request(&line) else {
+                    panic!("not a sweep: {line}");
+                };
+                if !answer(sub, &mut writer) {
+                    return;
+                }
+            }
+        });
         for control in incoming {
             drop(control);
         }
     });
     addr
+}
+
+/// The `point` line a backend sends for index `index` of `sub`, with the
+/// oracle's cycles.
+fn point_line(sub: &SweepRequest, index: usize, cycles: &HashMap<Coordinate, u64>) -> Response {
+    let (machine, window, md) = sub.grid().nth(index).expect("index in the grid");
+    Response::Point {
+        id: sub.id.clone(),
+        index,
+        machine,
+        window,
+        md,
+        cycles: cycles[&(machine, window, md)],
+    }
+}
+
+/// Answers `sub` as a cache-off backend would: every point with the
+/// oracle's cycles, then one balanced `done`.
+fn answer_all(sub: &SweepRequest, cycles: &HashMap<Coordinate, u64>, out: &mut TcpStream) {
+    let points = sub.grid().len();
+    for index in 0..points {
+        writeln!(out, "{}", point_line(sub, index, cycles)).expect("answer");
+    }
+    let done = Response::Done {
+        id: sub.id.clone(),
+        points,
+        delivered: points,
+        dropped: 0,
+        aborted: 0,
+        failed: 0,
+        cached: 0,
+        status: DoneStatus::Ok,
+    };
+    writeln!(out, "{done}").expect("answer");
 }
 
 /// The retry watchdog re-dispatches points a backend sits on: over a real
@@ -398,7 +451,8 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
         "the grid must span both backends"
     );
 
-    let addrs = [in_process_backend(), silent_backend()];
+    let silent = stub_backend(|_, _| true);
+    let addrs = [in_process_backend(), silent];
     let coordinator =
         Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(200)).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
@@ -412,54 +466,35 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 
-/// A backend that answers the first `subrequests` sweep lines on its data
-/// connection with a correct `point` line each (looked up in `cycles` by
-/// the line's single grid point), then closes that connection before any
-/// `done`.  Control connections close at once.  Returns its address.
-fn dying_backend(subrequests: usize, cycles: HashMap<(Machine, WindowSpec, u64), u64>) -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
-    let addr = listener.local_addr().expect("stub addr").to_string();
-    std::thread::spawn(move || {
-        let mut incoming = listener.incoming();
-        let Some(Ok(data)) = incoming.next() else {
-            return;
-        };
-        let mut writer = data.try_clone().expect("clone the stub connection");
-        for line in BufReader::new(data).lines().take(subrequests) {
-            let line = line.expect("read a subrequest");
-            let Ok(Request::Sweep(sub)) = parse_request(&line) else {
-                panic!("not a sweep: {line}");
-            };
-            let (machine, window, md) = sub.grid().next().expect("one point");
-            let reply = Response::Point {
-                id: sub.id,
-                index: 0,
-                machine,
-                window,
-                md,
-                cycles: cycles[&(machine, window, md)],
-            };
-            writeln!(writer, "{reply}").expect("answer");
+/// A backend that answers the first `answers` points of the slice lines
+/// it is sent with a correct `point` line each, then closes its data
+/// connection before any `done`.  Returns its address.
+fn dying_backend(answers: usize, cycles: HashMap<Coordinate, u64>) -> String {
+    let mut answered = 0;
+    stub_backend(move |sub, out| {
+        for index in 0..sub.grid().len() {
+            if answered == answers {
+                break;
+            }
+            writeln!(out, "{}", point_line(&sub, index, &cycles)).expect("answer");
+            answered += 1;
         }
-        drop(writer);
-        for control in incoming {
-            drop(control);
-        }
-    });
-    addr
+        answered < answers
+    })
 }
 
-/// A backend that dies between its `point` lines and their `done` lines:
-/// the death sweep settles those points with the reported cycles, so the
-/// client still gets every index exactly once and one balanced `done`.
-#[test]
-fn a_backend_dying_between_point_and_done_settles_each_point_once() {
-    let _guard = faults();
+/// Serves `FLEET_GRID` beside a backend that answers the first
+/// `answers(on_second)` points of its slice and dies before `done`: the
+/// death sweep settles the answered points with the reported cycles and
+/// re-dispatches only the rest, so the client still gets every index
+/// exactly once and one balanced `done`.
+fn grid_beside_a_dying_backend(answers: impl Fn(usize) -> usize) {
     let (request, expected, on_second) = oracle(FLEET_GRID);
-    assert!(on_second > 0 && on_second < expected.len(), "spans both");
+    assert!(on_second > 1 && on_second < expected.len(), "spans both");
     let by_point = request.grid().zip(expected.iter().copied()).collect();
+    let answers = answers(on_second);
 
-    let addrs = [in_process_backend(), dying_backend(on_second, by_point)];
+    let addrs = [in_process_backend(), dying_backend(answers, by_point)];
     let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
     let points = expected.len();
@@ -468,5 +503,102 @@ fn a_backend_dying_between_point_and_done_settles_each_point_once() {
     assert_one_ok_done(&done, points, 0);
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
     let redispatched = stat(&*coordinator, "redispatched_points");
-    assert_eq!(redispatched, 0, "reported cycles settle without a re-run");
+    assert_eq!(
+        redispatched as usize,
+        on_second - answers,
+        "unanswered points"
+    );
+}
+
+/// A backend that dies between its `point` lines and their `done` lines:
+/// reported cycles settle without a re-run.
+#[test]
+fn a_backend_dying_between_point_and_done_settles_each_point_once() {
+    let _guard = faults();
+    grid_beside_a_dying_backend(|slice| slice);
+}
+
+/// A backend that answers one point of its slice and dies before `done`:
+/// only the slice's other points are re-dispatched to — and relayed
+/// from — the survivor.
+#[test]
+fn a_partly_answered_slice_relays_only_its_unanswered_points() {
+    let _guard = faults();
+    grid_beside_a_dying_backend(|_| 1);
+}
+
+/// The coordinator forwards one line per (program, MD) slice: an 8-point
+/// grid of two MDs reaches the fleet as two `machines × windows × {md}`
+/// subgrids, and is still counted as 8 forwarded points.
+#[test]
+fn a_grid_is_forwarded_as_one_line_per_slice() {
+    let _guard = faults();
+    let line = "sweep id=sliced trace=TRFD iterations=120 machines=dm,swsm windows=8,32 mds=0,60";
+    let (request, expected, _) = oracle(line);
+    let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let recording = || {
+        let (received, cycles) = (Arc::clone(&received), by_point.clone());
+        stub_backend(move |sub, out| {
+            answer_all(&sub, &cycles, out);
+            received.lock().expect("record").push(sub);
+            true
+        })
+    };
+    let addrs = [recording(), recording()];
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, line);
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(cycles, expected, "sliced grid vs the oracle");
+    assert_one_ok_done(&done, expected.len(), 0);
+
+    let mut slices = received.lock().expect("recorded").clone();
+    slices.sort_by_key(|sub| sub.mds.clone());
+    assert_eq!(slices.len(), 2, "one line per slice: {slices:?}");
+    for (sub, &md) in slices.iter().zip(&request.mds) {
+        assert_eq!(sub.source, request.source);
+        assert_eq!(sub.iterations, request.iterations);
+        assert_eq!(sub.machines, request.machines);
+        assert_eq!(sub.windows, request.windows);
+        assert_eq!(sub.mds, [md]);
+    }
+    assert_eq!(stat(&*coordinator, "forwarded_points"), 8);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// A backend whose slice replies name points the slice does not have — a
+/// `point` line past its end, an `error` for point 99 — is counted, not
+/// obeyed: the coordinator does not panic, and the grid still completes
+/// with the oracle's cycles.
+#[test]
+fn out_of_range_slice_replies_are_counted_not_obeyed() {
+    let _guard = faults();
+    let (request, expected, on_second) = oracle(FLEET_GRID);
+    assert!(on_second > 0 && on_second < expected.len(), "spans both");
+    let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
+    let garbling = stub_backend(move |sub, out| {
+        let mut past_end = point_line(&sub, 0, &by_point);
+        if let Response::Point { index, .. } = &mut past_end {
+            *index = sub.grid().len();
+        }
+        let bad_failure = Response::Error {
+            id: Some(sub.id.clone()),
+            message: "point 99 failed: x".to_string(),
+        };
+        writeln!(out, "{past_end}\n{bad_failure}").expect("answer");
+        answer_all(&sub, &by_point, out);
+        true
+    });
+    let addrs = [in_process_backend(), garbling];
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(
+        cycles, expected,
+        "grid beside a garbling backend vs the oracle"
+    );
+    assert_one_ok_done(&done, points, 0);
+    assert_eq!(stat(&*coordinator, "backend_reply_errors"), 2);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }

@@ -124,8 +124,9 @@ trap - EXIT
 
 # Sharded serving: the same request file through a coordinator over two
 # real backend processes must produce bit-for-bit the single-server
-# (--local) point lines — placement is by sweep-cache key, so the repeat
-# grid (id=d) re-lands on whichever shard served it first.  The trailing
+# (--local) point lines — each (trace, iterations, MD) slice is placed by
+# its request text, so the repeat grid (id=d) re-lands on whichever shard
+# served it first.  The trailing
 # shutdown fans out to the fleet, so both backends exit on their own.
 bp1=7951
 bp2=7952
