@@ -20,9 +20,9 @@
 //! A slice's points are forwarded to the client when its subrequest's
 //! `done` line arrives: the backend's `point` lines only record the
 //! cycles, and the `done` line settles the points with them and its
-//! `cached` count.  A backend that dies (its data connection drops), sits
-//! on a slice past the retry timeout, or answers `busy` has its slice
-//! reclaimed: points whose cycles it already reported settle as
+//! `cached` count.  A backend that dies (its data connection drops), goes
+//! silent on a slice for the retry timeout, or answers `busy` has its
+//! slice reclaimed: points whose cycles it already reported settle as
 //! delivered, uncached, and the whole slice is resent to the next ring
 //! owner, which relays only the points still unsettled.  A point settles
 //! only through its slice's `settled` bitmap, so it settles exactly once
@@ -59,11 +59,11 @@ use std::time::{Duration, Instant};
 /// searching the ring is negligible.
 const DEFAULT_VNODES: usize = 64;
 
-/// How long a dispatched, unsettled slice may sit on one backend before
-/// the watchdog reclaims it.  Deliberately generous: death detection (the
-/// dropped connection) is the fast path, and a false timeout only costs a
-/// redundant deterministic simulation (or a finished point's `cached`
-/// flag).
+/// How long a backend may go without a reply on a dispatched, unsettled
+/// slice before the watchdog reclaims it.  Deliberately generous: death
+/// detection (the dropped connection) is the fast path, and a false
+/// timeout only costs a redundant deterministic simulation (or a finished
+/// point's `cached` flag).
 const DEFAULT_RETRY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Watchdog scan period.
@@ -188,8 +188,9 @@ struct PendingSlice {
     md_index: usize,
     /// The backend currently responsible for the slice.
     backend: usize,
-    /// When the current dispatch was written (watchdog timeout base).
-    dispatched: Instant,
+    /// When the current backend last showed progress on the slice — its
+    /// dispatch or its latest reply (the watchdog's timeout base).
+    progress: Instant,
     /// Per point, what the current backend reported ahead of its `done`:
     /// the cycles of its `point` line, or the message of its `point …
     /// failed:` error line.
@@ -220,8 +221,8 @@ struct CoordInner {
     redispatched_points: AtomicU64,
     backend_deaths: AtomicU64,
     backend_reply_errors: AtomicU64,
-    /// Unsettled points whose slice sat too long on one backend and was
-    /// reclaimed by the watchdog.
+    /// Unsettled points whose slice went silent on one backend for the
+    /// retry timeout and was reclaimed by the watchdog.
     coordinator_timeouts: AtomicU64,
     /// Client requests whose `deadline_ms` expired here.
     timeout_requests: AtomicU64,
@@ -249,8 +250,8 @@ impl Coordinator {
         Coordinator::connect_with(addrs, DEFAULT_RETRY_TIMEOUT)
     }
 
-    /// [`Coordinator::connect`] reclaiming slices that sit unsettled on one
-    /// backend longer than `retry_timeout`.
+    /// [`Coordinator::connect`] reclaiming slices whose backend sends no
+    /// reply on them for `retry_timeout`.
     ///
     /// # Errors
     ///
@@ -350,7 +351,7 @@ impl SweepBackend for Coordinator {
                 route: Arc::clone(&route),
                 md_index,
                 backend: 0,
-                dispatched: Instant::now(),
+                progress: Instant::now(),
                 replies: vec![None; points],
                 settled: vec![false; points],
                 avoid: None,
@@ -457,11 +458,14 @@ impl SweepBackend for Coordinator {
     }
 
     /// Stops admitting sweeps and forwards the shutdown to every backend
-    /// over ephemeral control connections (drain lets their in-flight
-    /// subrequests finish; abort cancels them — either way their `done`
-    /// lines settle this side's accounting).
+    /// over control connections.  Drain mode waits for the dispatched
+    /// slices to settle first (a stopping backend refuses slice lines it
+    /// has not read yet); in abort mode their `done` lines settle them.
     fn shutdown(&self, mode: ShutdownMode) {
         self.inner.shutting_down.store(true, Ordering::Release);
+        while mode == ShutdownMode::Drain && self.pending_points() > 0 {
+            std::thread::sleep(WATCHDOG_POLL);
+        }
         let line = format!("shutdown mode={mode}");
         for backend in &self.inner.backends {
             let _ = control_roundtrip(&backend.addr, &line);
@@ -469,7 +473,7 @@ impl SweepBackend for Coordinator {
     }
 
     fn is_shutting_down(&self) -> bool {
-        self.inner.is_shutting_down()
+        self.inner.shutting_down.load(Ordering::Acquire)
     }
 
     fn in_flight(&self) -> usize {
@@ -544,10 +548,6 @@ impl CoordInner {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
     /// Writes one protocol line on a backend's data connection, line and
     /// newline in one `write` (a separate newline would wait out the
     /// backend's delayed ACK under Nagle).  `false` means the backend is
@@ -581,7 +581,8 @@ impl CoordInner {
         let md = route.request.mds[slice.md_index];
         let digest = route.request.placement_digest(md);
         loop {
-            if route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
+            if route.cancelled.load(Ordering::Acquire) || self.shutting_down.load(Ordering::Acquire)
+            {
                 slice.settle_all(|index| SweepEvent::Skipped { index });
                 return;
             }
@@ -609,7 +610,7 @@ impl CoordInner {
             let line = slice_line(&route.request, md, &subid);
             let points = slice.unsettled() as u64;
             slice.backend = backend;
-            slice.dispatched = Instant::now();
+            slice.progress = Instant::now();
             slice.replies.fill(None);
             self.lock_pending().insert(subid.clone(), slice);
             if self.write_backend(backend, &line) {
@@ -662,11 +663,11 @@ impl CoordInner {
         }
     }
 
-    /// Removes and returns every pending slice `matches` selects.
-    fn take_pending(&self, matches: impl Fn(&PendingSlice) -> bool) -> Vec<PendingSlice> {
-        let mut pending = self.lock_pending();
-        let taken = pending.extract_if(|_, slice| matches(slice));
-        taken.map(|(_, slice)| slice).collect()
+    /// Removes every pending slice `matches` selects, with its subrequest id.
+    fn take_pending(&self, matches: impl Fn(&PendingSlice) -> bool) -> Vec<(String, PendingSlice)> {
+        self.lock_pending()
+            .extract_if(|_, slice| matches(slice))
+            .collect()
     }
 
     /// Declares a backend dead: tears down its connection, then reclaims
@@ -684,7 +685,7 @@ impl CoordInner {
             return;
         }
         self.backend_deaths.fetch_add(1, Ordering::Relaxed);
-        for slice in self.take_pending(|slice| slice.backend == backend) {
+        for (_, slice) in self.take_pending(|slice| slice.backend == backend) {
             self.reclaim(slice, None);
         }
     }
@@ -735,19 +736,19 @@ impl CoordInner {
 
     /// Records what a backend reported for point `index` of a slice
     /// ahead of its `done`: the cycles of a `point` line, or the message
-    /// of a `point <index> failed:` error.  An index outside the slice is
-    /// a reply error.
+    /// of a `point <index> failed:` error; it restarts the slice's
+    /// watchdog clock.  An index outside the slice is a reply error.
     fn note_reply(&self, subid: &str, index: usize, reply: Result<Cycle, &str>) {
         let mut pending = self.lock_pending();
         let Some(slice) = pending.get_mut(subid) else {
             return;
         };
-        match slice.replies.get_mut(index) {
-            Some(slot) => *slot = Some(reply.map_err(str::to_string)),
-            None => {
-                self.backend_reply_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let Some(slot) = slice.replies.get_mut(index) else {
+            self.backend_reply_errors.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        *slot = Some(reply.map_err(str::to_string));
+        slice.progress = Instant::now();
     }
 
     /// A subrequest's closing `done` line: settle its slice.  Points with
@@ -759,17 +760,19 @@ impl CoordInner {
             return;
         };
         slice.deliver_reported(cached);
-        // `failed` falls on the points the backend named first.
-        let mut order: Vec<usize> = (0..slice.replies.len()).collect();
-        order.sort_by_key(|&j| !matches!(slice.replies[j], Some(Err(_))));
-        for j in order {
+        for j in 0..slice.replies.len() {
+            let Some(Err(message)) = slice.replies[j].take() else {
+                continue;
+            };
+            if failed > 0 && slice.settle(j, |index| SweepEvent::Failed { index, message }) {
+                failed -= 1;
+            }
+        }
+        for j in 0..slice.replies.len() {
             if failed == 0 {
                 break;
             }
-            let message = match slice.replies[j].take() {
-                Some(Err(message)) => message,
-                _ => "backend simulation failed".to_string(),
-            };
+            let message = "backend simulation failed".to_string();
             if slice.settle(j, |index| SweepEvent::Failed { index, message }) {
                 failed -= 1;
             }
@@ -797,13 +800,17 @@ impl CoordInner {
         }
     }
 
-    /// One watchdog pass: reclaim slices older than the retry timeout,
-    /// re-dispatching their unfinished points away from the slow backend.
+    /// One watchdog pass: reclaim each slice its backend has been silent
+    /// on for the retry timeout, cancelling that backend's copy.
     fn scan_timeouts(&self) {
-        for slice in self.take_pending(|slice| slice.dispatched.elapsed() >= self.retry_timeout) {
+        let silent = |slice: &PendingSlice| slice.progress.elapsed() >= self.retry_timeout;
+        for (subid, slice) in self.take_pending(silent) {
             self.coordinator_timeouts
                 .fetch_add(slice.unsettled() as u64, Ordering::Relaxed);
             let slow = slice.backend;
+            if !self.write_backend(slow, &format!("cancel id={subid}")) {
+                self.mark_dead(slow);
+            }
             self.reclaim(slice, Some(slow));
         }
     }

@@ -27,8 +27,8 @@
 //!                                survivors (composes with every mode above;
 //!                                the session flags do not apply — caching
 //!                                happens on the backends)
-//!       --retry-timeout-ms N     coordinator only: reclaim a slice that
-//!                                sat unsettled on one backend this long
+//!       --retry-timeout-ms N     coordinator only: reclaim a slice whose
+//!                                backend sent no reply on it this long
 //!                                (default 30000)
 //! ```
 //!

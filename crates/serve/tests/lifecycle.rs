@@ -7,10 +7,12 @@
 //!
 //! Through the coordinator, a grid goes out as one line per MD slice, a
 //! repeated grid is answered from the backends' caches, the retry
-//! watchdog is driven against a backend that never answers, a backend
-//! that dies after some or all of a slice's `point` lines still settles
-//! every point exactly once, and replies naming points outside their
-//! slice are counted, not obeyed.
+//! watchdog reclaims (and cancels) a slice from a backend that never
+//! answers but leaves one that answers slowly alone, a failing point
+//! fails only its own client index, a backend that dies after some or
+//! all of a slice's `point` lines still settles every point exactly
+//! once, and replies naming points outside their slice are counted, not
+//! obeyed.
 //!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
@@ -295,7 +297,7 @@ fn oracle(line: &str) -> (SweepRequest, Vec<u64>, usize) {
 
 /// Serves `line` through `coordinator` on its own thread, failing after
 /// five seconds instead of hanging, and returns the grid's cycles by index
-/// (each index at most once) and its `done` lines.
+/// (each index at most once) and its `error` and `done` lines.
 fn serve_grid(coordinator: &Arc<Coordinator>, line: &str) -> (Vec<Option<u64>>, Vec<Response>) {
     let Ok(Request::Sweep(request)) = parse_request(line) else {
         panic!("not a sweep: {line}");
@@ -320,7 +322,7 @@ fn serve_grid(coordinator: &Arc<Coordinator>, line: &str) -> (Vec<Option<u64>>, 
             } => {
                 assert!(cycles[index].replace(c).is_none(), "point {index} twice");
             }
-            d @ Response::Done { .. } => done.push(d),
+            d @ (Response::Done { .. } | Response::Error { .. }) => done.push(d),
             other => panic!("unexpected: {other:?}"),
         }
     }
@@ -372,14 +374,16 @@ fn a_repeated_grid_is_answered_from_the_backends_caches() {
 /// A stub backend on an ephemeral port.  Each sweep line on the
 /// coordinator's data connection is handed to `answer` with the
 /// connection to reply on; the connection closes once `answer` returns
-/// `false`.  Control connections close at once, so `stats` does not wait
-/// out the control timeout.  Returns its address.
-fn stub_backend<F>(mut answer: F) -> String
+/// `false`.  Each `cancel` line's id goes to the returned receiver.
+/// Control connections close at once, so `stats` does not wait out the
+/// control timeout.  Returns its address and the cancelled ids.
+fn stub_backend<F>(mut answer: F) -> (String, mpsc::Receiver<String>)
 where
     F: FnMut(SweepRequest, &mut TcpStream) -> bool + Send + 'static,
 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
     let addr = listener.local_addr().expect("stub addr").to_string();
+    let (cancels, cancelled) = mpsc::channel();
     std::thread::spawn(move || {
         let mut incoming = listener.incoming();
         let Some(Ok(data)) = incoming.next() else {
@@ -389,11 +393,16 @@ where
             let mut writer = data.try_clone().expect("clone the stub connection");
             for line in BufReader::new(data).lines() {
                 let line = line.expect("read a subrequest");
-                let Ok(Request::Sweep(sub)) = parse_request(&line) else {
-                    panic!("not a sweep: {line}");
-                };
-                if !answer(sub, &mut writer) {
-                    return;
+                match parse_request(&line) {
+                    Ok(Request::Sweep(sub)) => {
+                        if !answer(sub, &mut writer) {
+                            return;
+                        }
+                    }
+                    Ok(Request::Cancel { id }) => {
+                        let _ = cancels.send(id);
+                    }
+                    _ => panic!("neither a sweep nor a cancel: {line}"),
                 }
             }
         });
@@ -401,7 +410,7 @@ where
             drop(control);
         }
     });
-    addr
+    (addr, cancelled)
 }
 
 /// The `point` line a backend sends for index `index` of `sub`, with the
@@ -419,10 +428,16 @@ fn point_line(sub: &SweepRequest, index: usize, cycles: &HashMap<Coordinate, u64
 }
 
 /// Answers `sub` as a cache-off backend would: every point with the
-/// oracle's cycles, then one balanced `done`.
-fn answer_all(sub: &SweepRequest, cycles: &HashMap<Coordinate, u64>, out: &mut TcpStream) {
+/// oracle's cycles, each after `pace`, then one balanced `done`.
+fn answer_all(
+    sub: &SweepRequest,
+    cycles: &HashMap<Coordinate, u64>,
+    out: &mut TcpStream,
+    pace: Duration,
+) {
     let points = sub.grid().len();
     for index in 0..points {
+        std::thread::sleep(pace);
         writeln!(out, "{}", point_line(sub, index, cycles)).expect("answer");
     }
     let done = Response::Done {
@@ -440,7 +455,8 @@ fn answer_all(sub: &SweepRequest, cycles: &HashMap<Coordinate, u64>, out: &mut T
 
 /// The retry watchdog re-dispatches points a backend sits on: over a real
 /// backend and one that never answers, a grid placed on both still
-/// completes, balanced and bit-for-bit equal to a cache-off reference.
+/// completes, balanced and bit-for-bit equal to a cache-off reference,
+/// and the silent backend is sent a `cancel` for the slice it held.
 #[test]
 fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     let _guard = faults();
@@ -451,7 +467,8 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
         "the grid must span both backends"
     );
 
-    let silent = stub_backend(|_, _| true);
+    let (held_tx, held) = mpsc::channel();
+    let (silent, cancelled) = stub_backend(move |sub, _| held_tx.send(sub.id).is_ok());
     let addrs = [in_process_backend(), silent];
     let coordinator =
         Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(200)).expect("connect"));
@@ -464,6 +481,96 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     let timeouts = stat(&*coordinator, "coordinator_timeouts");
     assert!(timeouts >= 1, "the watchdog must have fired");
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
+    let held: Vec<String> = held.try_iter().collect();
+    assert_eq!(held.len(), 1, "one slice reached the silent backend");
+    let cancel = cancelled.recv_timeout(Duration::from_secs(5));
+    assert_eq!(cancel.ok(), held.first().cloned(), "its slice is cancelled");
+}
+
+/// The watchdog times a slice by its backend's progress, not from its
+/// dispatch: a backend that answers its 6-point slice one point every
+/// 100 ms — 600 ms in all — under a 300 ms retry timeout keeps the slice,
+/// and the grid completes with no timeout and no re-dispatch.
+#[test]
+fn the_watchdog_leaves_a_slowly_answering_backend_its_slice() {
+    let _guard = faults();
+    let (request, expected, on_second) = oracle(FLEET_GRID);
+    assert_eq!(on_second, expected.len() / 2, "one 6-point slice each");
+    let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
+    let (slow, _) = stub_backend(move |sub, out| {
+        answer_all(&sub, &by_point, out, Duration::from_millis(100));
+        true
+    });
+    let addrs = [in_process_backend(), slow];
+    let coordinator =
+        Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(300)).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(cycles, expected, "slowly answered grid vs the oracle");
+    assert_one_ok_done(&done, points, 0);
+    assert_eq!(stat(&*coordinator, "coordinator_timeouts"), 0);
+    assert_eq!(stat(&*coordinator, "redispatched_points"), 0);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// A point that fails on a backend fails only its own client index: over
+/// a two-backend fleet whose first simulated point panics, exactly one
+/// index arrives as an `error` line carrying the backend's message under
+/// the client-side index, every other index carries the oracle's cycles,
+/// nothing is re-dispatched, and the `done` is `failed=1 status=error`.
+#[test]
+fn a_failing_point_fails_only_its_own_client_index() {
+    let _guard = faults();
+    let (_, expected, _) = oracle(FLEET_GRID);
+    let coordinator = in_process_fleet();
+    fault::panic_on_nth_start(1);
+    let (cycles, closing) = serve_grid(&coordinator, FLEET_GRID);
+    fault::reset();
+
+    let missing: Vec<usize> = (0..cycles.len()).filter(|&i| cycles[i].is_none()).collect();
+    let [failed_index] = missing[..] else {
+        panic!("exactly one index must fail: {missing:?}");
+    };
+    for (index, (got, want)) in cycles.iter().zip(&expected).enumerate() {
+        if index != failed_index {
+            assert_eq!(*got, Some(*want), "delivered point {index}");
+        }
+    }
+    let [Response::Error {
+        id: Some(id),
+        message,
+    }, Response::Done {
+        points,
+        delivered,
+        dropped,
+        aborted,
+        failed,
+        status,
+        ..
+    }] = &closing[..]
+    else {
+        panic!("one error line, then one done line: {closing:?}");
+    };
+    assert_eq!(id, "fleet");
+    let prefix = format!("point {failed_index} failed: ");
+    assert!(
+        message.starts_with(&prefix) && message.contains("injected fault"),
+        "the backend's message under the client index: {message}"
+    );
+    assert_eq!(
+        (*points, *delivered, *dropped, *aborted, *failed, *status),
+        (
+            expected.len(),
+            expected.len() - 1,
+            0,
+            0,
+            1,
+            DoneStatus::Error
+        )
+    );
+    assert_eq!(stat(&*coordinator, "redispatched_points"), 0);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 
 /// A backend that answers the first `answers` points of the slice lines
@@ -471,7 +578,7 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
 /// connection before any `done`.  Returns its address.
 fn dying_backend(answers: usize, cycles: HashMap<Coordinate, u64>) -> String {
     let mut answered = 0;
-    stub_backend(move |sub, out| {
+    let (addr, _) = stub_backend(move |sub, out| {
         for index in 0..sub.grid().len() {
             if answered == answers {
                 break;
@@ -480,7 +587,8 @@ fn dying_backend(answers: usize, cycles: HashMap<Coordinate, u64>) -> String {
             answered += 1;
         }
         answered < answers
-    })
+    });
+    addr
 }
 
 /// Serves `FLEET_GRID` beside a backend that answers the first
@@ -539,11 +647,12 @@ fn a_grid_is_forwarded_as_one_line_per_slice() {
     let received = Arc::new(Mutex::new(Vec::new()));
     let recording = || {
         let (received, cycles) = (Arc::clone(&received), by_point.clone());
-        stub_backend(move |sub, out| {
-            answer_all(&sub, &cycles, out);
+        let (addr, _) = stub_backend(move |sub, out| {
+            answer_all(&sub, &cycles, out, Duration::ZERO);
             received.lock().expect("record").push(sub);
             true
-        })
+        });
+        addr
     };
     let addrs = [recording(), recording()];
     let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
@@ -576,7 +685,7 @@ fn out_of_range_slice_replies_are_counted_not_obeyed() {
     let (request, expected, on_second) = oracle(FLEET_GRID);
     assert!(on_second > 0 && on_second < expected.len(), "spans both");
     let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
-    let garbling = stub_backend(move |sub, out| {
+    let (garbling, _) = stub_backend(move |sub, out| {
         let mut past_end = point_line(&sub, 0, &by_point);
         if let Response::Point { index, .. } = &mut past_end {
             *index = sub.grid().len();
@@ -586,7 +695,7 @@ fn out_of_range_slice_replies_are_counted_not_obeyed() {
             message: "point 99 failed: x".to_string(),
         };
         writeln!(out, "{past_end}\n{bad_failure}").expect("answer");
-        answer_all(&sub, &by_point, out);
+        answer_all(&sub, &by_point, out, Duration::ZERO);
         true
     });
     let addrs = [in_process_backend(), garbling];
