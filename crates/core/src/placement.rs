@@ -13,8 +13,9 @@
 //! processes agree on it.
 //!
 //! The `dae-serve` shard coordinator does not lower traces, so it places
-//! whole `(program, MD)` slices by the same `FxHasher` construction over
-//! the request text instead (`SweepRequest::placement_digest`).  Placing
+//! whole client grids by the same `FxHasher` construction over the
+//! request's trace and iterations instead
+//! (`SweepRequest::placement_digest`).  Placing
 //! by this digest needs the lowered program's `TraceHash`.
 
 use crate::{Machine, WindowSpec};

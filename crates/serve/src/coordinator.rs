@@ -3,35 +3,39 @@
 //!
 //! `dae-serve --coordinator backend1,backend2,…` speaks the *same*
 //! newline-delimited protocol as a single server (`docs/PROTOCOL.md`) but
-//! owns no session of its own: each accepted grid is split into one
-//! *slice* per memory differential — its `machines × windows × {md}`
-//! subgrid, itself a valid `sweep` line — each slice is placed on a
-//! backend by consistent hashing over its request text
-//! ([`SweepRequest::placement_digest`] — trace source, iterations, MD),
-//! and the request-tagged replies are merged back into one client
-//! response.  Placement by the request text is the load-bearing choice: a
-//! repeated grid re-lands every repeated slice on the backend whose
-//! result cache already holds it, so a sharded deployment keeps the
-//! single-server warm-cache behaviour per shard, and the coordinator
-//! never lowers a trace.
+//! owns no session of its own: each accepted grid is forwarded whole, as
+//! one subrequest under a coordinator-issued `x<n>` id, to the backend
+//! that owns it on a consistent-hash ring
+//! ([`SweepRequest::placement_digest`] — trace source and iterations),
+//! and the backend's replies are relayed back under the client's id, with
+//! the same point indices.  Placement by the request text is the
+//! load-bearing choice: every grid over one program lands on the backend
+//! whose result cache already holds that program's points, so a sharded
+//! deployment keeps the single-server warm-cache behaviour per shard, and
+//! the coordinator never lowers a trace.  The trade: one grid runs on one
+//! backend, so a lone cold grid does not spread its MDs over the fleet;
+//! grids over different programs still spread.
 //!
 //! ## Fault model
 //!
-//! A slice's points are forwarded to the client when its subrequest's
+//! A grid's points are forwarded to the client when its subrequest's
 //! `done` line arrives: the backend's `point` lines only record the
 //! cycles, and the `done` line settles the points with them and its
-//! `cached` count.  A backend that dies (its data connection drops), goes
-//! silent on a slice for the retry timeout, or answers `busy` has its
-//! slice reclaimed: points whose cycles it already reported settle as
-//! delivered, uncached, and the whole slice is resent to the next ring
-//! owner, which relays only the points still unsettled.  A point settles
-//! only through its slice's `settled` bitmap, so it settles exactly once
-//! — delivered, dropped, aborted or failed — and the client's `done` line
-//! keeps the protocol invariant
+//! `cached` count, in one message to the request's drainer (so a
+//! cache-hot grid leaves the front end in one `write`).  A backend that
+//! dies (its data connection drops), goes silent on a subrequest for the
+//! retry timeout, answers `busy`, or refuses the subrequest (an `error`
+//! naming no point, such as `server is shutting down`) has it reclaimed:
+//! points whose cycles it already reported settle as delivered, uncached,
+//! and the whole grid is resent to the next ring owner — never again to a
+//! backend that refused it — which relays only the points still
+//! unsettled.  A point settles only through its grid's `settled` bitmap,
+//! so it settles exactly once — delivered, dropped, aborted or failed —
+//! and the client's `done` line keeps the protocol invariant
 //! `delivered + dropped + aborted + failed == points` through any
-//! combination of deaths, retries, cancels and deadlines.  Determinism
-//! makes re-dispatch safe: a re-simulated point produces bit-for-bit the
-//! cycles the dead backend would have reported.
+//! combination of deaths, refusals, retries, cancels and deadlines.
+//! Determinism makes re-dispatch safe: a re-simulated point produces
+//! bit-for-bit the cycles the dead backend would have reported.
 //!
 //! This module is designated in `dae-lint`'s panic-path rule: a malformed
 //! backend reply, a dead socket or a poisoned lock must degrade into a
@@ -60,7 +64,7 @@ use std::time::{Duration, Instant};
 const DEFAULT_VNODES: usize = 64;
 
 /// How long a backend may go without a reply on a dispatched, unsettled
-/// slice before the watchdog reclaims it.  Deliberately generous: death
+/// grid before the watchdog reclaims it.  Deliberately generous: death
 /// detection (the dropped connection) is the fast path, and a false
 /// timeout only costs a redundant deterministic simulation (or a finished
 /// point's `cached` flag).
@@ -167,28 +171,26 @@ struct Backend {
 /// a death sweep) needs to push results back to the request's drainer.
 #[derive(Debug)]
 struct RequestRoute {
-    /// The original client request (each slice's subrequest line is cut
-    /// from its source / iterations / grid / priority).
+    /// The original client request (its subrequest line is this request
+    /// under a coordinator id).
     request: SweepRequest,
-    /// Each point's one settling event, to the request's drainer thread.
-    tx: mpsc::Sender<SweepEvent>,
+    /// Each point's one settling event, to the request's drainer thread,
+    /// batched per settling operation: one message per batch.
+    tx: mpsc::Sender<Vec<SweepEvent>>,
     /// Set by client `cancel`, deadline expiry and dead-client cleanup;
     /// once set, reclaimed points settle as dropped instead of
     /// re-dispatching.
     cancelled: AtomicBool,
 }
 
-/// One dispatched slice with unsettled points: the `machines × windows`
-/// subgrid of a client request at one of its MDs.  Slice-local index `j`
-/// is client index `j * mds + md_index`.
+/// One dispatched client grid with unsettled points.  A point's index is
+/// the same on the backend and on the client.
 #[derive(Debug)]
-struct PendingSlice {
+struct PendingGrid {
     route: Arc<RequestRoute>,
-    /// The slice's position in the request's `mds`.
-    md_index: usize,
-    /// The backend currently responsible for the slice.
+    /// The backend currently responsible for the grid.
     backend: usize,
-    /// When the current backend last showed progress on the slice — its
+    /// When the current backend last showed progress on the grid — its
     /// dispatch or its latest reply (the watchdog's timeout base).
     progress: Instant,
     /// Per point, what the current backend reported ahead of its `done`:
@@ -198,9 +200,14 @@ struct PendingSlice {
     /// Per point, whether it has settled towards the client.  Kept across
     /// re-dispatches, and the only way a point settles.
     settled: Vec<bool>,
+    /// Events settled and not yet sent to the drainer.
+    settling: Vec<SweepEvent>,
     /// A backend to avoid on the next dispatch (the one that just timed
     /// out), unless it is the only survivor.
     avoid: Option<usize>,
+    /// Each backend that refused the subrequest, with its message: never
+    /// chosen for the grid again.
+    refusals: Vec<(usize, String)>,
 }
 
 /// Shared coordinator state: the fleet, the ring, and the subrequest
@@ -209,10 +216,10 @@ struct PendingSlice {
 struct CoordInner {
     backends: Vec<Backend>,
     partitioner: Partitioner,
-    /// subrequest id → slice with unsettled points.  The single routing
+    /// subrequest id → grid with unsettled points.  The single routing
     /// authority: whoever removes an entry (reply handler, death sweep,
     /// watchdog, failed dispatch) owns its settlement.
-    pending: Mutex<HashMap<String, PendingSlice>>,
+    pending: Mutex<HashMap<String, PendingGrid>>,
     next_subid: AtomicU64,
     shutting_down: AtomicBool,
     retry_timeout: Duration,
@@ -221,7 +228,7 @@ struct CoordInner {
     redispatched_points: AtomicU64,
     backend_deaths: AtomicU64,
     backend_reply_errors: AtomicU64,
-    /// Unsettled points whose slice went silent on one backend for the
+    /// Unsettled points whose grid went silent on one backend for the
     /// retry timeout and was reclaimed by the watchdog.
     coordinator_timeouts: AtomicU64,
     /// Client requests whose `deadline_ms` expired here.
@@ -250,7 +257,7 @@ impl Coordinator {
         Coordinator::connect_with(addrs, DEFAULT_RETRY_TIMEOUT)
     }
 
-    /// [`Coordinator::connect`] reclaiming slices whose backend sends no
+    /// [`Coordinator::connect`] reclaiming grids whose backend sends no
     /// reply on them for `retry_timeout`.
     ///
     /// # Errors
@@ -307,10 +314,10 @@ impl Coordinator {
     /// Feeds one backend reply line through the coordinator's parse and
     /// routing path — the entry point the reader threads use, public so
     /// the fuzz suite can drive it with malformed input.  Never panics:
-    /// unparsable lines and point indices outside their slice bump a
+    /// unparsable lines and point indices outside their grid bump a
     /// counter, and parsable lines for unknown subrequest ids are ignored
     /// (they are the expected residue of re-dispatched or cancelled
-    /// slices).
+    /// grids).
     pub fn handle_backend_reply(&self, line: &str) {
         self.inner.handle_backend_reply(line);
     }
@@ -321,14 +328,13 @@ impl Coordinator {
         self.inner
             .lock_pending()
             .values()
-            .map(PendingSlice::unsettled)
+            .map(PendingGrid::unsettled)
             .sum()
     }
 }
 
-/// The fleet backend: each slice of a grid is forwarded to the backend
-/// owning its placement digest, and the replies settle through the
-/// routing map.
+/// The fleet backend: each grid is forwarded whole to the backend owning
+/// its placement digest, and the replies settle through the routing map.
 impl SweepBackend for Coordinator {
     type Client<'a> = ();
 
@@ -345,23 +351,26 @@ impl SweepBackend for Coordinator {
             tx,
             cancelled: AtomicBool::new(false),
         });
-        let points = request.machines.len() * request.windows.len();
-        for md_index in 0..request.mds.len() {
-            self.inner.dispatch(PendingSlice {
+        let points = request.grid().len();
+        self.inner.dispatch(
+            PendingGrid {
                 route: Arc::clone(&route),
-                md_index,
                 backend: 0,
                 progress: Instant::now(),
                 replies: vec![None; points],
                 settled: vec![false; points],
+                settling: Vec::new(),
                 avoid: None,
-            });
-        }
+                refusals: Vec::new(),
+            },
+            false,
+        );
         Ok(Box::new(RouteEvents {
             inner: Arc::clone(&self.inner),
-            settled: 0,
             route,
             rx,
+            received: Vec::new().into_iter(),
+            settled: 0,
         }))
     }
 
@@ -459,8 +468,9 @@ impl SweepBackend for Coordinator {
 
     /// Stops admitting sweeps and forwards the shutdown to every backend
     /// over control connections.  Drain mode waits for the dispatched
-    /// slices to settle first (a stopping backend refuses slice lines it
-    /// has not read yet); in abort mode their `done` lines settle them.
+    /// grids to settle first (a stopping backend refuses subrequest lines
+    /// it has not read yet); in abort mode their `done` lines, or the
+    /// backends' refusals, settle them.
     fn shutdown(&self, mode: ShutdownMode) {
         self.inner.shutting_down.store(true, Ordering::Release);
         while mode == ShutdownMode::Drain && self.pending_points() > 0 {
@@ -487,11 +497,15 @@ impl SweepBackend for Coordinator {
 
 /// One coordinated request's settlement channel, as the shared drainer
 /// sees it: one event per point, exhausted once every point has settled.
+/// Each message carries one settling operation's events; they are handed
+/// out without waiting, so the drainer never sees an operation half done.
 struct RouteEvents {
     inner: Arc<CoordInner>,
     route: Arc<RequestRoute>,
-    rx: mpsc::Receiver<SweepEvent>,
-    /// Events (settlements) received so far.
+    rx: mpsc::Receiver<Vec<SweepEvent>>,
+    /// The rest of the last message received.
+    received: std::vec::IntoIter<SweepEvent>,
+    /// Events (settlements) handed out so far.
     settled: usize,
 }
 
@@ -500,19 +514,22 @@ impl SweepEvents for RouteEvents {
         if self.settled == self.route.request.grid().len() {
             return StreamWait::Exhausted;
         }
-        let received = match deadline {
-            Some(at) => self
-                .rx
-                .recv_timeout(at.saturating_duration_since(Instant::now())),
-            None => self.rx.recv().map_err(RecvTimeoutError::from),
-        };
-        match received {
-            Ok(event) => {
+        loop {
+            if let Some(event) = self.received.next() {
                 self.settled += 1;
-                StreamWait::Event(event)
+                return StreamWait::Event(event);
             }
-            Err(RecvTimeoutError::Timeout) => StreamWait::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => StreamWait::Exhausted,
+            let received = match deadline {
+                Some(at) => self
+                    .rx
+                    .recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => self.rx.recv().map_err(RecvTimeoutError::from),
+            };
+            match received {
+                Ok(events) => self.received = events.into_iter(),
+                Err(RecvTimeoutError::Timeout) => return StreamWait::TimedOut,
+                Err(RecvTimeoutError::Disconnected) => return StreamWait::Exhausted,
+            }
         }
     }
 
@@ -544,7 +561,7 @@ impl CoordInner {
 
     /// The routing map, recovering from poisoning (every mutation under
     /// it is transactional: whole-entry inserts and removes).
-    fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingSlice>> {
+    fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingGrid>> {
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -571,26 +588,29 @@ impl CoordInner {
         ok
     }
 
-    /// Dispatches (or re-dispatches) one slice: picks a live backend by
-    /// the slice's placement digest, registers the subrequest in the
-    /// routing map, and writes the slice's sweep line.  Falls back across
-    /// backends on write failure; settles the unsettled points as dropped
-    /// under cancellation/shutdown and as failed when no backend survives.
-    fn dispatch(&self, mut slice: PendingSlice) {
-        let route = Arc::clone(&slice.route);
-        let md = route.request.mds[slice.md_index];
-        let digest = route.request.placement_digest(md);
+    /// Dispatches (or re-dispatches) one grid: picks a live backend by the
+    /// request's placement digest, registers the subrequest in the
+    /// routing map, and writes the request's sweep line.  Falls back
+    /// across backends on write failure; settles the unsettled points as
+    /// dropped under cancellation/shutdown and as failed when no backend
+    /// that has not refused the grid survives.  A `resend` that reaches a
+    /// backend counts its points as re-dispatched.
+    fn dispatch(&self, mut grid: PendingGrid, resend: bool) {
+        let route = Arc::clone(&grid.route);
+        let digest = route.request.placement_digest();
         loop {
             if route.cancelled.load(Ordering::Acquire) || self.shutting_down.load(Ordering::Acquire)
             {
-                slice.settle_all(|index| SweepEvent::Skipped { index });
+                grid.settle_all(|index| SweepEvent::Skipped { index });
                 return;
             }
-            let avoid = slice.avoid.take();
+            let avoid = grid.avoid.take();
             let eligible = |b: usize| {
-                self.backends
-                    .get(b)
-                    .is_some_and(|backend| backend.alive.load(Ordering::Acquire))
+                !grid.refusals.iter().any(|&(refuser, _)| refuser == b)
+                    && self
+                        .backends
+                        .get(b)
+                        .is_some_and(|backend| backend.alive.load(Ordering::Acquire))
             };
             let choice = match avoid {
                 Some(avoided) => self
@@ -600,21 +620,29 @@ impl CoordInner {
                 None => self.partitioner.assign_among(digest, eligible),
             };
             let Some(backend) = choice else {
-                slice.settle_all(|index| SweepEvent::Failed {
+                let message = match grid.refusals.pop() {
+                    Some((_, message)) => message,
+                    None => "no backends available".to_string(),
+                };
+                grid.settle_all(|index| SweepEvent::Failed {
                     index,
-                    message: "no backends available".to_string(),
+                    message: message.clone(),
                 });
                 return;
             };
             let subid = format!("x{}", self.next_subid.fetch_add(1, Ordering::Relaxed));
-            let line = slice_line(&route.request, md, &subid);
-            let points = slice.unsettled() as u64;
-            slice.backend = backend;
-            slice.progress = Instant::now();
-            slice.replies.fill(None);
-            self.lock_pending().insert(subid.clone(), slice);
+            let line = subrequest_line(&route.request, &subid);
+            let points = grid.unsettled() as u64;
+            grid.backend = backend;
+            grid.progress = Instant::now();
+            grid.replies.fill(None);
+            self.lock_pending().insert(subid.clone(), grid);
             if self.write_backend(backend, &line) {
                 self.forwarded_points.fetch_add(points, Ordering::Relaxed);
+                if resend {
+                    self.redispatched_points
+                        .fetch_add(points, Ordering::Relaxed);
+                }
                 return;
             }
             // The write failed: reclaim the entry (unless the death sweep
@@ -623,55 +651,58 @@ impl CoordInner {
             let reclaimed = self.lock_pending().remove(&subid);
             self.mark_dead(backend);
             match reclaimed {
-                Some(s) => slice = s,
+                Some(g) => grid = g,
                 None => return,
             }
         }
     }
 
-    /// Takes a slice off a dead, slow or `busy` backend: points with
-    /// reported cycles settle as delivered, uncached (only the backend's
-    /// `done` was lost), and the rest go to [`CoordInner::settle_rest`].
-    fn reclaim(&self, mut slice: PendingSlice, avoid: Option<usize>) {
-        slice.deliver_reported(0);
-        self.settle_rest(slice, 0, avoid);
+    /// Takes a grid off a dead, slow, `busy` or refusing backend: points
+    /// with reported cycles settle as delivered, uncached (only the
+    /// backend's `done` was lost), and the rest go to
+    /// [`CoordInner::settle_rest`].
+    fn reclaim(&self, mut grid: PendingGrid, avoid: Option<usize>) {
+        grid.deliver_reported(0);
+        self.settle_rest(grid, 0, avoid);
     }
 
-    /// Settles or resends what a backend left unsettled of a slice.  Under
-    /// cancellation the first `aborted` points settle as aborted and the
-    /// rest as dropped.  Otherwise the client still needs them — a
-    /// backend-side abort, a lost `point` line, a death or a timeout — so
-    /// the whole slice is resent to the ring owner, away from `avoid` when
+    /// Settles or resends what a backend left unsettled of a grid, after
+    /// sending the drainer what the caller settled.  Under cancellation
+    /// the first `aborted` points settle as aborted and the rest as
+    /// dropped.  Otherwise the client still needs them — a backend-side
+    /// abort, a lost `point` line, a death, a refusal or a timeout — so
+    /// the whole grid is resent to the ring owner, away from `avoid` when
     /// another backend survives.
-    fn settle_rest(&self, mut slice: PendingSlice, mut aborted: usize, avoid: Option<usize>) {
-        if slice.route.cancelled.load(Ordering::Acquire) {
-            for j in 0..slice.settled.len() {
+    fn settle_rest(&self, mut grid: PendingGrid, mut aborted: usize, avoid: Option<usize>) {
+        let cancelled = grid.route.cancelled.load(Ordering::Acquire);
+        if cancelled {
+            for j in 0..grid.settled.len() {
                 let abort = aborted > 0;
                 let event = |index| match abort {
                     true => SweepEvent::Aborted { index },
                     false => SweepEvent::Skipped { index },
                 };
-                if slice.settle(j, event) && abort {
+                if grid.settle(j, event) && abort {
                     aborted -= 1;
                 }
             }
-        } else if slice.unsettled() > 0 {
-            self.redispatched_points
-                .fetch_add(slice.unsettled() as u64, Ordering::Relaxed);
-            slice.avoid = avoid;
-            self.dispatch(slice);
+        }
+        grid.send_settled();
+        if !cancelled && grid.unsettled() > 0 {
+            grid.avoid = avoid;
+            self.dispatch(grid, true);
         }
     }
 
-    /// Removes every pending slice `matches` selects, with its subrequest id.
-    fn take_pending(&self, matches: impl Fn(&PendingSlice) -> bool) -> Vec<(String, PendingSlice)> {
+    /// Removes every pending grid `matches` selects, with its subrequest id.
+    fn take_pending(&self, matches: impl Fn(&PendingGrid) -> bool) -> Vec<(String, PendingGrid)> {
         self.lock_pending()
-            .extract_if(|_, slice| matches(slice))
+            .extract_if(|_, grid| matches(grid))
             .collect()
     }
 
     /// Declares a backend dead: tears down its connection, then reclaims
-    /// every slice routed to it.
+    /// every grid routed to it.
     fn mark_dead(&self, backend: usize) {
         let Some(slot) = self.backends.get(backend) else {
             return;
@@ -685,8 +716,8 @@ impl CoordInner {
             return;
         }
         self.backend_deaths.fetch_add(1, Ordering::Relaxed);
-        for (_, slice) in self.take_pending(|slice| slice.backend == backend) {
-            self.reclaim(slice, None);
+        for (_, grid) in self.take_pending(|grid| grid.backend == backend) {
+            self.reclaim(grid, None);
         }
     }
 
@@ -713,71 +744,83 @@ impl CoordInner {
             Ok(Response::Error {
                 id: Some(id),
                 message,
-            }) => {
-                if let Some((index, message)) = point_failure(&message) {
-                    self.note_reply(&id, index, Err(message));
-                }
-            }
-            // Never queued there: resend the slice (the ring walk lands on
+            }) => match point_failure(&message) {
+                Some((index, message)) => self.note_reply(&id, index, Err(message)),
+                // The subrequest was refused whole and no `done` follows:
+                // resend it elsewhere now, not after the retry timeout.
+                None => self.refuse(&id, message),
+            },
+            // Never queued there: resend the grid (the ring walk lands on
             // the same backend once its queue drains, or elsewhere if it
             // died meanwhile).
             Ok(Response::Busy { id, .. }) => {
                 let reclaimed = self.lock_pending().remove(&id);
-                if let Some(slice) = reclaimed {
-                    self.reclaim(slice, None);
+                if let Some(grid) = reclaimed {
+                    self.reclaim(grid, None);
                 }
             }
-            // Cancel acknowledgements, errors that name no point (the
-            // `done` counts settle those) and control replies that strayed
-            // onto the data connection carry no routing information.
+            // Cancel acknowledgements and control replies that strayed onto
+            // the data connection carry no routing information.
             Ok(_) => {}
         }
     }
 
-    /// Records what a backend reported for point `index` of a slice
-    /// ahead of its `done`: the cycles of a `point` line, or the message
-    /// of a `point <index> failed:` error; it restarts the slice's
-    /// watchdog clock.  An index outside the slice is a reply error.
+    /// Records what a backend reported for point `index` of a grid ahead
+    /// of its `done`: the cycles of a `point` line, or the message of a
+    /// `point <index> failed:` error; it restarts the grid's watchdog
+    /// clock.  An index outside the grid is a reply error.
     fn note_reply(&self, subid: &str, index: usize, reply: Result<Cycle, &str>) {
         let mut pending = self.lock_pending();
-        let Some(slice) = pending.get_mut(subid) else {
+        let Some(grid) = pending.get_mut(subid) else {
             return;
         };
-        let Some(slot) = slice.replies.get_mut(index) else {
+        let Some(slot) = grid.replies.get_mut(index) else {
             self.backend_reply_errors.fetch_add(1, Ordering::Relaxed);
             return;
         };
         *slot = Some(reply.map_err(str::to_string));
-        slice.progress = Instant::now();
+        grid.progress = Instant::now();
     }
 
-    /// A subrequest's closing `done` line: settle its slice.  Points with
+    /// A subrequest's closing `done` line: settle its grid.  Points with
     /// reported cycles are delivered, the first `cached` as cache hits;
     /// `failed` of the rest fail, those the backend named in an `error`
     /// line first; what is left goes to [`CoordInner::settle_rest`].
     fn settle_done(&self, subid: &str, aborted: usize, mut failed: usize, cached: u64) {
-        let Some(mut slice) = self.lock_pending().remove(subid) else {
+        let Some(mut grid) = self.lock_pending().remove(subid) else {
             return;
         };
-        slice.deliver_reported(cached);
-        for j in 0..slice.replies.len() {
-            let Some(Err(message)) = slice.replies[j].take() else {
+        grid.deliver_reported(cached);
+        for j in 0..grid.replies.len() {
+            let Some(Err(message)) = grid.replies[j].take() else {
                 continue;
             };
-            if failed > 0 && slice.settle(j, |index| SweepEvent::Failed { index, message }) {
+            if failed > 0 && grid.settle(j, |index| SweepEvent::Failed { index, message }) {
                 failed -= 1;
             }
         }
-        for j in 0..slice.replies.len() {
+        for j in 0..grid.replies.len() {
             if failed == 0 {
                 break;
             }
             let message = "backend simulation failed".to_string();
-            if slice.settle(j, |index| SweepEvent::Failed { index, message }) {
+            if grid.settle(j, |index| SweepEvent::Failed { index, message }) {
                 failed -= 1;
             }
         }
-        self.settle_rest(slice, aborted, None);
+        self.settle_rest(grid, aborted, None);
+    }
+
+    /// A subrequest refused whole by its backend (an `error` line naming
+    /// no point, such as `server is shutting down`): reclaim it at once,
+    /// never to return to that backend.  With no other backend left, its
+    /// unsettled points fail with the backend's message.
+    fn refuse(&self, subid: &str, message: String) {
+        let Some(mut grid) = self.lock_pending().remove(subid) else {
+            return;
+        };
+        grid.refusals.push((grid.backend, message));
+        self.reclaim(grid, None);
     }
 
     /// Cancels one request: flags the route, then forwards a `cancel` for
@@ -789,8 +832,8 @@ impl CoordInner {
             let pending = self.lock_pending();
             pending
                 .iter()
-                .filter(|(_, slice)| Arc::ptr_eq(&slice.route, route))
-                .map(|(subid, slice)| (slice.backend, subid.clone()))
+                .filter(|(_, grid)| Arc::ptr_eq(&grid.route, route))
+                .map(|(subid, grid)| (grid.backend, subid.clone()))
                 .collect()
         };
         for (backend, subid) in targets {
@@ -800,52 +843,61 @@ impl CoordInner {
         }
     }
 
-    /// One watchdog pass: reclaim each slice its backend has been silent
-    /// on for the retry timeout, cancelling that backend's copy.
+    /// One watchdog pass: reclaim each grid its backend has been silent on
+    /// for the retry timeout, cancelling that backend's copy.
     fn scan_timeouts(&self) {
-        let silent = |slice: &PendingSlice| slice.progress.elapsed() >= self.retry_timeout;
-        for (subid, slice) in self.take_pending(silent) {
+        let silent = |grid: &PendingGrid| grid.progress.elapsed() >= self.retry_timeout;
+        for (subid, grid) in self.take_pending(silent) {
             self.coordinator_timeouts
-                .fetch_add(slice.unsettled() as u64, Ordering::Relaxed);
-            let slow = slice.backend;
+                .fetch_add(grid.unsettled() as u64, Ordering::Relaxed);
+            let slow = grid.backend;
             if !self.write_backend(slow, &format!("cancel id={subid}")) {
                 self.mark_dead(slow);
             }
-            self.reclaim(slice, Some(slow));
+            self.reclaim(grid, Some(slow));
         }
     }
 }
 
-impl PendingSlice {
+impl PendingGrid {
     /// Points not yet settled towards the client.
     fn unsettled(&self) -> usize {
         self.settled.iter().filter(|&&settled| !settled).count()
     }
 
-    /// Settles point `j` with the event `event` builds from its client
-    /// index — the one way a point reaches the client.  `false`, and
-    /// nothing sent, when `j` already settled.
-    fn settle(&mut self, j: usize, event: impl FnOnce(usize) -> SweepEvent) -> bool {
-        let Some(settled) = self.settled.get_mut(j) else {
+    /// Settles point `index` with the event `event` builds from it — the
+    /// one way a point reaches the client, on the next
+    /// [`PendingGrid::send_settled`].  `false`, and nothing settled, when
+    /// `index` already settled.
+    fn settle(&mut self, index: usize, event: impl FnOnce(usize) -> SweepEvent) -> bool {
+        let Some(settled) = self.settled.get_mut(index) else {
             return false;
         };
         if std::mem::replace(settled, true) {
             return false;
         }
-        let index = j * self.route.request.mds.len() + self.md_index;
-        let _ = self.route.tx.send(event(index));
+        self.settling.push(event(index));
         true
     }
 
-    /// Settles every unsettled point with `event`.
-    fn settle_all(&mut self, event: impl Fn(usize) -> SweepEvent) {
-        for j in 0..self.settled.len() {
-            self.settle(j, &event);
+    /// Sends the events settled since the last send to the request's
+    /// drainer as one message.
+    fn send_settled(&mut self) {
+        if !self.settling.is_empty() {
+            let _ = self.route.tx.send(std::mem::take(&mut self.settling));
         }
     }
 
-    /// Delivers every unsettled point whose cycles the backend reported,
-    /// the first `cached` of them as cache hits.
+    /// Settles every unsettled point with `event`, and sends them.
+    fn settle_all(&mut self, event: impl Fn(usize) -> SweepEvent) {
+        for index in 0..self.settled.len() {
+            self.settle(index, &event);
+        }
+        self.send_settled();
+    }
+
+    /// Settles every unsettled point whose cycles the backend reported as
+    /// delivered, the first `cached` of them as cache hits.
     fn deliver_reported(&mut self, mut cached: u64) {
         for j in 0..self.replies.len() {
             let Some(Ok(cycles)) = self.replies[j] else {
@@ -866,28 +918,21 @@ impl PendingSlice {
     }
 }
 
-/// The subrequest line of a slice: the original request's source,
-/// iterations, machines, windows and priority at the one MD `md`, under
-/// the coordinator-issued subid.  Mode is always `stream` (the slice
-/// settles on its `done` either way) and the client deadline is *not*
-/// forwarded — deadlines act at the coordinator, where the whole grid is
-/// visible.
-fn slice_line(request: &SweepRequest, md: Cycle, subid: &str) -> String {
+/// The subrequest line of a grid: the client's request under the
+/// coordinator-issued subid.  Mode is always `stream` (the grid settles
+/// on its `done` either way) and the client deadline is *not* forwarded —
+/// deadlines act at the coordinator, where the client's clock runs.
+fn subrequest_line(request: &SweepRequest, subid: &str) -> String {
     SweepRequest {
         id: subid.to_string(),
-        source: request.source.clone(),
-        iterations: request.iterations,
-        machines: request.machines.clone(),
-        windows: request.windows.clone(),
-        mds: vec![md],
         mode: DeliveryMode::Stream,
         deadline_ms: None,
-        priority: request.priority,
+        ..request.clone()
     }
     .to_string()
 }
 
-/// Splits a backend's `point <j> failed: <message>` error into the slice
+/// Splits a backend's `point <j> failed: <message>` error into the point
 /// index and the message (the coordinator re-frames the message with the
 /// client-side index).
 fn point_failure(message: &str) -> Option<(usize, &str)> {

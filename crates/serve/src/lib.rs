@@ -18,10 +18,10 @@
 //!   behind one brief mutex, with admission control.
 //! * [`coordinator`] — [`Coordinator`], the fleet backend: the same wire
 //!   protocol over backend `dae-serve` processes.  Each grid is forwarded
-//!   as one `sweep` line per memory differential (a `machines × windows ×
-//!   {md}` slice), placed by consistent hashing on the request text
-//!   ([`SweepRequest::placement_digest`]) so every shard's result cache
-//!   stays hot, and a dead backend's unsettled points are re-dispatched.
+//!   whole as one `sweep` line, placed by consistent hashing on its trace
+//!   and iterations ([`SweepRequest::placement_digest`]) so every shard's
+//!   result cache stays hot, and a dead or refusing backend's unsettled
+//!   points are re-dispatched.
 //!
 //! What the session layer provides, the server inherits: lowered programs
 //! pin once per `(source, iterations)` and are shared by every client, the

@@ -19,15 +19,15 @@
 //!                                previously-served grids without simulating
 //!       --coordinator B1,B2,…    run as a shard coordinator over the listed
 //!                                backend addresses instead of simulating
-//!                                locally: each grid is forwarded as one
-//!                                slice per memory differential, placed by
-//!                                consistent hashing on the slice's trace,
-//!                                iterations and MD, and points lost to a
-//!                                dead backend are re-dispatched to the
-//!                                survivors (composes with every mode above;
-//!                                the session flags do not apply — caching
-//!                                happens on the backends)
-//!       --retry-timeout-ms N     coordinator only: reclaim a slice whose
+//!                                locally: each grid is forwarded whole to
+//!                                one backend, placed by consistent hashing
+//!                                on its trace and iterations, and points
+//!                                lost to a dead or refusing backend are
+//!                                re-dispatched to the survivors (composes
+//!                                with every mode above; the session flags
+//!                                do not apply — caching happens on the
+//!                                backends)
+//!       --retry-timeout-ms N     coordinator only: reclaim a grid whose
 //!                                backend sent no reply on it this long
 //!                                (default 30000)
 //! ```

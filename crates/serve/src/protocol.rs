@@ -251,22 +251,20 @@ impl SweepRequest {
         )
     }
 
-    /// The shard placement digest of this request's slice at memory
-    /// differential `md`: an `FxHasher` over the trace source's identity
-    /// key, the iteration count and `md` — the construction of
-    /// [`dae_core::cache_key_digest`], over the request text instead of
-    /// the lowered program.  Id, machines, windows, mode, priority and
-    /// deadline do not enter it, so a slice lands where the same program
-    /// and MD landed before, whatever grid it came in.  Two spellings of
-    /// one trace that parse to the same [`TraceSource`] (`trace=trfd`,
-    /// `trace=TRFD`) share a digest; two spellings of one inline kernel
-    /// may not.
+    /// The shard placement digest of this request: an `FxHasher` over the
+    /// trace source's identity key and the iteration count — the
+    /// construction of [`dae_core::cache_key_digest`], over the request
+    /// text instead of the lowered program.  Id, grid (machines, windows,
+    /// MDs), mode, priority and deadline do not enter it, so a grid lands
+    /// where the same program landed before, whatever points it asks for.
+    /// Two spellings of one trace that parse to the same [`TraceSource`]
+    /// (`trace=trfd`, `trace=TRFD`) share a digest; two spellings of one
+    /// inline kernel may not.
     #[must_use]
-    pub fn placement_digest(&self, md: Cycle) -> u64 {
+    pub fn placement_digest(&self) -> u64 {
         let mut hasher = FxHasher::default();
         hasher.write(self.source.key().as_bytes());
         hasher.write_u64(self.iterations);
-        hasher.write_u64(md);
         hasher.finish()
     }
 
@@ -1176,31 +1174,28 @@ mod tests {
     }
 
     #[test]
-    fn placement_digest_covers_program_iterations_and_md_only() {
-        let digest = |line: &str, md| {
+    fn placement_digest_covers_program_and_iterations_only() {
+        let digest = |line: &str| {
             let Ok(Request::Sweep(req)) = parse_request(line) else {
                 panic!("{line}");
             };
-            req.placement_digest(md)
+            req.placement_digest()
         };
-        let base = digest(
-            "sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=0",
-            20,
-        );
+        let base = digest("sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=0");
         let same = [
             "sweep id=a trace=trfd iterations=120 machines=dm windows=8 mds=0",
             "sweep id=zz trace=TRFD iterations=120 machines=swsm,scalar windows=16,inf \
              mds=0,60 mode=batch priority=bulk deadline_ms=5",
         ];
         for line in same {
-            assert_eq!(digest(line, 20), base, "{line}");
+            assert_eq!(digest(line), base, "{line}");
         }
+        let md = "sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=60";
+        assert_eq!(digest(md), base, "the MD does not enter the digest");
         let iterations = "sweep id=a trace=TRFD iterations=121 machines=dm windows=8 mds=0";
-        assert_ne!(digest(iterations, 20), base, "iterations enter the digest");
+        assert_ne!(digest(iterations), base, "iterations enter the digest");
         let program = "sweep id=a trace=MDG iterations=120 machines=dm windows=8 mds=0";
-        assert_ne!(digest(program, 20), base, "the program enters the digest");
-        let md = "sweep id=a trace=TRFD iterations=120 machines=dm windows=8 mds=0";
-        assert_ne!(digest(md, 60), base, "the MD enters the digest");
+        assert_ne!(digest(program), base, "the program enters the digest");
     }
 
     #[test]

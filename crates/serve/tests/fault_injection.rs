@@ -11,7 +11,8 @@
 use dae_core::{fault, SweepSession};
 use dae_serve::{
     await_drained, parse_request, parse_response, serve_connection, serve_tcp, Coordinator,
-    DoneStatus, Request, Response, ServerLimits, ShutdownMode, SweepBackend, SweepServer,
+    DoneStatus, Partitioner, Request, Response, ServerLimits, ShutdownMode, SweepBackend,
+    SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -636,27 +637,35 @@ fn socket_pair() -> (TcpStream, TcpStream) {
     (client, server)
 }
 
-/// The sharded fault test: one of two real backend processes is killed
-/// mid-grid (its points are still sleeping on an env-armed slow hook when
-/// the process dies), and the grid must still complete — every point
-/// delivered exactly once, bit-for-bit equal to the in-process oracle,
-/// with balanced `status=ok` accounting — because the coordinator
-/// re-dispatches the dead backend's undelivered points to the survivor.
-/// The coordinator keeps serving afterwards on the one surviving backend,
-/// and its stats record the death and the re-dispatch traffic.
+/// The sharded fault test: of two real backend processes, the one owning
+/// the grid is killed mid-grid (its points are still sleeping on an
+/// env-armed slow hook when the process dies), and the grid must still
+/// complete — every point delivered exactly once, bit-for-bit equal to
+/// the in-process oracle, with balanced `status=ok` accounting — because
+/// the coordinator re-dispatches the dead backend's undelivered points to
+/// the survivor.  The coordinator keeps serving afterwards on the one
+/// surviving backend, and its stats record the death and the re-dispatch
+/// traffic.
 #[test]
 fn killing_a_backend_mid_grid_completes_the_sweep_bit_for_bit() {
     let _guard = faults();
-    // The victim sleeps 400 ms per point (armed via the environment, so
-    // the hook fires inside the child process); the survivor is fast.
-    let (mut victim, victim_addr) = spawn_backend(&[("DAE_FAULT_SLOW_POINT_MS", "400")]);
-    let (mut survivor, survivor_addr) = spawn_backend(&[]);
-    let coordinator =
-        Arc::new(Coordinator::connect(&[victim_addr, survivor_addr]).expect("connect the fleet"));
-
     let grid = "sweep id=resilient trace=TRFD iterations=120 machines=dm,swsm \
                 windows=4,8,16,32 mds=0,20,40,60 mode=stream";
     let expected = oracle(grid);
+    let Ok(Request::Sweep(request)) = parse_request(grid) else {
+        panic!("not a sweep: {grid}");
+    };
+    // The victim sleeps 400 ms per point (armed via the environment, so
+    // the hook fires inside the child process); the survivor is fast.  The
+    // victim sits at the ring index that owns the grid.
+    let owner = Partitioner::new(2)
+        .assign(request.placement_digest())
+        .expect("a ring of two");
+    let (mut victim, victim_addr) = spawn_backend(&[("DAE_FAULT_SLOW_POINT_MS", "400")]);
+    let (mut survivor, survivor_addr) = spawn_backend(&[]);
+    let mut addrs = vec![survivor_addr];
+    addrs.insert(owner, victim_addr);
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect the fleet"));
     let follow_up = "sweep id=after-death trace=MDG iterations=100 machines=dm windows=16,64 \
                      mds=0,60 mode=stream";
     let follow_up_expected = oracle(follow_up);
@@ -670,25 +679,24 @@ fn killing_a_backend_mid_grid_completes_the_sweep_bit_for_bit() {
     let mut replies = BufReader::new(client.try_clone().expect("clone client half"));
 
     writeln!(client, "{grid}").unwrap();
-    // The survivor's share of the grid streams back within milliseconds;
-    // the victim's points are still inside their 400 ms sleeps.  Kill the
-    // victim as soon as the first point proves the grid is in flight.
-    let mut first = String::new();
-    assert!(replies.read_line(&mut first).expect("first point") > 0);
-    assert!(
-        first.starts_with("point "),
-        "unexpected first line: {first}"
-    );
+    // The whole grid goes to the victim, whose points sleep 400 ms each.
+    // Kill it as soon as the coordinator has forwarded the grid.
+    let forwarded = || {
+        coordinator
+            .stats_fields()
+            .into_iter()
+            .find(|(name, _)| name == "forwarded_points")
+            .map_or(0, |(_, n)| n)
+    };
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while forwarded() < expected.len() as u64 {
+        assert!(Instant::now() < give_up, "the grid was never forwarded");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     victim.kill().expect("kill the victim backend");
     victim.wait().expect("reap the victim");
 
     let mut points: HashMap<usize, u64> = HashMap::new();
-    {
-        let Ok(Response::Point { index, cycles, .. }) = parse_response(first.trim_end()) else {
-            panic!("unparsable first point: {first}");
-        };
-        points.insert(index, cycles);
-    }
     let done = loop {
         let mut line = String::new();
         assert!(

@@ -5,14 +5,15 @@
 //! and one grid must run through the shared accept loop over a Unix
 //! socket for each backend.
 //!
-//! Through the coordinator, a grid goes out as one line per MD slice, a
-//! repeated grid is answered from the backends' caches, the retry
-//! watchdog reclaims (and cancels) a slice from a backend that never
-//! answers but leaves one that answers slowly alone, a failing point
-//! fails only its own client index, a backend that dies after some or
-//! all of a slice's `point` lines still settles every point exactly
-//! once, and replies naming points outside their slice are counted, not
-//! obeyed.
+//! Through the coordinator, a grid goes out whole as one line to the
+//! backend owning its program, a repeated grid is answered from that
+//! backend's cache, the retry watchdog reclaims (and cancels) a grid from
+//! a backend that never answers but leaves one that answers slowly
+//! alone, a grid a backend refuses is resent at once (or fails when no
+//! other backend is left), a failing point fails only its own client
+//! index, a backend that dies after some or all of a grid's `point`
+//! lines still settles every point exactly once, and replies naming
+//! points outside their grid are counted, not obeyed.
 //!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
@@ -40,13 +41,27 @@ fn faults() -> MutexGuard<'static, ()> {
 }
 
 /// A fresh `SweepServer` accepting on an ephemeral TCP port on its own
-/// `serve_tcp` thread; returns its address.
-fn in_process_backend() -> String {
+/// `serve_tcp` thread; returns its address and the server.
+fn in_process_server() -> (String, Arc<SweepServer>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind a backend");
     let addr = listener.local_addr().expect("backend addr").to_string();
     let server = Arc::new(SweepServer::new());
-    std::thread::spawn(move || serve_tcp(&server, &listener));
-    addr
+    let served = Arc::clone(&server);
+    std::thread::spawn(move || serve_tcp(&served, &listener));
+    (addr, server)
+}
+
+/// The address of a fresh in-process backend.
+fn in_process_backend() -> String {
+    in_process_server().0
+}
+
+/// A two-backend fleet's addresses: `addr` at ring index `at`, a fresh
+/// in-process backend at the other.
+fn beside_in_process(at: usize, addr: String) -> Vec<String> {
+    let mut addrs = vec![in_process_backend()];
+    addrs.insert(at, addr);
+    addrs
 }
 
 /// A coordinator over two in-process backends.
@@ -268,8 +283,8 @@ fn both_backends_serve_a_grid_over_a_unix_socket() {
     unix_grid(in_process_fleet(), "coordinator");
 }
 
-/// The 12-point TRFD grid the coordinator fault tests send: two slices,
-/// MD 0 on backend 0 and MD 20 on backend 1 of a two-backend ring.
+/// The 12-point TRFD grid the coordinator fault tests send, forwarded
+/// whole to the backend owning TRFD at 120 iterations.
 const FLEET_GRID: &str =
     "sweep id=fleet trace=TRFD iterations=120 machines=dm,swsm windows=8,16,32 mds=0,20";
 
@@ -277,7 +292,7 @@ const FLEET_GRID: &str =
 type Coordinate = (Machine, WindowSpec, u64);
 
 /// `line`'s request, its cycles from a cache-off session in grid order,
-/// and how many of its points a two-backend ring places on backend 1.
+/// and the backend of a two-backend ring that owns the grid.
 fn oracle(line: &str) -> (SweepRequest, Vec<u64>, usize) {
     let Ok(Request::Sweep(request)) = parse_request(line) else {
         panic!("not a sweep: {line}");
@@ -287,12 +302,10 @@ fn oracle(line: &str) -> (SweepRequest, Vec<u64>, usize) {
     reference.set_cache_enabled(false);
     let id = reference.pin_trace(&trace);
     let expected = reference.sweep_multi(&request.points(id));
-    let ring = Partitioner::new(2);
-    let on_second = request
-        .grid()
-        .filter(|&(_, _, md)| ring.assign(request.placement_digest(md)) == Some(1))
-        .count();
-    (request, expected, on_second)
+    let owner = Partitioner::new(2)
+        .assign(request.placement_digest())
+        .expect("a ring of two");
+    (request, expected, owner)
 }
 
 /// Serves `line` through `coordinator` on its own thread, failing after
@@ -353,16 +366,25 @@ fn assert_one_ok_done(done: &[Response], points: usize, cached: u64) {
 }
 
 /// Cache hits pass through the coordinator: the same grid sent twice is
-/// simulated once, and the repeat is answered entirely from the backends'
-/// caches with the first run's cycles.
+/// simulated once, on the backend owning its program, and the repeat is
+/// answered entirely from that backend's cache with the first run's
+/// cycles.
 #[test]
 fn a_repeated_grid_is_answered_from_the_backends_caches() {
     let _guard = faults();
-    let (_, expected, on_second) = oracle(FLEET_GRID);
-    assert!(on_second > 0 && on_second < expected.len(), "spans both");
-    let coordinator = in_process_fleet();
+    let (_, expected, owner) = oracle(FLEET_GRID);
+    let servers = [in_process_server(), in_process_server()];
+    let addrs: Vec<String> = servers.iter().map(|(addr, _)| addr.clone()).collect();
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect the fleet"));
     let (first, done) = serve_grid(&coordinator, FLEET_GRID);
     assert_one_ok_done(&done, expected.len(), 0);
+    let entries: Vec<u64> = servers
+        .iter()
+        .map(|(_, server)| stat(&**server, "cache_entries"))
+        .collect();
+    let mut whole = vec![0; 2];
+    whole[owner] = expected.len() as u64;
+    assert_eq!(entries, whole, "the grid runs whole on its owner");
     let (repeat, done) = serve_grid(&coordinator, FLEET_GRID);
     assert_one_ok_done(&done, expected.len(), expected.len() as u64);
     assert_eq!(repeat, first, "cached cycles equal the simulated ones");
@@ -453,23 +475,17 @@ fn answer_all(
     writeln!(out, "{done}").expect("answer");
 }
 
-/// The retry watchdog re-dispatches points a backend sits on: over a real
-/// backend and one that never answers, a grid placed on both still
-/// completes, balanced and bit-for-bit equal to a cache-off reference,
-/// and the silent backend is sent a `cancel` for the slice it held.
+/// The retry watchdog re-dispatches points a backend sits on: a grid
+/// owned by a backend that never answers still completes on the real one
+/// beside it, balanced and bit-for-bit equal to a cache-off reference,
+/// and the silent backend is sent a `cancel` for the grid it held.
 #[test]
 fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     let _guard = faults();
-    let (_, expected, on_second) = oracle(FLEET_GRID);
-    // The grid must reach the silent backend (index 1) and the real one.
-    assert!(
-        on_second > 0 && on_second < expected.len(),
-        "the grid must span both backends"
-    );
-
+    let (_, expected, owner) = oracle(FLEET_GRID);
     let (held_tx, held) = mpsc::channel();
     let (silent, cancelled) = stub_backend(move |sub, _| held_tx.send(sub.id).is_ok());
-    let addrs = [in_process_backend(), silent];
+    let addrs = beside_in_process(owner, silent);
     let coordinator =
         Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(200)).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
@@ -482,26 +498,26 @@ fn the_watchdog_redispatches_points_a_silent_backend_holds() {
     assert!(timeouts >= 1, "the watchdog must have fired");
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
     let held: Vec<String> = held.try_iter().collect();
-    assert_eq!(held.len(), 1, "one slice reached the silent backend");
+    assert_eq!(held.len(), 1, "the grid reached its silent owner once");
     let cancel = cancelled.recv_timeout(Duration::from_secs(5));
-    assert_eq!(cancel.ok(), held.first().cloned(), "its slice is cancelled");
+    assert_eq!(cancel.ok(), held.first().cloned(), "its copy is cancelled");
 }
 
-/// The watchdog times a slice by its backend's progress, not from its
-/// dispatch: a backend that answers its 6-point slice one point every
-/// 100 ms — 600 ms in all — under a 300 ms retry timeout keeps the slice,
+/// The watchdog times a grid by its backend's progress, not from its
+/// dispatch: a backend that answers its 12-point grid one point every
+/// 100 ms — 1.2 s in all — under a 300 ms retry timeout keeps the grid,
 /// and the grid completes with no timeout and no re-dispatch.
 #[test]
 fn the_watchdog_leaves_a_slowly_answering_backend_its_slice() {
     let _guard = faults();
-    let (request, expected, on_second) = oracle(FLEET_GRID);
-    assert_eq!(on_second, expected.len() / 2, "one 6-point slice each");
+    let (request, expected, owner) = oracle(FLEET_GRID);
     let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
+    let (answered_tx, answered) = mpsc::channel();
     let (slow, _) = stub_backend(move |sub, out| {
         answer_all(&sub, &by_point, out, Duration::from_millis(100));
-        true
+        answered_tx.send(sub.id).is_ok()
     });
-    let addrs = [in_process_backend(), slow];
+    let addrs = beside_in_process(owner, slow);
     let coordinator =
         Arc::new(Coordinator::connect_with(&addrs, Duration::from_millis(300)).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
@@ -510,6 +526,93 @@ fn the_watchdog_leaves_a_slowly_answering_backend_its_slice() {
     assert_eq!(cycles, expected, "slowly answered grid vs the oracle");
     assert_one_ok_done(&done, points, 0);
     assert_eq!(stat(&*coordinator, "coordinator_timeouts"), 0);
+    assert_eq!(stat(&*coordinator, "redispatched_points"), 0);
+    assert_eq!(answered.try_iter().count(), 1, "the slow owner answered");
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// A backend that refuses every sweep line it is sent with an `error`
+/// naming no point, as a stopping server does.  Returns its address and
+/// the refused subrequest ids.
+fn refusing_backend() -> (String, mpsc::Receiver<String>) {
+    let (refused_tx, refused) = mpsc::channel();
+    let (addr, _) = stub_backend(move |sub, out| {
+        let refusal = Response::Error {
+            id: Some(sub.id.clone()),
+            message: "server is shutting down; not accepting new sweeps".to_string(),
+        };
+        writeln!(out, "{refusal}").expect("refuse");
+        refused_tx.send(sub.id).is_ok()
+    });
+    (addr, refused)
+}
+
+/// A grid its owner refuses is reclaimed at once, not after the retry
+/// timeout: it completes on the other backend with the oracle's cycles,
+/// well inside the 30 s default timeout, and no watchdog timeout fires.
+#[test]
+fn a_refused_grid_is_resent_at_once() {
+    let _guard = faults();
+    let (_, expected, owner) = oracle(FLEET_GRID);
+    let (refuser, refused) = refusing_backend();
+    let addrs = beside_in_process(owner, refuser);
+    let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
+    // `serve_grid` gives up after 5 s, far inside the 30 s retry timeout.
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(
+        cycles, expected,
+        "grid beside a refusing backend vs the oracle"
+    );
+    assert_one_ok_done(&done, points, 0);
+    assert_eq!(refused.try_iter().count(), 1, "the owner refused it once");
+    assert_eq!(stat(&*coordinator, "coordinator_timeouts"), 0);
+    assert_eq!(stat(&*coordinator, "redispatched_points"), points as u64);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// With no other backend to resend it to, a refused grid fails every
+/// point with the backend's message instead of hanging or resending to
+/// the refuser.
+#[test]
+fn a_grid_refused_by_the_only_backend_fails() {
+    let _guard = faults();
+    let (_, expected, _) = oracle(FLEET_GRID);
+    let (refuser, refused) = refusing_backend();
+    let coordinator = Arc::new(Coordinator::connect(&[refuser]).expect("connect"));
+    let (cycles, closing) = serve_grid(&coordinator, FLEET_GRID);
+    assert!(cycles.iter().all(Option::is_none), "no point delivered");
+    let Some((
+        Response::Done {
+            points,
+            delivered,
+            dropped,
+            aborted,
+            failed,
+            status,
+            ..
+        },
+        errors,
+    )) = closing.split_last()
+    else {
+        panic!("a done line expected: {closing:?}");
+    };
+    assert_eq!(
+        (*points, *delivered, *dropped, *aborted, *failed, *status),
+        (expected.len(), 0, 0, 0, expected.len(), DoneStatus::Error)
+    );
+    assert_eq!(errors.len(), expected.len(), "one error line per point");
+    for error in errors {
+        let Response::Error { message, .. } = error else {
+            panic!("not an error line: {error:?}");
+        };
+        assert!(
+            message.ends_with("failed: server is shutting down; not accepting new sweeps"),
+            "the backend's message: {message}"
+        );
+    }
+    assert_eq!(refused.try_iter().count(), 1, "refused once, not resent");
     assert_eq!(stat(&*coordinator, "redispatched_points"), 0);
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
@@ -573,7 +676,7 @@ fn a_failing_point_fails_only_its_own_client_index() {
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 
-/// A backend that answers the first `answers` points of the slice lines
+/// A backend that answers the first `answers` points of the sweep lines
 /// it is sent with a correct `point` line each, then closes its data
 /// connection before any `done`.  Returns its address.
 fn dying_backend(answers: usize, cycles: HashMap<Coordinate, u64>) -> String {
@@ -591,18 +694,17 @@ fn dying_backend(answers: usize, cycles: HashMap<Coordinate, u64>) -> String {
     addr
 }
 
-/// Serves `FLEET_GRID` beside a backend that answers the first
-/// `answers(on_second)` points of its slice and dies before `done`: the
-/// death sweep settles the answered points with the reported cycles and
+/// Serves `FLEET_GRID` beside its owner, a backend that answers the first
+/// `answers(points)` points of the grid and dies before `done`: the death
+/// sweep settles the answered points with the reported cycles and
 /// re-dispatches only the rest, so the client still gets every index
 /// exactly once and one balanced `done`.
 fn grid_beside_a_dying_backend(answers: impl Fn(usize) -> usize) {
-    let (request, expected, on_second) = oracle(FLEET_GRID);
-    assert!(on_second > 1 && on_second < expected.len(), "spans both");
+    let (request, expected, owner) = oracle(FLEET_GRID);
     let by_point = request.grid().zip(expected.iter().copied()).collect();
-    let answers = answers(on_second);
+    let answers = answers(expected.len());
 
-    let addrs = [in_process_backend(), dying_backend(answers, by_point)];
+    let addrs = beside_in_process(owner, dying_backend(answers, by_point));
     let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
     let points = expected.len();
@@ -611,11 +713,7 @@ fn grid_beside_a_dying_backend(answers: impl Fn(usize) -> usize) {
     assert_one_ok_done(&done, points, 0);
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
     let redispatched = stat(&*coordinator, "redispatched_points");
-    assert_eq!(
-        redispatched as usize,
-        on_second - answers,
-        "unanswered points"
-    );
+    assert_eq!(redispatched as usize, points - answers, "unanswered points");
 }
 
 /// A backend that dies between its `point` lines and their `done` lines:
@@ -623,11 +721,11 @@ fn grid_beside_a_dying_backend(answers: impl Fn(usize) -> usize) {
 #[test]
 fn a_backend_dying_between_point_and_done_settles_each_point_once() {
     let _guard = faults();
-    grid_beside_a_dying_backend(|slice| slice);
+    grid_beside_a_dying_backend(|points| points);
 }
 
-/// A backend that answers one point of its slice and dies before `done`:
-/// only the slice's other points are re-dispatched to — and relayed
+/// A backend that answers one point of its grid and dies before `done`:
+/// only the grid's other points are re-dispatched to — and relayed
 /// from — the survivor.
 #[test]
 fn a_partly_answered_slice_relays_only_its_unanswered_points() {
@@ -635,55 +733,55 @@ fn a_partly_answered_slice_relays_only_its_unanswered_points() {
     grid_beside_a_dying_backend(|_| 1);
 }
 
-/// The coordinator forwards one line per (program, MD) slice: an 8-point
-/// grid of two MDs reaches the fleet as two `machines × windows × {md}`
-/// subgrids, and is still counted as 8 forwarded points.
+/// The coordinator forwards a grid whole, as one line: an 8-point grid of
+/// two MDs reaches only the backend owning its program, as the client's
+/// own request under a coordinator id, and is counted as 8 forwarded
+/// points.
 #[test]
-fn a_grid_is_forwarded_as_one_line_per_slice() {
+fn a_grid_is_forwarded_as_one_line() {
     let _guard = faults();
-    let line = "sweep id=sliced trace=TRFD iterations=120 machines=dm,swsm windows=8,32 mds=0,60";
-    let (request, expected, _) = oracle(line);
+    let line = "sweep id=whole trace=TRFD iterations=120 machines=dm,swsm windows=8,32 mds=0,60";
+    let (request, expected, owner) = oracle(line);
     let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
     let received = Arc::new(Mutex::new(Vec::new()));
-    let recording = || {
+    let recording = |backend: usize| {
         let (received, cycles) = (Arc::clone(&received), by_point.clone());
         let (addr, _) = stub_backend(move |sub, out| {
             answer_all(&sub, &cycles, out, Duration::ZERO);
-            received.lock().expect("record").push(sub);
+            received.lock().expect("record").push((backend, sub));
             true
         });
         addr
     };
-    let addrs = [recording(), recording()];
+    let addrs = [recording(0), recording(1)];
     let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, line);
     let expected: Vec<_> = expected.into_iter().map(Some).collect();
-    assert_eq!(cycles, expected, "sliced grid vs the oracle");
+    assert_eq!(cycles, expected, "forwarded grid vs the oracle");
     assert_one_ok_done(&done, expected.len(), 0);
 
-    let mut slices = received.lock().expect("recorded").clone();
-    slices.sort_by_key(|sub| sub.mds.clone());
-    assert_eq!(slices.len(), 2, "one line per slice: {slices:?}");
-    for (sub, &md) in slices.iter().zip(&request.mds) {
-        assert_eq!(sub.source, request.source);
-        assert_eq!(sub.iterations, request.iterations);
-        assert_eq!(sub.machines, request.machines);
-        assert_eq!(sub.windows, request.windows);
-        assert_eq!(sub.mds, [md]);
-    }
+    let received = received.lock().expect("recorded").clone();
+    let [(backend, sub)] = &received[..] else {
+        panic!("one line per grid: {received:?}");
+    };
+    assert_eq!(*backend, owner, "the grid reaches its owner");
+    let client = SweepRequest {
+        id: sub.id.clone(),
+        ..request
+    };
+    assert_eq!(*sub, client, "the client's grid under a coordinator id");
     assert_eq!(stat(&*coordinator, "forwarded_points"), 8);
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 
-/// A backend whose slice replies name points the slice does not have — a
+/// A backend whose replies name points the grid does not have — a
 /// `point` line past its end, an `error` for point 99 — is counted, not
 /// obeyed: the coordinator does not panic, and the grid still completes
 /// with the oracle's cycles.
 #[test]
 fn out_of_range_slice_replies_are_counted_not_obeyed() {
     let _guard = faults();
-    let (request, expected, on_second) = oracle(FLEET_GRID);
-    assert!(on_second > 0 && on_second < expected.len(), "spans both");
+    let (request, expected, owner) = oracle(FLEET_GRID);
     let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
     let (garbling, _) = stub_backend(move |sub, out| {
         let mut past_end = point_line(&sub, 0, &by_point);
@@ -698,7 +796,7 @@ fn out_of_range_slice_replies_are_counted_not_obeyed() {
         answer_all(&sub, &by_point, out, Duration::ZERO);
         true
     });
-    let addrs = [in_process_backend(), garbling];
+    let addrs = beside_in_process(owner, garbling);
     let coordinator = Arc::new(Coordinator::connect(&addrs).expect("connect"));
     let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
     let points = expected.len();

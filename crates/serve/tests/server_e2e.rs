@@ -6,7 +6,7 @@
 use dae_core::{SweepSession, TraceId};
 use dae_serve::{
     parse_request, parse_response, serve_connection, serve_local, serve_tcp, Coordinator, Request,
-    Response, SweepServer,
+    Response, SweepBackend, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -15,15 +15,19 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Starts a server on an ephemeral TCP port, returning the port.
-fn start_tcp_server() -> u16 {
-    let server = Arc::new(SweepServer::new());
+/// Serves `backend` on an ephemeral TCP port, returning the port.
+fn serve_on_tcp<B: SweepBackend + 'static>(backend: Arc<B>) -> u16 {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let port = listener.local_addr().expect("local addr").port();
     std::thread::spawn(move || {
-        let _ = serve_tcp(&server, &listener);
+        let _ = serve_tcp(&backend, &listener);
     });
     port
+}
+
+/// Starts a server on an ephemeral TCP port, returning the port.
+fn start_tcp_server() -> u16 {
+    serve_on_tcp(Arc::new(SweepServer::new()))
 }
 
 /// The in-process oracle: the request's canonical grid run on a private
@@ -216,14 +220,19 @@ fn hot_line(id: &str, mode: &str) -> String {
     )
 }
 
-/// Nagle's algorithm left on at both ends: a client that does not set
-/// `TCP_NODELAY` gets a cache-hot grid back well inside the ~40 ms a
-/// delayed ACK costs, because the server sends the lines that are ready
-/// together in one `write` rather than one per format fragment.  (The
-/// client, too, sends each request in one `write`.)
-#[test]
-fn cache_hot_grids_are_not_held_back_by_nagle() {
-    let port = start_tcp_server();
+/// A coordinator over two in-process backends, each on its own
+/// `serve_tcp` listener.
+fn in_process_coordinator() -> Arc<Coordinator> {
+    let addrs: Vec<String> = (0..2)
+        .map(|_| format!("127.0.0.1:{}", start_tcp_server()))
+        .collect();
+    Arc::new(Coordinator::connect(&addrs).expect("connect the fleet"))
+}
+
+/// The median time, in ms, from sending a cache-hot `hot_line` grid to
+/// reading its `done`, over 20 repeats by one client that leaves Nagle's
+/// algorithm on, against the front end on `port`; also every time, sorted.
+fn cache_hot_median_ms(port: u16) -> (f64, Vec<f64>) {
     let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
     let mut reader = BufReader::new(client.try_clone().expect("clone"));
     client
@@ -248,11 +257,36 @@ fn cache_hot_grids_are_not_held_back_by_nagle() {
         })
         .collect();
     elapsed_ms.sort_by(f64::total_cmp);
-    let median = elapsed_ms[elapsed_ms.len() / 2];
+    (elapsed_ms[elapsed_ms.len() / 2], elapsed_ms)
+}
+
+/// Nagle's algorithm left on at both ends: a client that does not set
+/// `TCP_NODELAY` gets a cache-hot grid back well inside the ~40 ms a
+/// delayed ACK costs, because the server sends the lines that are ready
+/// together in one `write` rather than one per format fragment.  (The
+/// client, too, sends each request in one `write`.)
+#[test]
+fn cache_hot_grids_are_not_held_back_by_nagle() {
+    let (median, sorted) = cache_hot_median_ms(start_tcp_server());
     assert!(
         median < 10.0,
         "cache-hot median {median:.2} ms: response lines held back by Nagle \
-         (sorted: {elapsed_ms:?})"
+         (sorted: {sorted:?})"
+    );
+}
+
+/// The same through a two-backend coordinator behind `serve_tcp`, with
+/// Nagle on at every hop: the 2-MD grid goes to one backend whole, so its
+/// points settle in one message and leave the front end in one `write`.
+/// Settled in two parts, the second write would wait for the client's
+/// delayed ACK.
+#[test]
+fn cache_hot_grids_through_a_coordinator_are_not_held_back_by_nagle() {
+    let (median, sorted) = cache_hot_median_ms(serve_on_tcp(in_process_coordinator()));
+    assert!(
+        median < 10.0,
+        "coordinated cache-hot median {median:.2} ms: response lines held back by Nagle \
+         (sorted: {sorted:?})"
     );
 }
 
@@ -337,20 +371,17 @@ impl Write for CountingWriter {
     }
 }
 
-/// The mechanism behind the test above, with no clock: a fully cached
-/// grid's nine lines (eight `point`s and the `done`) are all ready when
-/// its drainer starts, so they reach the connection in exactly one
-/// `write`, in stream and in batch mode alike.
-#[test]
-fn a_cache_hot_grid_reaches_the_socket_in_one_write() {
-    let server = Arc::new(SweepServer::new());
-    serve_connection(&server, hot_line("warm", "stream").as_bytes(), io::sink()).expect("warm");
+/// Warms `backend` with `hot_line`, then asserts that a repeat's nine
+/// lines (eight cached `point`s and the `done`) reach the connection in
+/// exactly one `write`, in stream and in batch mode alike.
+fn assert_cache_hot_grid_in_one_write<B: SweepBackend>(backend: &Arc<B>) {
+    serve_connection(backend, hot_line("warm", "stream").as_bytes(), io::sink()).expect("warm");
     for mode in ["stream", "batch"] {
         let writes = Arc::new(Mutex::new(Vec::new()));
         let writer = CountingWriter {
             writes: Arc::clone(&writes),
         };
-        serve_connection(&server, hot_line(mode, mode).as_bytes(), writer).expect("serve");
+        serve_connection(backend, hot_line(mode, mode).as_bytes(), writer).expect("serve");
         let writes = writes.lock().unwrap();
         let text = String::from_utf8(writes.concat()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
@@ -366,6 +397,22 @@ fn a_cache_hot_grid_reaches_the_socket_in_one_write() {
             writes.len()
         );
     }
+}
+
+/// The mechanism behind the tests above, with no clock: a fully cached
+/// grid's nine lines are all ready when its drainer starts, so they reach
+/// the connection in one `write`.
+#[test]
+fn a_cache_hot_grid_reaches_the_socket_in_one_write() {
+    assert_cache_hot_grid_in_one_write(&Arc::new(SweepServer::new()));
+}
+
+/// The same through a two-backend coordinator: the backend's `done`
+/// settles the whole 2-MD grid in one message to the drainer, so it too
+/// leaves in one `write`.
+#[test]
+fn a_cache_hot_grid_reaches_the_socket_in_one_write_through_a_coordinator() {
+    assert_cache_hot_grid_in_one_write(&in_process_coordinator());
 }
 
 /// Cancelling an in-flight request drops its pending points: the `done`

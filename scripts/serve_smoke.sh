@@ -124,9 +124,11 @@ trap - EXIT
 
 # Sharded serving: the same request file through a coordinator over two
 # real backend processes must produce bit-for-bit the single-server
-# (--local) point lines — each (trace, iterations, MD) slice is placed by
-# its request text, so the repeat grid (id=d) re-lands on whichever shard
-# served it first.  The trailing
+# (--local) point lines — each grid is forwarded whole to the shard owning
+# its (trace, iterations), so the repeat grid (id=d) re-lands on whichever
+# shard served id=a.  The coordinator's stats count the 8+4+8+8 points it
+# forwarded (at dispatch, so the count holds with the sweeps still in
+# flight) and no re-dispatch, timeout or malformed reply.  The trailing
 # shutdown fans out to the fleet, so both backends exit on their own.
 bp1=7951
 bp2=7952
@@ -161,6 +163,11 @@ echo "$shard_stats" | grep -q 'backends_total=2' \
   || { echo "coordinator stats missing backends_total: $shard_stats"; exit 1; }
 echo "$shard_stats" | grep -q 'backends_alive=2' \
   || { echo "a backend died during the sharded smoke: $shard_stats"; exit 1; }
+for field in forwarded_points=28 redispatched_points=0 coordinator_timeouts=0 \
+  backend_reply_errors=0; do
+  echo "$shard_stats" | grep -qw "$field" \
+    || { echo "coordinator stats lack $field: $shard_stats"; exit 1; }
+done
 grep -q '^shutdown mode=drain' target/serve-smoke-shard-raw.txt
 
 # The fanned-out shutdown must stop both backends without a kill.
