@@ -874,6 +874,7 @@ impl SweepSession {
                 followers: Vec::new(),
             });
         }
+        let settled = jobs.is_empty();
         for job in jobs {
             let cache = self.cache_enabled.then(|| Arc::clone(&self.cache));
             let token = token.clone();
@@ -896,6 +897,7 @@ impl SweepSession {
             skipped: 0,
             aborted: 0,
             failed: 0,
+            settled,
         }
     }
 }
@@ -1062,6 +1064,7 @@ pub struct SweepStream {
     skipped: usize,
     aborted: usize,
     failed: usize,
+    settled: bool,
 }
 
 impl SweepStream {
@@ -1069,6 +1072,16 @@ impl SweepStream {
     #[must_use]
     pub fn total(&self) -> usize {
         self.total
+    }
+
+    /// Whether every point's event was already queued when the grid was
+    /// submitted: the grid spawned no simulation job, because each point
+    /// was a cache hit or was skipped by a token cancelled before submit.
+    /// Draining a settled stream never waits.  A cache-off session settles
+    /// only an empty grid.
+    #[must_use]
+    pub fn settled(&self) -> bool {
+        self.settled
     }
 
     /// Points skipped by cancellation before starting, so far
@@ -1311,6 +1324,44 @@ mod tests {
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 1, "one simulation for three identical points");
         assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn a_grid_is_settled_at_submit_only_when_it_spawns_no_job() {
+        let mut session = SweepSession::new();
+        let id = session.pin_trace(&stream().trace(100));
+        let warm = grid(id);
+        // Whether `points` is settled at submit; the stream is drained so
+        // every job has finished before the next grid is classified.
+        let settled = |session: &mut SweepSession, points: &[SweepPoint]| {
+            let stream = session.stream(points);
+            let settled = stream.settled();
+            assert_eq!(stream.collect_ordered().len(), points.len());
+            settled
+        };
+        assert!(!settled(&mut session, &warm), "a cold grid simulates");
+        assert!(settled(&mut session, &warm), "an all-hit grid is settled");
+
+        let fresh = (id, Machine::Decoupled, WindowSpec::Entries(24), 40);
+        let mut one_miss = warm.clone();
+        one_miss.push(fresh);
+        assert!(!settled(&mut session, &one_miss), "one miss is a job");
+        let repeat = (id, Machine::Superscalar, WindowSpec::Entries(24), 40);
+        assert!(
+            !settled(&mut session, &[warm[0], repeat, repeat]),
+            "an in-grid repeat rides its leader's job"
+        );
+
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = session.stream_classified(&one_miss, &token, RequestClass::default());
+        assert!(cancelled.settled(), "every point was skipped at submit");
+
+        session.set_cache_enabled(false);
+        assert!(
+            !settled(&mut session, &warm),
+            "a cache-off session simulates every point"
+        );
     }
 
     #[test]

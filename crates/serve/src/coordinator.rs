@@ -499,6 +499,8 @@ impl SweepBackend for Coordinator {
 /// sees it: one event per point, exhausted once every point has settled.
 /// Each message carries one settling operation's events; they are handed
 /// out without waiting, so the drainer never sees an operation half done.
+/// It is never settled at submit (`SweepEvents::settled`'s default): its
+/// points settle only when the backend answers.
 struct RouteEvents {
     inner: Arc<CoordInner>,
     route: Arc<RequestRoute>,

@@ -54,6 +54,13 @@ pub trait SweepEvents: Send {
 
     /// A handle that cancels this sweep.
     fn canceller(&self) -> Canceller;
+
+    /// Whether every event was already queued at submit, so a drain never
+    /// waits: the reader loop then drains the sweep itself instead of
+    /// spawning a drainer thread for it.
+    fn settled(&self) -> bool {
+        false
+    }
 }
 
 /// What serves sweeps behind the shared lifecycle: a local session
@@ -301,9 +308,10 @@ struct Active {
 
 /// Serves one client connection: reads newline-delimited requests from
 /// `reader` until end of file, writes tagged responses to `writer`.
-/// Several sweeps may be in flight at once (each drains on its own
-/// thread); the call returns once the input is exhausted *and* every
-/// submitted sweep has written its `done` line.
+/// Several sweeps may be in flight at once: one that simulates drains on
+/// its own thread, one the backend settled at submit drains on the
+/// reader's before the next line is read.  The call returns once the input
+/// is exhausted *and* every submitted sweep has written its `done` line.
 ///
 /// The connection registers with the backend (on a single server: for
 /// per-client admission control, with its live point count in `stats` as
@@ -361,9 +369,10 @@ where
 /// `acking` counts the accept loop's connections still acknowledging a
 /// `shutdown`: raised before the backend is told to stop, lowered once the
 /// ack line is written.  `sequential` drains each sweep in grid order, with
-/// no deadline, before reading on.  `buffered` tells whether `reader`
-/// already holds a whole request line; while it does, the reader loop
-/// counts as busy in the connection's [`Outbox`].
+/// no deadline, before reading on; a settled sweep drains before reading on
+/// too, in its own mode.  `buffered` tells whether `reader` already holds a
+/// whole request line; while it does, the reader loop counts as busy in the
+/// connection's [`Outbox`].
 fn serve_requests<B, R, W>(
     backend: &B,
     mut reader: R,
@@ -383,7 +392,7 @@ where
         id: Some(id),
         message,
     };
-    // Scoped drainer threads: every submitted sweep is joined (its `done`
+    // Scoped drainer threads: every threaded sweep is joined (its `done`
     // line written) before this call returns, even on a read error.
     std::thread::scope(|scope| {
         let mut active: HashMap<String, Active> = HashMap::new();
@@ -475,7 +484,7 @@ where
                             retry_after_ms,
                         },
                         Err(SubmitError::Rejected(message)) => error(request.id, message),
-                        Ok(events) if sequential => {
+                        Ok(events) if sequential || events.settled() => {
                             out.busy();
                             drain(backend, events, &request, &out);
                             continue;

@@ -14,12 +14,14 @@
 //! bulk grids and interleaves clients round-robin within a band.
 //!
 //! The server is the local [`SweepBackend`]: connections run the shared
-//! lifecycle ([`crate::serve_connection`]), whose per-sweep drainer
-//! threads copy each stream's results to the connection writer as tagged
-//! `point` lines (stream mode) or in grid order once complete (batch
-//! mode), followed by a `done` line.  Because every line is tagged with
-//! its request id, a client may keep several sweeps in flight and cancel
-//! any of them mid-flight ([`CancelToken`]).
+//! lifecycle ([`crate::serve_connection`]), whose drainer copies each
+//! stream's results to the connection writer as tagged `point` lines
+//! (stream mode) or in grid order once complete (batch mode), followed by
+//! a `done` line.  A grid the cache answers whole is drained on the
+//! connection's reader thread; one that simulates gets a drainer thread.
+//! Because every line is tagged with its request id, a client may keep
+//! several sweeps in flight and cancel any of them mid-flight
+//! ([`CancelToken`]).
 //!
 //! ## Fault tolerance
 //!
@@ -608,5 +610,9 @@ impl SweepEvents for LocalEvents<'_> {
     fn canceller(&self) -> Canceller {
         let token = self.submission.token.clone();
         Arc::new(move || token.cancel())
+    }
+
+    fn settled(&self) -> bool {
+        self.submission.stream.settled()
     }
 }

@@ -15,20 +15,27 @@
 //! lines still settles every point exactly once, and replies naming
 //! points outside their grid are counted, not obeyed.
 //!
+//! A grid whose every event is queued at submit (a stub's, or a
+//! `SweepServer`'s cache-hot repeat) is drained on the reader thread; any
+//! other grid on a drainer thread of its own.
+//!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
 //! [`FAULT_LOCK`].
 
-use dae_core::{fault, Machine, SweepSession, WindowSpec};
+use dae_core::{fault, Machine, StreamWait, StreamedPoint, SweepEvent, SweepSession, WindowSpec};
+use dae_serve::lifecycle::SweepEvents;
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, DoneStatus,
-    Partitioner, Request, Response, SweepBackend, SweepRequest, SweepServer,
+    parse_request, parse_response, serve_connection, serve_tcp, CacheAction, Coordinator,
+    DoneStatus, Partitioner, Request, Response, ShutdownMode, SubmitError, SweepBackend,
+    SweepRequest, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
@@ -808,4 +815,165 @@ fn out_of_range_slice_replies_are_counted_not_obeyed() {
     assert_one_ok_done(&done, points, 0);
     assert_eq!(stat(&*coordinator, "backend_reply_errors"), 2);
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// The threads a stub sweep's events were taken on, one entry per
+/// `next_event` call.
+type Takers = Arc<Mutex<Vec<ThreadId>>>;
+
+/// A backend that simulates nothing: each grid's events are cached
+/// points, handed out at once, and `settled` answers what the test says.
+struct ThreadStub {
+    settled: bool,
+    takers: Takers,
+}
+
+struct ThreadStubEvents {
+    settled: bool,
+    remaining: usize,
+    takers: Takers,
+}
+
+impl SweepEvents for ThreadStubEvents {
+    fn next_event(&mut self, _deadline: Option<Instant>) -> StreamWait {
+        self.takers
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        if self.remaining == 0 {
+            return StreamWait::Exhausted;
+        }
+        self.remaining -= 1;
+        StreamWait::Event(SweepEvent::Point(StreamedPoint {
+            index: self.remaining,
+            cycles: 1,
+            cached: true,
+        }))
+    }
+
+    fn canceller(&self) -> Arc<dyn Fn() + Send + Sync> {
+        Arc::new(|| {})
+    }
+
+    fn settled(&self) -> bool {
+        self.settled
+    }
+}
+
+impl SweepBackend for ThreadStub {
+    type Client<'a> = ();
+
+    fn register(&self) {}
+
+    fn submit_sweep<'a>(
+        &'a self,
+        request: &SweepRequest,
+        _client: &(),
+    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
+        Ok(Box::new(ThreadStubEvents {
+            settled: self.settled,
+            remaining: request.grid().len(),
+            takers: Arc::clone(&self.takers),
+        }))
+    }
+
+    fn stats_fields(&self) -> Vec<(String, u64)> {
+        Vec::new()
+    }
+
+    fn cache_action(&self, _action: CacheAction) -> Response {
+        Response::Cache {
+            entries: 0,
+            limit: None,
+        }
+    }
+
+    fn shutdown(&self, _mode: ShutdownMode) {}
+
+    fn is_shutting_down(&self) -> bool {
+        false
+    }
+
+    fn in_flight(&self) -> usize {
+        0
+    }
+
+    fn note_timeout(&self) {}
+}
+
+/// The threads that took `line`'s events through `serve_connection` on a
+/// stub whose grids are `settled` or not, after checking the reply.
+fn stub_takers(settled: bool, line: &str) -> Vec<ThreadId> {
+    let takers = Takers::default();
+    let stub = Arc::new(ThreadStub {
+        settled,
+        takers: Arc::clone(&takers),
+    });
+    let mut output = Vec::new();
+    serve_connection(&stub, format!("{line}\n").as_bytes(), &mut output).expect("serve");
+    let output = String::from_utf8(output).expect("utf8");
+    assert!(
+        output.ends_with("delivered=4 dropped=0 aborted=0 failed=0 cached=4 status=ok\n"),
+        "{output}"
+    );
+    let takers = takers.lock().unwrap().clone();
+    assert_eq!(takers.len(), 5, "four events, then exhausted");
+    takers
+}
+
+/// A grid whose events were all queued at submit is drained on the
+/// connection's reader thread; one that may still wait gets a drainer
+/// thread of its own.
+#[test]
+fn a_settled_grid_is_drained_on_the_reader_thread() {
+    let _guard = faults();
+    let line = sweep("stub", "0,60", "");
+    let reader = std::thread::current().id();
+    let inline = stub_takers(true, &line);
+    assert!(inline.iter().all(|&t| t == reader), "settled: {inline:?}");
+    let threaded = stub_takers(false, &line);
+    assert!(
+        threaded.iter().all(|&t| t != reader),
+        "unsettled: {threaded:?}"
+    );
+}
+
+/// A writer that records the thread of every `write` that reaches it.
+struct ThreadWriter(Takers);
+
+impl Write for ThreadWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(std::thread::current().id());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The threads that wrote `line`'s replies to the connection, served by
+/// `server`.
+fn writer_threads(server: &Arc<SweepServer>, line: &str) -> Vec<ThreadId> {
+    let writers = Takers::default();
+    let writer = ThreadWriter(Arc::clone(&writers));
+    serve_connection(server, format!("{line}\n").as_bytes(), writer).expect("serve");
+    let writers = writers.lock().unwrap().clone();
+    assert!(!writers.is_empty(), "the grid was answered");
+    writers
+}
+
+/// The same on a `SweepServer`: a cold grid is written by a drainer
+/// thread, and its cache-hot repeat by the reader thread, which the
+/// session tells is settled at submit.
+#[test]
+fn a_sweep_server_drains_a_cache_hot_grid_on_the_reader_thread() {
+    let _guard = faults();
+    let server = Arc::new(SweepServer::new());
+    let line = sweep("hot", "0,60", "");
+    let reader = std::thread::current().id();
+    let cold = writer_threads(&server, &line);
+    assert!(cold.iter().all(|&t| t != reader), "cold: {cold:?}");
+    let hot = writer_threads(&server, &line);
+    assert!(hot.iter().all(|&t| t == reader), "cache-hot: {hot:?}");
 }

@@ -291,10 +291,11 @@ fn cache_hot_grids_through_a_coordinator_are_not_held_back_by_nagle() {
 }
 
 /// The same with requests pipelined: four cache-hot grids sent in one
-/// `write` are drained by four threads, and their 36 lines still leave in
-/// one `write`, because the connection flushes only once its reader and
-/// every drainer are idle.  Flushed drainer by drainer, all but the first
-/// write would wait for the client's delayed ACK.
+/// `write` are drained one by one on the reader thread, and their 36
+/// lines still leave in one `write`, because the connection flushes only
+/// once its reader has no whole request left and every drainer is idle.
+/// Flushed drain by drain, all but the first write would wait for the
+/// client's delayed ACK.
 #[test]
 fn pipelined_cache_hot_grids_are_not_held_back_by_nagle() {
     let port = start_tcp_server();
@@ -413,6 +414,93 @@ fn a_cache_hot_grid_reaches_the_socket_in_one_write() {
 #[test]
 fn a_cache_hot_grid_reaches_the_socket_in_one_write_through_a_coordinator() {
     assert_cache_hot_grid_in_one_write(&in_process_coordinator());
+}
+
+/// A connection to a fresh server whose cache holds `hot_line`'s grid,
+/// with a read timeout so a missing reply fails instead of hanging.
+fn warmed_connection() -> (TcpStream, BufReader<TcpStream>) {
+    let port = start_tcp_server();
+    let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    client
+        .write_all(hot_line("warm", "stream").as_bytes())
+        .unwrap();
+    read_all(&mut reader, &["warm"]);
+    (client, reader)
+}
+
+/// Reads response lines up to and including the `done` of `id`.
+fn lines_until_done<R: BufRead>(reader: &mut R, id: &str) -> Vec<String> {
+    let done = format!("done id={id} ");
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("read") > 0,
+            "closed before the done of {id}: {lines:?}"
+        );
+        let finished = line.starts_with(&done);
+        lines.push(line.trim_end().to_string());
+        if finished {
+            return lines;
+        }
+    }
+}
+
+/// A cache-hot grid is drained before the reader reads on, so it is no
+/// longer active by the next line: a `cancel` for it gets the reply a
+/// finished request gets, its id may be reused at once, and a 1 ms
+/// deadline cannot expire on points that were all ready at submit.
+#[test]
+fn a_cache_hot_request_is_finished_before_the_next_line() {
+    let (mut client, mut reader) = warmed_connection();
+    let burst = format!(
+        "{}cancel id=hot\n{}{} deadline_ms=1\n",
+        hot_line("hot", "stream"),
+        hot_line("hot", "batch"),
+        hot_line("dl", "stream").trim_end(),
+    );
+    client.write_all(burst.as_bytes()).unwrap();
+    let ok = "delivered=8 dropped=0 aborted=0 failed=0 cached=8 status=ok";
+    let first = lines_until_done(&mut reader, "hot");
+    assert_eq!(first.len(), 9, "eight points, then done: {first:?}");
+    assert!(first[8].ends_with(ok), "{first:?}");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("the cancel's reply");
+    assert_eq!(line.trim_end(), "error id=hot msg=no such active request");
+    let again = lines_until_done(&mut reader, "hot");
+    assert_eq!(again.len(), 9, "the reused id is served: {again:?}");
+    assert!(again[8].ends_with(ok), "{again:?}");
+    let deadline = lines_until_done(&mut reader, "dl");
+    assert_eq!(deadline.len(), 9, "{deadline:?}");
+    assert!(deadline[8].ends_with(ok), "{deadline:?}");
+}
+
+/// A cache-hot grid pipelined behind a cold one on the same connection is
+/// answered while the cold grid still simulates: a drain on the reader
+/// thread never waits behind a drainer thread.
+#[test]
+fn a_cache_hot_grid_overtakes_a_cold_grid_pipelined_ahead_of_it() {
+    let (mut client, mut reader) = warmed_connection();
+    let cold = "sweep id=cold trace=MDG iterations=400 machines=dm,swsm windows=16,32,64 \
+                mds=0,60 mode=batch\n";
+    let burst = format!("{cold}{}", hot_line("hot", "stream"));
+    client.write_all(burst.as_bytes()).unwrap();
+    let lines = lines_until_done(&mut reader, "cold");
+    let done_at = |id: &str| {
+        let done = format!("done id={id} ");
+        lines.iter().position(|l| l.starts_with(&done))
+    };
+    let hot = done_at("hot").unwrap_or_else(|| panic!("no done for hot: {lines:?}"));
+    assert!(lines[hot].ends_with("cached=8 status=ok"), "{lines:?}");
+    assert!(
+        lines[..hot].iter().all(|l| !l.contains("id=cold ")),
+        "the cache-hot grid waited behind the cold one: {lines:?}"
+    );
+    assert_eq!(lines.len(), 9 + 13, "{lines:?}");
 }
 
 /// Cancelling an in-flight request drops its pending points: the `done`

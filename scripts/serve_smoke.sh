@@ -69,16 +69,21 @@ req_warm=target/serve-smoke-warm-requests.txt
 
 "$bin" --stdin --cache-dir "$cache_dir" < "$req_warm" > target/serve-smoke-cold-raw.txt
 grep -q '^done id=w .*delivered=8.*cached=0.*status=ok' target/serve-smoke-cold-raw.txt
-# The stats reply races the async drainer, so only the field's presence is
-# deterministic here; the warm run's cache_loaded=8 proves the persisted
-# count below.
+# The cold grid simulates, so its drainer runs on its own thread and the
+# stats reply races it: only the field's presence is deterministic here;
+# the warm run's cache_loaded=8 proves the persisted count below.
 grep '^stats' target/serve-smoke-cold-raw.txt | grep -q 'cache_persisted='
 [ -s "$cache_dir/sweep-cache.log" ] || { echo "cache log was not written"; exit 1; }
 
 "$bin" --stdin --cache-dir "$cache_dir" < "$req_warm" > target/serve-smoke-warm-raw.txt
 grep -q '^done id=w .*delivered=8.*cached=8.*status=ok' target/serve-smoke-warm-raw.txt \
   || { echo "restarted server did not answer the grid from the cache"; exit 1; }
+# Every point of the warm grid is cached at submit, so the reader drains it
+# itself: its done line is written before the pipelined stats line is read.
+grep -n -m1 -e '^done id=w ' -e '^stats' target/serve-smoke-warm-raw.txt | grep -q ':done id=w ' \
+  || { echo "the cache-hot grid was not drained before stats was read"; exit 1; }
 warm_stats=$(grep '^stats' target/serve-smoke-warm-raw.txt)
+echo "$warm_stats" | grep -Eq ' cache_hits=8( |$)' || { echo "warm hits: $warm_stats"; exit 1; }
 echo "$warm_stats" | grep -q 'cache_loaded=8' || { echo "no records loaded: $warm_stats"; exit 1; }
 echo "$warm_stats" | grep -q 'cache_misses=0' || { echo "warm run simulated: $warm_stats"; exit 1; }
 grep '^point' target/serve-smoke-cold-raw.txt | sort > target/serve-smoke-cold-points.txt
