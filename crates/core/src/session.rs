@@ -1078,7 +1078,7 @@ impl SweepStream {
     /// submitted: the grid spawned no simulation job, because each point
     /// was a cache hit or was skipped by a token cancelled before submit.
     /// Draining a settled stream never waits.  A cache-off session settles
-    /// only an empty grid.
+    /// a grid only when every point was skipped at submit.
     #[must_use]
     pub fn settled(&self) -> bool {
         self.settled

@@ -308,10 +308,10 @@ struct Active {
 
 /// Serves one client connection: reads newline-delimited requests from
 /// `reader` until end of file, writes tagged responses to `writer`.
-/// Several sweeps may be in flight at once: one that simulates drains on
-/// its own thread, one the backend settled at submit drains on the
-/// reader's before the next line is read.  The call returns once the input
-/// is exhausted *and* every submitted sweep has written its `done` line.
+/// Several sweeps may be in flight at once: a simulating one drains on its
+/// own thread, a settled one on the reader's, which reads on only once its
+/// replies are written.  Returns once the input is exhausted *and* every
+/// submitted sweep has written its `done` line.
 ///
 /// The connection registers with the backend (on a single server: for
 /// per-client admission control, with its live point count in `stats` as

@@ -17,7 +17,9 @@
 //!
 //! A grid whose every event is queued at submit (a stub's, or a
 //! `SweepServer`'s cache-hot repeat) is drained on the reader thread; any
-//! other grid on a drainer thread of its own.
+//! other grid on a drainer thread of its own.  So while such a grid's
+//! replies cannot be written, the connection reads no further request:
+//! a client must read replies while it writes.
 //!
 //! The transcript slows every point with the process-global
 //! `dae_core::fault` hooks, so every test here serializes on
@@ -30,10 +32,11 @@ use dae_serve::{
     DoneStatus, Partitioner, Request, Response, ShutdownMode, SubmitError, SweepBackend,
     SweepRequest, SweepServer,
 };
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
@@ -976,4 +979,136 @@ fn a_sweep_server_drains_a_cache_hot_grid_on_the_reader_thread() {
     assert!(cold.iter().all(|&t| t != reader), "cold: {cold:?}");
     let hot = writer_threads(&server, &line);
     assert!(hot.iter().all(|&t| t == reader), "cache-hot: {hot:?}");
+}
+
+/// One direction of an in-memory pipe that holds at most `capacity`
+/// bytes, like an OS pipe with a small buffer: a write blocks while the
+/// pipe is full and the read end is open, a read while it is empty and
+/// the write end is open.
+struct Pipe {
+    /// The bytes in the pipe, and whether each end is still open.
+    state: Mutex<(VecDeque<u8>, bool, bool)>,
+    changed: Condvar,
+    capacity: usize,
+}
+
+struct PipeWriter(Arc<Pipe>);
+struct PipeReader(Arc<Pipe>);
+
+fn pipe(capacity: usize) -> (PipeWriter, PipeReader) {
+    let pipe = Arc::new(Pipe {
+        state: Mutex::new((VecDeque::new(), true, true)),
+        changed: Condvar::new(),
+        capacity,
+    });
+    (PipeWriter(Arc::clone(&pipe)), PipeReader(pipe))
+}
+
+impl Write for PipeWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let pipe = &self.0;
+        let mut state = pipe.state.lock().unwrap();
+        while state.0.len() == pipe.capacity && state.2 {
+            state = pipe.changed.wait(state).unwrap();
+        }
+        if !state.2 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        let n = buf.len().min(pipe.capacity - state.0.len());
+        state.0.extend(&buf[..n]);
+        pipe.changed.notify_all();
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Drop for PipeWriter {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap().1 = false;
+        self.0.changed.notify_all();
+    }
+}
+
+impl Read for PipeReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let pipe = &self.0;
+        let mut state = pipe.state.lock().unwrap();
+        while state.0.is_empty() && state.1 && !buf.is_empty() {
+            state = pipe.changed.wait(state).unwrap();
+        }
+        let n = buf.len().min(state.0.len());
+        for (slot, byte) in buf.iter_mut().zip(state.0.drain(..n)) {
+            *slot = byte;
+        }
+        pipe.changed.notify_all();
+        Ok(n)
+    }
+}
+
+impl Drop for PipeReader {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap().2 = false;
+        self.0.changed.notify_all();
+    }
+}
+
+/// A client that writes many settled grids before reading any reply
+/// stalls once the output pipe is full: the reader thread, draining a
+/// settled grid, blocks on the write and reads no further request until
+/// the client reads.  Once it does, every grid completes.
+#[test]
+fn a_client_that_writes_settled_grids_without_reading_stalls_until_it_reads() {
+    let _guard = faults();
+    const GRIDS: usize = 64;
+    let stub = Arc::new(ThreadStub {
+        settled: true,
+        takers: Takers::default(),
+    });
+    let (mut requests, input) = pipe(1024);
+    let (output, replies) = pipe(1024);
+    let server = std::thread::spawn(move || {
+        serve_connection(&stub, BufReader::with_capacity(256, input), output)
+    });
+    let written = Arc::new(AtomicUsize::new(0));
+    let client = {
+        let written = Arc::clone(&written);
+        std::thread::spawn(move || {
+            for i in 0..GRIDS {
+                let line = sweep(&format!("s{i}"), "0,20,40,60", "");
+                writeln!(requests, "{line}").expect("write request");
+                written.fetch_add(1, Ordering::Relaxed);
+            }
+        })
+    };
+
+    // Wait until the client makes no progress for a while.
+    let (mut last, mut since) = (0, Instant::now());
+    let give_up = Instant::now() + Duration::from_secs(20);
+    while since.elapsed() < Duration::from_millis(300) && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = written.load(Ordering::Relaxed);
+        if now != last {
+            (last, since) = (now, Instant::now());
+        }
+    }
+    assert!(
+        last < GRIDS,
+        "the client wrote all {GRIDS} grids without reading a reply"
+    );
+
+    let replies: Vec<String> = BufReader::new(replies)
+        .lines()
+        .map(|line| line.expect("read reply"))
+        .collect();
+    client.join().expect("client");
+    server.join().expect("server").expect("serve");
+    let done = replies.iter().filter(|l| l.starts_with("done ")).count();
+    assert_eq!(done, GRIDS, "every grid completes once the client reads");
+    assert!(replies
+        .iter()
+        .filter(|l| l.starts_with("done "))
+        .all(|l| l.ends_with("status=ok")));
 }
