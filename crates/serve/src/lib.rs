@@ -12,8 +12,7 @@
 //! * [`lifecycle`] — the request lifecycle every serving mode shares,
 //!   generic over a [`SweepBackend`]: [`serve_connection`] (one client:
 //!   concurrent tagged sweeps, per-request cancellation and deadlines,
-//!   balanced `done` accounting), [`serve_local`], and the TCP /
-//!   Unix-socket accept loop.
+//!   balanced `done` accounting) and the TCP / Unix-socket accept loop.
 //! * [`server`] — [`SweepServer`], the local backend: the shared session
 //!   behind one brief mutex, with admission control.
 //! * [`coordinator`] — [`Coordinator`], the fleet backend: the same wire
@@ -22,6 +21,10 @@
 //!   and iterations ([`SweepRequest::placement_digest`]) so every shard's
 //!   result cache stays hot, and a dead or refusing backend's unsettled
 //!   points are re-dispatched.
+//! * [`route`] — the coordinator's routing core, [`route::Router`]: a
+//!   state machine with no sockets, clocks or threads, which the
+//!   coordinator drives behind one lock and a checker drives through
+//!   every interleaving of small fleets.
 //!
 //! What the session layer provides, the server inherits: lowered programs
 //! pin once per `(source, iterations)` and are shared by every client, the
@@ -52,13 +55,15 @@
 pub mod coordinator;
 pub mod lifecycle;
 pub mod protocol;
+pub mod route;
 pub mod server;
 mod table;
 
-pub use coordinator::{Coordinator, Partitioner};
+pub use coordinator::Coordinator;
 #[cfg(unix)]
 pub use lifecycle::serve_unix;
-pub use lifecycle::{await_drained, serve_connection, serve_local, serve_tcp, SweepBackend};
+pub use lifecycle::{await_drained, serve_connection, serve_tcp, SweepBackend};
+pub use route::Partitioner;
 
 pub use protocol::{
     parse_request, parse_response, CacheAction, DeliveryMode, DoneStatus, Request, RequestError,

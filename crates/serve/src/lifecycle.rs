@@ -21,7 +21,7 @@
 //! Lock order: the per-connection outbox mutex is taken only inside
 //! `Outbox` methods, which never call into the backend, so it is never
 //! held together with a backend lock (the server's state, the
-//! coordinator's `pending` routing map).
+//! coordinator's routing core).
 
 use crate::protocol::{
     parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
@@ -330,55 +330,21 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    serve_requests(
-        &**backend,
-        reader,
-        writer,
-        &AtomicUsize::new(0),
-        false,
-        |_| false,
-    )
+    serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), |_| false)
 }
 
-/// Runs the same requests *sequentially in-process* — each sweep drains to
-/// completion, in grid order, before the next line is read — producing the
-/// canonical output the streamed server paths are diffed against (the
-/// `--local` mode of the binary, used by `scripts/serve_smoke.sh`).
-/// `cancel` finds nothing in flight; `shutdown` stops reading.
-///
-/// # Errors
-///
-/// Propagates read errors.
-pub fn serve_local<B, R, W>(backend: &Arc<B>, reader: R, writer: W) -> io::Result<()>
-where
-    B: SweepBackend,
-    R: BufRead,
-    W: Write + Send,
-{
-    serve_requests(
-        &**backend,
-        reader,
-        writer,
-        &AtomicUsize::new(0),
-        true,
-        |_| false,
-    )
-}
-
-/// The reader loop behind [`serve_connection`] and [`serve_local`].
+/// The reader loop behind [`serve_connection`] and the accept loop.
 /// `acking` counts the accept loop's connections still acknowledging a
 /// `shutdown`: raised before the backend is told to stop, lowered once the
-/// ack line is written.  `sequential` drains each sweep in grid order, with
-/// no deadline, before reading on; a settled sweep drains before reading on
-/// too, in its own mode.  `buffered` tells whether `reader` already holds a
-/// whole request line; while it does, the reader loop counts as busy in the
-/// connection's [`Outbox`].
+/// ack line is written.  A settled sweep drains before the loop reads on.
+/// `buffered` tells whether `reader` already holds a whole request line;
+/// while it does, the reader loop counts as busy in the connection's
+/// [`Outbox`].
 fn serve_requests<B, R, W>(
     backend: &B,
     mut reader: R,
     writer: W,
     acking: &AtomicUsize,
-    sequential: bool,
     buffered: fn(&R) -> bool,
 ) -> io::Result<()>
 where
@@ -455,13 +421,7 @@ where
                     }
                     _ => error(id, "no such active request".to_string()),
                 },
-                Ok(Request::Sweep(mut request)) => {
-                    if sequential {
-                        // Local output is the order-independent oracle:
-                        // batch order, no deadline.
-                        request.mode = DeliveryMode::Batch;
-                        request.deadline_ms = None;
-                    }
+                Ok(Request::Sweep(request)) => {
                     active.retain(|_, a| !a.finished.load(Ordering::Acquire));
                     let submitted = if active.contains_key(&request.id) {
                         Err(SubmitError::Rejected(
@@ -484,7 +444,7 @@ where
                             retry_after_ms,
                         },
                         Err(SubmitError::Rejected(message)) => error(request.id, message),
-                        Ok(events) if sequential || events.settled() => {
+                        Ok(events) if events.settled() => {
                             out.busy();
                             drain(backend, events, &request, &out);
                             continue;
@@ -540,14 +500,9 @@ where
                 std::thread::spawn(move || {
                     if let Ok(read_half) = split(&connection) {
                         let reader = BufReader::new(read_half);
-                        let _ = serve_requests(
-                            &*backend,
-                            reader,
-                            connection,
-                            &acking,
-                            false,
-                            |reader| reader.buffer().contains(&b'\n'),
-                        );
+                        let _ = serve_requests(&*backend, reader, connection, &acking, |reader| {
+                            reader.buffer().contains(&b'\n')
+                        });
                     }
                 });
             }

@@ -7,10 +7,6 @@
 //!                                once every sweep has finished)
 //! dae-serve --tcp ADDR           listen on a TCP address (e.g. 127.0.0.1:7878)
 //! dae-serve --unix PATH          listen on a Unix-domain socket
-//! dae-serve --local FILE         run FILE's requests sequentially in-process
-//!                                and print canonical grid-order output (the
-//!                                oracle the smoke test diffs the served
-//!                                output against)
 //!       --no-cache               disable the session's sweep-result cache
 //!       --cache-dir DIR          persist the sweep-result cache in DIR:
 //!                                intact records are loaded on startup and
@@ -42,9 +38,9 @@
 
 use dae_core::SweepSession;
 use dae_serve::{
-    await_drained, serve_connection, serve_local, serve_tcp, Coordinator, SweepBackend, SweepServer,
+    await_drained, serve_connection, serve_tcp, Coordinator, SweepBackend, SweepServer,
 };
-use std::io::{self, BufReader};
+use std::io;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -57,12 +53,11 @@ enum Mode {
     Stdin,
     Tcp(String),
     Unix(String),
-    Local(String),
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dae-serve [--stdin | --tcp ADDR | --unix PATH | --local FILE] \
+        "usage: dae-serve [--stdin | --tcp ADDR | --unix PATH] \
          [--no-cache] [--cache-dir DIR] \
          [--coordinator B1,B2,... [--retry-timeout-ms N]]"
     );
@@ -85,10 +80,6 @@ fn main() -> ExitCode {
             },
             "--unix" => match args.next() {
                 Some(path) => mode = Mode::Unix(path),
-                None => return usage(),
-            },
-            "--local" => match args.next() {
-                Some(path) => mode = Mode::Local(path),
                 None => return usage(),
             },
             "--no-cache" => cache = false,
@@ -203,13 +194,6 @@ fn run<B: SweepBackend + 'static>(backend: &Arc<B>, mode: Mode, what: &str) -> E
             }
         },
         Mode::Unix(path) => serve_unix_at(backend, &path, what),
-        Mode::Local(path) => match std::fs::File::open(&path) {
-            Ok(file) => serve_local(backend, BufReader::new(file), io::stdout()),
-            Err(e) => {
-                eprintln!("dae-serve: cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
     // Socket modes return from their accept loops once a `shutdown` has
     // been acknowledged; the drainers' final `done` lines and the

@@ -10,7 +10,8 @@
 //! backend's cache, the retry watchdog reclaims (and cancels) a grid from
 //! a backend that never answers but leaves one that answers slowly
 //! alone, a grid a backend refuses is resent at once (or fails when no
-//! other backend is left), a failing point fails only its own client
+//! other backend is left), a grid a backend answers `busy` is resent only
+//! after the backend's retry hint, a failing point fails only its own client
 //! index, a backend that dies after some or all of a grid's `point`
 //! lines still settles every point exactly once, and replies naming
 //! points outside their grid are counted, not obeyed.
@@ -624,6 +625,43 @@ fn a_grid_refused_by_the_only_backend_fails() {
     }
     assert_eq!(refused.try_iter().count(), 1, "refused once, not resent");
     assert_eq!(stat(&*coordinator, "redispatched_points"), 0);
+    assert_eq!(coordinator.pending_points(), 0, "every point settled");
+}
+
+/// A grid a backend answers `busy` is resent after the backend's
+/// `retry_after_ms`, not once per round trip: a backend that answers
+/// `busy retry_after_ms=100` to every sweep line for its first 300 ms, and
+/// then answers everything, sees at most 5 sweep lines, and the grid
+/// completes with the oracle's cycles and `status=ok`.
+#[test]
+fn a_busy_backend_is_retried_after_its_hint() {
+    let _guard = faults();
+    let (request, expected, _) = oracle(FLEET_GRID);
+    let by_point: HashMap<Coordinate, u64> = request.grid().zip(expected.iter().copied()).collect();
+    let (seen_tx, seen) = mpsc::channel();
+    let start = Instant::now();
+    let (busy, _) = stub_backend(move |sub, out| {
+        if start.elapsed() < Duration::from_millis(300) {
+            let busy = Response::Busy {
+                id: sub.id.clone(),
+                queued: 1,
+                limit: 1,
+                retry_after_ms: 100,
+            };
+            writeln!(out, "{busy}").expect("busy");
+        } else {
+            answer_all(&sub, &by_point, out, Duration::ZERO);
+        }
+        seen_tx.send(sub.id).is_ok()
+    });
+    let coordinator = Arc::new(Coordinator::connect(&[busy]).expect("connect"));
+    let (cycles, done) = serve_grid(&coordinator, FLEET_GRID);
+    let points = expected.len();
+    let expected: Vec<_> = expected.into_iter().map(Some).collect();
+    assert_eq!(cycles, expected, "grid behind a busy backend vs the oracle");
+    assert_one_ok_done(&done, points, 0);
+    let lines = seen.try_iter().count();
+    assert!(lines <= 5, "the busy backend saw {lines} sweep lines");
     assert_eq!(coordinator.pending_points(), 0, "every point settled");
 }
 

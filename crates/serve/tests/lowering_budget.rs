@@ -10,7 +10,7 @@
 
 use dae_core::{fault, StreamWait, SweepEvent, SweepSession};
 use dae_serve::{
-    parse_request, parse_response, serve_local, Request, Response, SweepBackend, SweepRequest,
+    parse_request, parse_response, serve_connection, Request, Response, SweepBackend, SweepRequest,
     SweepServer,
 };
 use std::collections::HashMap;
@@ -80,17 +80,25 @@ fn oracle(line: &str) -> Vec<u64> {
     session.sweep_multi(&request.points(id))
 }
 
-/// What one `--local`-style run of `lines` answered.
+/// What one sequential run of `lines` answered.
 struct Run {
     cycles: HashMap<String, Vec<u64>>,
     cached: HashMap<String, u64>,
 }
 
+/// Serves `lines` on `server` in order, each on a connection of its own,
+/// so each request finishes before the next is read; their responses.
+fn serve_each(server: &Arc<SweepServer>, lines: &[String]) -> Vec<u8> {
+    let mut output = Vec::new();
+    for line in lines {
+        serve_connection(server, format!("{line}\n").as_bytes(), &mut output).expect("serve");
+    }
+    output
+}
+
 /// Serves `lines` sequentially on `server`.
 fn serve(server: &Arc<SweepServer>, lines: &[String]) -> Run {
-    let input = lines.join("\n") + "\n";
-    let mut output = Vec::new();
-    serve_local(server, input.as_bytes(), &mut output).expect("serve");
+    let output = serve_each(server, lines);
     let mut run = Run {
         cycles: HashMap::new(),
         cached: HashMap::new(),
@@ -277,9 +285,12 @@ fn the_protocol_transcript_counts_its_pin_hit() {
     let _guard = serialized();
     let server = Arc::new(SweepServer::new());
     let grid = "trace=TRFD iterations=100 machines=dm,swsm windows=8,32 mds=0,60 mode=stream";
-    let input = format!("sweep id=a {grid}\nsweep id=b {grid}\nstats\n");
-    let mut output = Vec::new();
-    serve_local(&server, input.as_bytes(), &mut output).expect("serve");
+    let lines = [
+        format!("sweep id=a {grid}"),
+        format!("sweep id=b {grid}"),
+        "stats".to_string(),
+    ];
+    let output = serve_each(&server, &lines);
     let text = String::from_utf8(output).expect("utf8");
     let stats_line = text.lines().last().expect("a stats reply");
     let Ok(Response::Stats { fields }) = parse_response(stats_line) else {

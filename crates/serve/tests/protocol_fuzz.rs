@@ -4,14 +4,27 @@
 //! back as structured `Err`s, and whatever parses must survive a
 //! print/parse round trip.
 //!
-//! The coordinator's backend-reply path is fuzzed on the same inputs: a
-//! malformed, truncated or misdirected backend line must never panic the
-//! coordinator — it is counted or ignored, both of which
-//! `Coordinator::handle_backend_reply` absorbs without routing state.
+//! The coordinator's routing core is fuzzed on the same inputs, fed to it
+//! as backend lines: a malformed, truncated or misdirected backend line
+//! must never panic the core — `Router::on` counts it as a reply error or
+//! ignores it, and routes nothing.
 
-use dae_serve::{parse_request, parse_response, CacheAction, Coordinator, Request};
+use dae_serve::route::{Input, Router};
+use dae_serve::{parse_request, parse_response, CacheAction, Request};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
+
+/// Feeds `lines` to a fresh `backends`-backend routing core, each as a
+/// line from the next backend in turn; the points left pending.
+fn pending_after(backends: usize, lines: &[String]) -> usize {
+    let mut core = Router::<u8>::new(backends, 64, Duration::from_secs(30));
+    let now = Instant::now();
+    for (i, line) in lines.iter().enumerate() {
+        core.on(Input::Line(i % backends, line), now);
+    }
+    core.pending_points()
+}
 
 /// A fragment drawn from the protocol's own vocabulary: verbs, field
 /// names, values, separators — the inputs most likely to reach deep
@@ -184,33 +197,30 @@ proptest! {
         let _ = parse_request(&line);
     }
 
-    /// Arbitrary bytes through the coordinator's backend-reply path: a
-    /// detached two-backend coordinator absorbs any line sequence without
-    /// panicking (malformed lines count as reply errors, parsable lines
-    /// for unknown subrequest ids are ignored).
+    /// Arbitrary bytes as backend lines: a two- and a three-backend
+    /// routing core absorb any line sequence without panicking (malformed
+    /// lines count as reply errors, parsable lines for unknown subrequest
+    /// ids are ignored).
     #[test]
     fn arbitrary_backend_replies_never_panic_the_coordinator(
         lines in vec(vec(any::<u8>(), 0..160), 0..8),
     ) {
-        let coordinator = Coordinator::detached(2);
-        for bytes in &lines {
-            coordinator.handle_backend_reply(&String::from_utf8_lossy(bytes));
-        }
-        prop_assert_eq!(coordinator.pending_points(), 0);
+        let lines: Vec<String> =
+            lines.iter().map(|b| String::from_utf8_lossy(b).into_owned()).collect();
+        prop_assert_eq!(pending_after(2, &lines), 0);
+        prop_assert_eq!(pending_after(3, &lines), 0);
     }
 
     /// Token soup from the response vocabulary — the highest-coverage
     /// near-valid backend replies (truncated `done` lines, misdirected
-    /// control acks, out-of-range counts) — never panics the coordinator.
+    /// control acks, out-of-range counts) — never panics the routing core.
     #[test]
     fn response_soup_never_panics_the_coordinator(
         batches in vec(vec(response_vocab(), 0..10), 1..4),
     ) {
-        let coordinator = Coordinator::detached(3);
-        for tokens in &batches {
-            coordinator.handle_backend_reply(&tokens.join(" "));
-        }
-        prop_assert_eq!(coordinator.pending_points(), 0);
+        let lines: Vec<String> = batches.iter().map(|tokens| tokens.join(" ")).collect();
+        prop_assert_eq!(pending_after(2, &lines), 0);
+        prop_assert_eq!(pending_after(3, &lines), 0);
     }
 
     /// The `priority=` field specifically: any value either parses as one

@@ -5,8 +5,8 @@
 
 use dae_core::{SweepSession, TraceId};
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_local, serve_tcp, Coordinator, Request,
-    Response, SweepBackend, SweepServer,
+    parse_request, parse_response, serve_connection, serve_tcp, Coordinator, Request, Response,
+    SweepBackend, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -911,7 +911,7 @@ fn cache_verb_and_cache_dir_restarts_answer_grids_warm() {
     let cold = Arc::new(SweepServer::new());
     assert_eq!(cold.attach_cache_store(&dir).expect("fresh dir"), 0);
     let mut output = Vec::new();
-    serve_local(&cold, format!("{sweep}\n").as_bytes(), &mut output).expect("cold serve");
+    serve_connection(&cold, format!("{sweep}\n").as_bytes(), &mut output).expect("cold serve");
     let text = String::from_utf8(output).expect("utf8");
     let done = text.lines().last().expect("a done line");
     let Ok(Response::Done {
@@ -929,9 +929,11 @@ fn cache_verb_and_cache_dir_restarts_answer_grids_warm() {
     let warm = Arc::new(SweepServer::new());
     let loaded = warm.attach_cache_store(&dir).expect("warm dir");
     assert_eq!(loaded as usize, expected.len(), "every record replays");
-    let input = format!("{sweep}\ncache limit=2\ncache clear\nstats\n");
+    // One connection per line keeps the replies in request order.
     let mut output = Vec::new();
-    serve_local(&warm, input.as_bytes(), &mut output).expect("warm serve");
+    for line in [sweep, "cache limit=2", "cache clear", "stats"] {
+        serve_connection(&warm, format!("{line}\n").as_bytes(), &mut output).expect("warm serve");
+    }
     let text = String::from_utf8(output).expect("utf8");
 
     let mut cycles_by_index = HashMap::new();

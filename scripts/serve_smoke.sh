@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Server smoke test: pipes a small request file into the dae-serve binary
 # (the real stdin path, streamed/batched responses in completion order)
-# and diffs the tagged point lines against the in-process session result
-# (--local mode runs the same requests sequentially and prints canonical
-# grid-order output).  Sorting both sides removes the completion-order
-# nondeterminism; the cycles must match bit for bit.
+# and diffs the tagged point lines against a cache-off run of the same
+# file, every point simulated afresh.  Sorting both sides removes the
+# completion-order nondeterminism; the cycles must match bit for bit.
 #
 # Scripts index: lint.sh runs the dae-lint static analysis gate
 # (docs/LINTS.md), and this file smokes the server; CI runs both.
@@ -22,7 +21,7 @@ sweep id=c kernel=i;ld:%0;ld:%0;mul:%1,$0;add:%3,%2;st:%4,%0 iterations=150 mach
 sweep id=d trace=TRFD iterations=120 machines=dm,swsm windows=8,32 mds=0,60 mode=stream
 EOF
 
-"$bin" --local "$req" | grep '^point' | sort > target/serve-smoke-expected.txt
+"$bin" --no-cache --stdin < "$req" | grep '^point' | sort > target/serve-smoke-expected.txt
 "$bin" --stdin < "$req" > target/serve-smoke-raw.txt
 grep '^point' target/serve-smoke-raw.txt | sort > target/serve-smoke-got.txt
 
@@ -128,8 +127,8 @@ kill $srv 2>/dev/null || true
 trap - EXIT
 
 # Sharded serving: the same request file through a coordinator over two
-# real backend processes must produce bit-for-bit the single-server
-# (--local) point lines — each grid is forwarded whole to the shard owning
+# real backend processes must produce bit-for-bit the cache-off
+# single-server point lines — each grid is forwarded whole to the shard owning
 # its (trace, iterations), so the repeat grid (id=d) re-lands on whichever
 # shard served id=a.  The coordinator's stats count the 8+4+8+8 points it
 # forwarded (at dispatch, so the count holds with the sweeps still in
@@ -186,4 +185,4 @@ fi
 wait $b1 $b2 2>/dev/null || true
 trap - EXIT
 
-echo "serve smoke OK: $(wc -l < target/serve-smoke-got.txt) streamed points match the in-process results; malformed and oversized requests rejected cleanly; a restarted --cache-dir server answered its grid entirely from the persisted cache; concurrent bulk + interactive clients both completed; a two-backend coordinator reproduced the grid bit for bit and shut its fleet down"
+echo "serve smoke OK: $(wc -l < target/serve-smoke-got.txt) streamed points match a cache-off run; malformed and oversized requests rejected cleanly; a restarted --cache-dir server answered its grid entirely from the persisted cache; concurrent bulk + interactive clients both completed; a two-backend coordinator reproduced the grid bit for bit and shut its fleet down"
