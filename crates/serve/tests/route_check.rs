@@ -446,7 +446,6 @@ impl Checker<'_> {
             Kind::Busy => {
                 world.busy_until[grid] = u64::from(world.ticks) * 100 + BUSY_HINT_MS;
             }
-            Kind::Done => {}
         }
         Ok(())
     }
@@ -742,7 +741,6 @@ enum Kind {
     Progress,
     Refusal,
     Busy,
-    Done,
 }
 
 /// A backend line's subrequest id and kind, if it names one.
@@ -757,7 +755,6 @@ fn parse_response_model(line: &str) -> Option<(String, Kind)> {
             false => (id, Kind::Refusal),
         },
         Response::Busy { id, .. } => (id, Kind::Busy),
-        Response::Done { id, .. } => (id, Kind::Done),
         _ => return None,
     })
 }
