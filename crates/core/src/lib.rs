@@ -62,8 +62,8 @@ pub use metrics::{equivalent_window_ratio, speedup, WindowCurve};
 pub use placement::cache_key_digest;
 pub use report::TextTable;
 pub use session::{
-    CacheStats, CancelToken, RequestClass, SessionStats, StreamWait, StreamedPoint, SweepEvent,
-    SweepPoint, SweepSession, SweepStream, TraceId,
+    CacheStats, CancelToken, EventSink, RequestClass, SessionStats, StreamWait, StreamedPoint,
+    SweepEvent, SweepPoint, SweepSession, SweepStream, TraceId,
 };
 pub use store::{CacheStore, StoreLoad, StoreRecord};
 

@@ -763,9 +763,11 @@ impl SweepSession {
     /// simulating a point.
     #[must_use]
     pub fn sweep_multi(&mut self, points: &[SweepPoint]) -> Vec<Cycle> {
+        let stream = self.stream(points);
+        // The streamed path, counted as batched instead.
+        self.stats.streamed_points -= points.len() as u64;
         self.stats.batched_points += points.len() as u64;
-        self.submit(points, &CancelToken::new(), RequestClass::default())
-            .collect_ordered()
+        stream.collect_ordered()
     }
 
     /// Submits a grid of points and returns immediately with a stream that
@@ -819,32 +821,63 @@ impl SweepSession {
         token: &CancelToken,
         class: RequestClass,
     ) -> SweepStream {
-        self.stats.streamed_points += points.len() as u64;
-        self.submit(points, token, class)
+        let (tx, rx) = mpsc::channel();
+        // A send to a stream dropped early is discarded.
+        let sink: EventSink = Arc::new(move |event| {
+            let _ = tx.send(event);
+        });
+        let ready = self.submit(points, token, class, Arc::clone(&sink));
+        let settled = ready.len() == points.len();
+        ready.into_iter().for_each(&*sink);
+        SweepStream {
+            rx,
+            remaining: points.len(),
+            total: points.len(),
+            skipped: 0,
+            aborted: 0,
+            failed: 0,
+            settled,
+        }
     }
 
-    /// The one submission path every grid takes.  With the cache on, each
-    /// point is classified once: a resident entry is delivered at once, the
-    /// first miss on a key becomes a job, and later points with that key
-    /// ride the job as followers.  Jobs are spawned only after the whole
-    /// grid is classified, so no job can settle before its followers are
-    /// known.  With the cache off every point is its own job.
-    fn submit(
-        &self,
+    /// The one submission path every grid takes: submits a grid of points
+    /// and returns at once with the events that settled at submit, in grid
+    /// order (cache hits, and every point when `token` is already
+    /// cancelled).  Each other point settles on a worker, whose job calls
+    /// `sink` with its event.  The grid is settled at submit, and `sink` is
+    /// never called, exactly when the returned events number one per
+    /// point.  [`SweepSession::stream`] is this path with a channel as the
+    /// sink, and the points count in [`SessionStats::streamed_points`]
+    /// alike.
+    ///
+    /// With the cache on, each point is classified once: a resident entry
+    /// settles at once, the first miss on a key becomes a job, and later
+    /// points with that key ride the job as followers.  Jobs are spawned
+    /// only after the whole grid is classified, so no job can settle before
+    /// its followers are known.  With the cache off every point is its own
+    /// job.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point names a `TraceId` not pinned in this session.
+    pub fn submit(
+        &mut self,
         points: &[SweepPoint],
         token: &CancelToken,
         class: RequestClass,
-    ) -> SweepStream {
+        sink: EventSink,
+    ) -> Vec<SweepEvent> {
+        self.stats.streamed_points += points.len() as u64;
         // Jobs carry the generation current at submit time; a clear_cache
         // between now and a job's completion bumps it, fencing the stale
         // insert out (the result still streams to the caller).
         let generation = self.cache.generation();
-        let (tx, rx) = mpsc::channel();
+        let mut ready = Vec::new();
         let mut jobs: Vec<Job> = Vec::new();
         let mut job_of: HashMap<CacheKey, usize> = HashMap::new();
         for (index, &point) in points.iter().enumerate() {
             if token.is_cancelled() {
-                let _ = tx.send(SweepEvent::Skipped { index });
+                ready.push(SweepEvent::Skipped { index });
                 continue;
             }
             let (id, machine, window, md) = point;
@@ -853,7 +886,7 @@ impl SweepSession {
             if self.cache_enabled {
                 let leader = job_of.get(&key).copied();
                 if let Some(cycles) = self.cache.lookup(&key, leader.is_some()) {
-                    let _ = tx.send(SweepEvent::Point(StreamedPoint {
+                    ready.push(SweepEvent::Point(StreamedPoint {
                         index,
                         cycles,
                         cached: true,
@@ -874,33 +907,27 @@ impl SweepSession {
                 followers: Vec::new(),
             });
         }
-        let settled = jobs.is_empty();
         for job in jobs {
             let cache = self.cache_enabled.then(|| Arc::clone(&self.cache));
             let token = token.clone();
-            let tx = tx.clone();
+            let sink = Arc::clone(&sink);
             let flag = token.flag();
             rayon::spawn_prioritized(class.priority, class.client, Some(flag), move || {
                 let event = job.run(&token, cache.as_deref(), generation);
-                // A send can only fail if the stream was dropped early; the
-                // remaining points are simply discarded then.
                 for &index in &job.followers {
-                    let _ = tx.send(event.for_follower(index));
+                    sink(event.for_follower(index));
                 }
-                let _ = tx.send(event);
+                sink(event);
             });
         }
-        SweepStream {
-            rx,
-            remaining: points.len(),
-            total: points.len(),
-            skipped: 0,
-            aborted: 0,
-            failed: 0,
-            settled,
-        }
+        ready
     }
 }
+
+/// Where a submitted grid's jobs send their events
+/// ([`SweepSession::submit`]): called once for each point not settled at
+/// submit, on the worker thread that settled it.
+pub type EventSink = Arc<dyn Fn(SweepEvent) + Send + Sync>;
 
 /// One simulation job of a submitted grid: the first point to miss on
 /// `key`, plus the later points of the same grid that ride its event.

@@ -3,7 +3,6 @@
 use dae_isa::{Cycle, LatencyModel};
 use dae_mem::{DecoupledMemoryConfig, PrefetchBufferConfig};
 use dae_ooo::UnitConfig;
-use dae_trace::PartitionMode;
 
 /// Issue widths used throughout the paper: a combined issue width of 9,
 /// split 4/5 between the AU and DU of the decoupled machine (the paper's
@@ -31,8 +30,6 @@ pub struct DmConfig {
     pub transfer_latency: Cycle,
     /// Decoupled-memory behaviour (capacity, bypass).
     pub decoupled_memory: DecoupledMemoryConfig,
-    /// How the access / compute partition is derived.
-    pub partition_mode: PartitionMode,
 }
 
 impl DmConfig {
@@ -48,7 +45,6 @@ impl DmConfig {
             latencies: LatencyModel::paper_default(),
             transfer_latency: 1,
             decoupled_memory: DecoupledMemoryConfig::default(),
-            partition_mode: PartitionMode::Tagged,
         }
     }
 

@@ -5,7 +5,9 @@ use crate::{DmConfig, DmResult, EswStats, ExecutionSummary, SimPool};
 use dae_isa::Cycle;
 use dae_mem::DecoupledMemory;
 use dae_ooo::{EventUnit, ExecContext, GateWait, NaiveUnitSim, SchedulerUnit, UnitSim};
-use dae_trace::{partition, DecoupledProgram, ExecKind, MachineInst, Trace, WakeupList};
+use dae_trace::{
+    partition, DecoupledProgram, ExecKind, MachineInst, PartitionMode, Trace, WakeupList,
+};
 use std::sync::Arc;
 
 /// The access decoupled machine of the paper (figure 1): two out-of-order
@@ -317,7 +319,9 @@ impl DecoupledMachine {
         DecoupledMachine { config }
     }
 
-    /// Runs `trace` to completion and returns the detailed result.
+    /// Runs `trace`, split into access and compute streams by its
+    /// instructions' tags ([`PartitionMode::Tagged`]), to completion and
+    /// returns the detailed result.
     ///
     /// # Panics
     ///
@@ -326,7 +330,7 @@ impl DecoupledMachine {
     /// program.
     #[must_use]
     pub fn run(&self, trace: &Trace) -> DmResult {
-        let program = partition(trace, self.config.partition_mode);
+        let program = partition(trace, PartitionMode::Tagged);
         self.run_lowered(&program, trace.len())
     }
 
@@ -406,7 +410,7 @@ impl DecoupledMachine {
     /// Panics if the simulation exceeds the deadlock safety bound.
     #[must_use]
     pub fn run_reference(&self, trace: &Trace) -> DmResult {
-        let program = &partition(trace, self.config.partition_mode);
+        let program = &partition(trace, PartitionMode::Tagged);
         let mut units = [
             NaiveUnitSim::new(
                 Arc::clone(&program.au),

@@ -72,7 +72,7 @@ fn abort_latency_is_far_below_the_full_runtime() {
     let mut iterations = 2_000;
     let (program, instructions, full) = loop {
         let trace = PerfectProgram::Trfd.workload().trace(iterations);
-        let program = dae_trace::partition(&trace, DmConfig::paper(64, 60).partition_mode);
+        let program = dae_trace::partition(&trace, dae_trace::PartitionMode::Tagged);
         let start = Instant::now();
         let _ = machine.run_lowered(&program, trace.len());
         let full = start.elapsed();

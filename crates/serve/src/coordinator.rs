@@ -13,21 +13,21 @@
 //! The routing lives in [`crate::route::Router`], a state machine with no
 //! sockets, clocks or threads, whose docs give the fault model.  This
 //! module is its shell: a reader thread per backend connection, a
-//! watchdog thread ticking the core every 100 ms, each request's event
-//! channel, and the `stats` / `cache` / `shutdown` fan-out.  Lock order:
+//! watchdog thread ticking the core every 100 ms, and the `stats` /
+//! `cache` / `shutdown` fan-out.  A request's route is its [`Slot`] on
+//! the client's connection, so each settling operation reaches that
+//! connection's drainer as one message.  Lock order:
 //! the core is behind one mutex, and its effects are carried out once it
 //! is released; a backend's connection lock is taken before the core's,
 //! only to take that backend's queued lines.  Under `dae-lint`'s
 //! panic-path rule, a dead socket or a poisoned lock never panics.
 
-use crate::lifecycle::{Canceller, SweepBackend, SweepEvents};
+use crate::lifecycle::{Slot, Submitted, SweepBackend};
 use crate::protocol::{parse_response, CacheAction, Response, ShutdownMode, SweepRequest};
 use crate::route::{Effect, Input, Router, DEFAULT_VNODES};
 use crate::server::SubmitError;
-use dae_core::{StreamWait, SweepEvent};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
@@ -42,21 +42,10 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(100);
 /// Read timeout on control connections: a wedged backend cannot hang one.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A request's settlement channel, the core's route handle: equal only to
-/// its own clones.
-#[derive(Debug, Clone)]
-struct RouteTx(Arc<mpsc::Sender<Vec<SweepEvent>>>);
-
-impl PartialEq for RouteTx {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
 /// The routing core behind its one lock, and the fleet's sockets.
 #[derive(Debug)]
 struct Shell {
-    core: Mutex<Router<RouteTx>>,
+    core: Mutex<Router<Slot>>,
     /// Where control connections are dialled.
     addrs: Vec<String>,
     /// The write half of each data connection; `None` once dead.
@@ -141,21 +130,23 @@ impl SweepBackend for Coordinator {
 
     fn register(&self) {}
 
-    fn submit_sweep<'a>(
-        &'a self,
+    /// Hands the grid to the core with its slot as the route.  Nothing
+    /// settles at submit: points settle when a backend answers.
+    fn submit_sweep(
+        &self,
         request: &SweepRequest,
         _client: &(),
-    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        let route = RouteTx(Arc::new(tx));
-        self.shell.run(Input::Submit(request, route.clone()));
-        Ok(Box::new(RouteEvents {
-            shell: Arc::clone(&self.shell),
-            route,
-            rx,
-            received: Vec::new().into_iter(),
-            unsettled: request.grid().len(),
-        }))
+        slot: Slot,
+    ) -> Result<Submitted, SubmitError> {
+        self.shell.run(Input::Submit(request, slot.clone()));
+        let shell = Arc::clone(&self.shell);
+        Ok(Submitted {
+            ready: Box::new(std::iter::empty()),
+            settled: false,
+            cancel: Arc::new(move || {
+                shell.run(Input::Cancel(slot.clone()));
+            }),
+        })
     }
 
     /// The coordinator's own counters, then the per-name sums of every
@@ -227,57 +218,9 @@ impl SweepBackend for Coordinator {
     }
 }
 
-/// One coordinated request's events, as the shared drainer sees them: a
-/// message per settling operation, handed out without waiting, so the
-/// drainer never sees an operation half done.  Never settled at submit
-/// (`SweepEvents::settled`'s default): points settle when a backend
-/// answers.
-struct RouteEvents {
-    shell: Arc<Shell>,
-    route: RouteTx,
-    rx: mpsc::Receiver<Vec<SweepEvent>>,
-    /// The rest of the last message received.
-    received: std::vec::IntoIter<SweepEvent>,
-    /// Events not yet handed out.
-    unsettled: usize,
-}
-
-impl SweepEvents for RouteEvents {
-    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait {
-        if self.unsettled == 0 {
-            return StreamWait::Exhausted;
-        }
-        loop {
-            if let Some(event) = self.received.next() {
-                self.unsettled -= 1;
-                return StreamWait::Event(event);
-            }
-            let received = match deadline {
-                Some(at) => self
-                    .rx
-                    .recv_timeout(at.saturating_duration_since(Instant::now())),
-                None => self.rx.recv().map_err(RecvTimeoutError::from),
-            };
-            match received {
-                Ok(events) => self.received = events.into_iter(),
-                Err(RecvTimeoutError::Timeout) => return StreamWait::TimedOut,
-                Err(RecvTimeoutError::Disconnected) => return StreamWait::Exhausted,
-            }
-        }
-    }
-
-    fn canceller(&self) -> Canceller {
-        let shell = Arc::clone(&self.shell);
-        let route = self.route.clone();
-        Arc::new(move || {
-            shell.run(Input::Cancel(route.clone()));
-        })
-    }
-}
-
 impl Shell {
     /// The routing core, recovering from poisoning (`on` never panics).
-    fn core(&self) -> MutexGuard<'_, Router<RouteTx>> {
+    fn core(&self) -> MutexGuard<'_, Router<Slot>> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -298,15 +241,13 @@ impl Shell {
 
     /// Feeds one input to the core, then carries out its effects with the
     /// core's lock released.  Returns whether a shutdown was forwarded.
-    fn run(&self, input: Input<'_, RouteTx>) -> bool {
+    fn run(&self, input: Input<'_, Slot>) -> bool {
         let effects = self.core().on(input, Instant::now());
         let mut forwarded = false;
         for effect in effects {
             match effect {
                 Effect::Write(backend) => self.write(backend),
-                Effect::Settle(route, events) => {
-                    let _ = route.0.send(events);
-                }
+                Effect::Settle(slot, events) => slot.send(events),
                 Effect::Drop(backend) => drop(self.conn(backend).map(|mut conn| conn.take())),
                 Effect::Forward(mode) => {
                     let line = format!("shutdown mode={mode}");

@@ -1,7 +1,7 @@
 //! The request lifecycle shared by every serving mode: one connection
 //! loop, one drainer and one accept loop, generic over a [`SweepBackend`].
 //!
-//! A backend turns a parsed [`SweepRequest`] into a stream of per-point
+//! A backend turns a parsed [`SweepRequest`] into per-point
 //! [`SweepEvent`]s — the session's own event type, one per point, each
 //! settling its point: the local [`crate::SweepServer`] submits the grid to
 //! its shared session, the [`crate::Coordinator`] fans it out over a
@@ -10,29 +10,44 @@
 //! tracking, cancellation, deadlines, stream/batch ordering, dead-client
 //! cleanup, balanced `done` accounting and shutdown.
 //!
-//! Each connection writes through one buffer, its `Outbox`.  The reader
-//! loop and every drainer add their lines to it; the buffer is flushed
-//! when the last of them goes idle — the reader once no whole request is
-//! queued in its input, a drainer about to wait for its next event or
-//! done — and the reader loop's own replies flush at once.  So the lines a connection has ready
-//! leave in one `write`, even when several pipelined requests produced
-//! them, and no line sits in the buffer while every party waits.
+//! Each connection runs on two threads, both created with it: its reader
+//! loop and its drainer.  A sweep answers with the events that settled at
+//! submit.  When they are all of its points (every one a cache hit), the
+//! reader loop writes the sweep's lines and `done` itself before it reads
+//! on, and the drainer hears nothing of it.  Any other sweep is handed to
+//! the drainer, and its remaining events reach the drainer through the
+//! connection's one queue, tagged with the sweep's [`Slot`]: the server's
+//! jobs send each point as it settles, the coordinator each settling
+//! operation as one message.  The drainer keeps every such sweep's
+//! accounting and stream or batch order, writes its `done` once every
+//! point has settled, and waits for the next message or the earliest
+//! deadline of the sweeps it holds.  So a connection never runs more than
+//! two threads, however many sweeps it keeps in flight.
 //!
-//! Lock order: the per-connection outbox mutex is taken only inside
-//! `Outbox` methods, which never call into the backend, so it is never
-//! held together with a backend lock (the server's state, the
-//! coordinator's routing core).
+//! Both threads write into the connection's one buffer, its `Outbox`, and
+//! each sends the buffer when it goes idle: the reader once no whole
+//! request is queued in its input, the drainer once its queue is empty.
+//! So the lines a connection has ready leave in one `write`, even when
+//! several pipelined requests produced them, and no line sits in the
+//! buffer while both wait.
+//!
+//! Lock order: the outbox mutex is taken only inside `Outbox` methods,
+//! and the mutex over the connection's active requests only to read or
+//! change the map; neither is held while another lock is taken, so
+//! neither is ever held together with a backend lock (the server's state,
+//! the coordinator's routing core).
 
 use crate::protocol::{
     parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
     SweepRequest,
 };
 use crate::server::SubmitError;
-use dae_core::{StreamWait, SweepEvent};
+use dae_core::SweepEvent;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -44,23 +59,59 @@ const ACCEPT_POLL: Duration = Duration::from_millis(50);
 
 /// Cancels one submitted sweep from any thread: pending points are
 /// dropped, running points abort.  Idempotent.
-pub(crate) type Canceller = Arc<dyn Fn() + Send + Sync>;
+pub type Canceller = Arc<dyn Fn() + Send + Sync>;
 
-/// The event source of one submitted sweep: one [`SweepEvent`] per point,
-/// then [`StreamWait::Exhausted`].
-pub trait SweepEvents: Send {
-    /// The next event, waiting at most until `deadline` when one is given.
-    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait;
+/// A submitted sweep's events that settled at submit, in the order taken.
+pub type Ready = Box<dyn Iterator<Item = SweepEvent> + Send>;
 
-    /// A handle that cancels this sweep.
-    fn canceller(&self) -> Canceller;
+/// What a backend answers a sweep it accepted with.
+pub struct Submitted {
+    /// The events that settled at submit.  The others are sent to the
+    /// sweep's [`Slot`] as they settle.
+    pub ready: Ready,
+    /// Whether `ready` holds every point's event: the reader loop then
+    /// drains the sweep itself, and the connection's drainer is not told
+    /// of it.
+    pub settled: bool,
+    /// Cancels the sweep.
+    pub cancel: Canceller,
+}
 
-    /// Whether every event was already queued at submit, so a drain never
-    /// waits: the reader loop then drains the sweep itself instead of
-    /// spawning a drainer thread for it.
-    fn settled(&self) -> bool {
-        false
+impl std::fmt::Debug for Submitted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let settled = self.settled;
+        f.debug_struct("Submitted")
+            .field("settled", &settled)
+            .finish_non_exhaustive()
     }
+}
+
+/// Where one sweep's events go: the sweep's number on its connection,
+/// and that connection's drainer queue.  Equal only to its own clones.
+#[derive(Debug, Clone)]
+pub struct Slot(u64, Arc<Sender<Message>>);
+
+impl Slot {
+    /// Sends events that settled together to the connection's drainer, as
+    /// one message.  Events for a connection that has gone are dropped.
+    pub fn send(&self, events: Vec<SweepEvent>) {
+        let _ = self.1.send(Message::Events(self.0, events));
+    }
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0 && Arc::ptr_eq(&self.1, &other.1)
+    }
+}
+
+/// One message on a connection's drainer queue.
+enum Message {
+    /// A sweep the drainer drains from now on, with its events settled at
+    /// submit.
+    Begin(u64, Box<Drain>, Ready),
+    /// Events of one slot's sweep that settled together.
+    Events(u64, Vec<SweepEvent>),
 }
 
 /// What serves sweeps behind the shared lifecycle: a local session
@@ -74,19 +125,20 @@ pub trait SweepBackend: Send + Sync {
     /// Registers a connection.
     fn register(&self) -> Self::Client<'_>;
 
-    /// Submits a parsed sweep and returns its event source.  Returns as
-    /// soon as the points are queued; results arrive on the source.
+    /// Submits a parsed sweep whose later events go to `slot`.  Returns as
+    /// soon as the points are queued, with the events already settled.
     ///
     /// # Errors
     ///
     /// [`SubmitError::Busy`] when admission control refuses the grid;
     /// [`SubmitError::Rejected`] for an invalid trace source or a sweep
     /// after shutdown began.
-    fn submit_sweep<'a>(
-        &'a self,
+    fn submit_sweep(
+        &self,
         request: &SweepRequest,
         client: &Self::Client<'_>,
-    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError>;
+        slot: Slot,
+    ) -> Result<Submitted, SubmitError>;
 
     /// The counters behind the `stats` reply.
     fn stats_fields(&self) -> Vec<(String, u64)>;
@@ -113,212 +165,231 @@ pub trait SweepBackend: Send + Sync {
     fn note_timeout(&self);
 }
 
-/// One connection's outgoing side: its response buffer, and how many of
-/// the parties writing into it — the reader loop and each drainer — are
-/// producing lines right now.  The buffer is flushed when the last of
-/// them goes idle (out of queued requests, waiting for an event, or
-/// done), so what the connection has ready leaves in one `write` however
-/// many requests it came from, and no line sits in the buffer while
-/// every party waits.
-struct Outbox<W: Write> {
-    buffer: Mutex<BufWriter<W>>,
-    /// Kept outside the mutex so that going busy or idle takes the lock
-    /// only to flush, and the reader loop never contends with a drainer
-    /// that is writing its lines.
-    busy: AtomicUsize,
+/// A mutex's contents, recovering from poisoning: the connection's locks
+/// guard a byte sink, whose worst torn state is a partial line on a
+/// connection being abandoned anyway, and a map changed one whole entry
+/// at a time.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// One connection's outgoing side: a response buffer that the reader loop
+/// and the drainer add lines to and each sends when it goes idle.
+struct Outbox<W: Write>(Mutex<BufWriter<W>>);
 
 impl<W: Write> Outbox<W> {
-    /// An outbox with no party busy.
-    fn new(writer: W) -> Self {
-        Outbox {
-            buffer: Mutex::new(BufWriter::new(writer)),
-            busy: AtomicUsize::new(0),
-        }
+    /// Adds one response line to the buffer.  A client that went away is
+    /// noticed when the buffer is next sent.
+    fn buffer_line(&self, response: &Response) {
+        let _ = writeln!(lock(&self.0), "{response}");
     }
 
-    /// The buffer, recovering from poisoning: a writer is a byte sink
-    /// whose worst torn state is a partial line on a connection that is
-    /// being abandoned anyway.
-    fn lock(&self) -> MutexGuard<'_, BufWriter<W>> {
-        self.buffer.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Adds one response line to the buffer.  `false` means the client
-    /// went away; callers use the signal to cancel the work they relay.
-    fn buffer_line(&self, response: &Response) -> bool {
-        writeln!(self.lock(), "{response}").is_ok()
-    }
-
-    /// Writes one reply of the reader loop itself and sends the buffer.
-    fn reply(&self, response: &Response) {
-        let mut buffer = self.lock();
-        let _ = writeln!(buffer, "{response}").and_then(|()| buffer.flush());
-    }
-
-    /// One more party is producing lines.
-    fn busy(&self) {
-        self.busy.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// One party goes idle; the last one sends the buffer, which holds
-    /// every line written before any party's `idle`.  `false` means the
-    /// client went away.
-    fn idle(&self) -> bool {
-        self.busy.fetch_sub(1, Ordering::AcqRel) > 1 || self.lock().flush().is_ok()
+    /// Sends the buffer.  `false` means the client went away.
+    fn flush(&self) -> bool {
+        lock(&self.0).flush().is_ok()
     }
 }
 
-/// Drains one submitted sweep to the connection writer: `point` lines
-/// (as they arrive in stream mode, sorted into grid order in batch mode),
-/// `error` lines for points whose simulation failed, and finally the
-/// request's `done` accounting line with its terminal status.  Lines go
-/// into the connection's [`Outbox`]; the drainer counts as busy there
-/// from its submission (the caller marks it) until it waits for an event
-/// or has written `done`, so what is ready together is written together.
-///
-/// A deadline, when present, bounds the whole drain: on expiry the sweep
-/// is cancelled (running points abort mid-simulation) and the residue is
-/// collected with `status=timeout`.  A failed client write likewise
-/// cancels the sweep — dead-client cleanup stops simulating what no one
-/// will read, *including* the points already running.
-fn drain<B: SweepBackend, W: Write>(
-    backend: &B,
-    mut events: Box<dyn SweepEvents + '_>,
-    request: &SweepRequest,
-    out: &Outbox<W>,
-) {
-    let (id, mode) = (&request.id, request.mode);
-    let total = request.grid().len();
-    let cancel = events.canceller();
-    let mut deadline = request
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let (mut delivered, mut aborted, mut failed, mut cached) = (0usize, 0usize, 0usize, 0u64);
-    let mut batched: Vec<Response> = Vec::new();
-    let mut failures: Vec<Response> = Vec::new();
-    // Stream mode buffers each line now, batch mode holds it for the end.
-    // A failed write or flush cancels the sweep; its events still drain,
-    // keeping the accounting consistent.
-    let emit = |line: Response, held: &mut Vec<Response>| match mode {
-        DeliveryMode::Stream => {
-            if !out.buffer_line(&line) {
-                cancel();
-            }
+/// One sweep as it drains.
+struct Drain {
+    request: SweepRequest,
+    cancel: Canceller,
+    /// When the sweep is cancelled for its `deadline_ms`; `None` once it
+    /// has been, or without one.
+    deadline: Option<Instant>,
+    tally: Tally,
+}
+
+/// What a sweep's `done` line will report, and in batch mode the `point`
+/// and `error` lines held back until then.
+#[derive(Default)]
+struct Tally {
+    /// Events taken, one per point.
+    taken: usize,
+    delivered: usize,
+    aborted: usize,
+    failed: usize,
+    cached: u64,
+    timed_out: bool,
+    held: Vec<Response>,
+}
+
+impl Drain {
+    /// A sweep submitted now, cancelled by `cancel`.
+    fn new(request: SweepRequest, cancel: Canceller) -> Self {
+        let budget = request.deadline_ms.map(Duration::from_millis);
+        Drain {
+            deadline: budget.map(|budget| Instant::now() + budget),
+            request,
+            cancel,
+            tally: Tally::default(),
         }
-        DeliveryMode::Batch => held.push(line),
-    };
-    loop {
-        // Take what is ready without waiting; only when nothing is does
-        // the drainer go idle (the last idle party sends the buffer) for
-        // the wait for the next event.
-        let wait = match events.next_event(Some(Instant::now())) {
-            StreamWait::TimedOut => {
-                if !out.idle() {
-                    cancel();
-                }
-                let wait = events.next_event(deadline);
-                out.busy();
-                wait
-            }
-            ready => ready,
-        };
-        let event = match wait {
-            StreamWait::Event(event) => event,
-            StreamWait::Exhausted => break,
-            StreamWait::TimedOut => {
-                // Budget spent: cancel (running points abort at their next
-                // engine poll) and drain the residue without a deadline —
-                // it settles in microseconds.
-                timed_out = true;
-                deadline = None;
-                backend.note_timeout();
-                cancel();
-                continue;
-            }
-        };
-        match event {
+    }
+
+    /// Counts one event, and writes its `point` or `error` line (stream
+    /// mode) or holds it (batch mode).
+    fn take<W: Write>(&mut self, event: SweepEvent, out: &Outbox<W>) {
+        let (id, tally) = (&self.request.id, &mut self.tally);
+        tally.taken += 1;
+        let line = match event {
             SweepEvent::Point(point) => {
-                delivered += 1;
-                cached += u64::from(point.cached);
-                let (index, cycles) = (point.index, point.cycles);
-                let (machine, window, md) = request.coordinate(index);
-                let line = Response::Point {
+                tally.delivered += 1;
+                tally.cached += u64::from(point.cached);
+                let (machine, window, md) = self.request.coordinate(point.index);
+                Response::Point {
                     id: id.to_string(),
-                    index,
+                    index: point.index,
                     machine,
                     window,
                     md,
-                    cycles,
-                };
-                emit(line, &mut batched);
+                    cycles: point.cycles,
+                }
             }
             SweepEvent::Failed { index, message } => {
-                failed += 1;
-                let line = Response::Error {
+                tally.failed += 1;
+                Response::Error {
                     id: Some(id.to_string()),
                     message: format!("point {index} failed: {message}"),
-                };
-                emit(line, &mut failures);
+                }
             }
-            SweepEvent::Skipped { .. } => {}
-            SweepEvent::Aborted { .. } => aborted += 1,
+            SweepEvent::Skipped { .. } => return,
+            SweepEvent::Aborted { .. } => {
+                tally.aborted += 1;
+                return;
+            }
+        };
+        match self.request.mode {
+            DeliveryMode::Stream => out.buffer_line(&line),
+            DeliveryMode::Batch => tally.held.push(line),
         }
     }
-    batched.sort_by_key(|line| match line {
-        Response::Point { index, .. } => *index,
-        _ => usize::MAX,
-    });
-    for line in batched.iter().chain(&failures) {
-        out.buffer_line(line);
+
+    /// Cancels the sweep if its deadline has passed by `now`: running
+    /// points abort at their next engine poll, and the residue settles in
+    /// microseconds.
+    fn expire<B: SweepBackend>(&mut self, now: Instant, backend: &B) {
+        if self.deadline.is_some_and(|at| at <= now) {
+            (self.deadline, self.tally.timed_out) = (None, true);
+            backend.note_timeout();
+            (self.cancel)();
+        }
     }
-    // Every point settles exactly once, so whatever was neither delivered,
-    // aborted nor failed was dropped — which also keeps the accounting
-    // balanced should a source end short of its total.
-    let dropped = total.saturating_sub(delivered + aborted + failed);
-    // One status per request, by severity (see `DoneStatus`).
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    out.buffer_line(&Response::Done {
-        id: id.to_string(),
-        points: total,
-        delivered,
-        dropped,
-        aborted,
-        failed,
-        cached,
-        status,
-    });
-    out.idle();
+
+    /// Writes the held lines, points in grid order then errors, and the
+    /// `done` line with the sweep's terminal status.
+    fn finish<W: Write>(self, out: &Outbox<W>) {
+        let (points, mut t) = (self.request.grid().len(), self.tally);
+        t.held.sort_by_key(|line| match line {
+            Response::Point { index, .. } => *index,
+            _ => usize::MAX,
+        });
+        t.held.iter().for_each(|line| out.buffer_line(line));
+        // Every point settles exactly once, so whatever was neither
+        // delivered, aborted nor failed was dropped.
+        let dropped = points.saturating_sub(t.delivered + t.aborted + t.failed);
+        // One status per request, by severity (see `DoneStatus`).
+        let status = if t.timed_out {
+            DoneStatus::Timeout
+        } else if t.failed > 0 {
+            DoneStatus::Error
+        } else if dropped + t.aborted > 0 {
+            DoneStatus::Cancelled
+        } else {
+            DoneStatus::Ok
+        };
+        out.buffer_line(&Response::Done {
+            id: self.request.id,
+            points,
+            delivered: t.delivered,
+            dropped,
+            aborted: t.aborted,
+            failed: t.failed,
+            cached: t.cached,
+            status,
+        });
+    }
 }
 
-/// One in-flight request of a connection, as the reader loop tracks it.
-struct Active {
-    cancel: Canceller,
-    finished: Arc<AtomicBool>,
+/// A connection's drainer: drains every sweep the reader hands it, from
+/// the events on `queue`, until nothing can send on the queue any more:
+/// the reader has stopped, and every sweep has settled, so no job, route
+/// or canceller holds a [`Slot`].  A buffer that cannot be sent means the
+/// client went away: every sweep the drainer holds is cancelled, so
+/// nothing is simulated that no one will read, the points already
+/// running included; their events still drain, keeping the accounting
+/// consistent.  A sweep whose deadline passes is cancelled and ends
+/// `status=timeout`.
+fn drainer<B: SweepBackend, W: Write>(
+    backend: &B,
+    queue: &Receiver<Message>,
+    out: &Outbox<W>,
+    active: &Mutex<HashMap<String, Canceller>>,
+) {
+    let mut live: HashMap<u64, Drain> = HashMap::new();
+    // Events that overtook their sweep's `Begin`: a job or a backend can
+    // settle a point before the reader has handed the sweep over.
+    let mut early: HashMap<u64, Vec<SweepEvent>> = HashMap::new();
+    loop {
+        // Take what is ready without waiting; only when nothing is does
+        // the drainer expire deadlines, send the buffer and wait.
+        let message = match queue.try_recv() {
+            Ok(message) => message,
+            Err(_) => {
+                let now = Instant::now();
+                live.values_mut()
+                    .for_each(|drain| drain.expire(now, backend));
+                if !out.flush() {
+                    live.values().for_each(|drain| (drain.cancel)());
+                }
+                let earliest = live.values().filter_map(|drain| drain.deadline).min();
+                let received = match earliest {
+                    Some(at) => queue.recv_timeout(at.saturating_duration_since(now)),
+                    None => queue.recv().map_err(RecvTimeoutError::from),
+                };
+                match received {
+                    Ok(message) => message,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+        };
+        let (number, drain, events): (_, _, Ready) = match message {
+            Message::Begin(number, drain, ready) => {
+                let overtaken = early.remove(&number).unwrap_or_default();
+                let drain = live.entry(number).or_insert(*drain);
+                (number, drain, Box::new(ready.chain(overtaken)))
+            }
+            Message::Events(number, events) => match live.get_mut(&number) {
+                Some(drain) => (number, drain, Box::new(events.into_iter())),
+                None => {
+                    early.entry(number).or_default().extend(events);
+                    continue;
+                }
+            },
+        };
+        events.for_each(|event| drain.take(event, out));
+        if drain.tally.taken == drain.request.grid().len() {
+            if let Some(drain) = live.remove(&number) {
+                lock(active).remove(&drain.request.id);
+                drain.finish(out);
+            }
+        }
+    }
 }
 
 /// Serves one client connection: reads newline-delimited requests from
 /// `reader` until end of file, writes tagged responses to `writer`.
-/// Several sweeps may be in flight at once: a simulating one drains on its
-/// own thread, a settled one on the reader's, which reads on only once its
-/// replies are written.  Returns once the input is exhausted *and* every
-/// submitted sweep has written its `done` line.
+/// Several sweeps may be in flight at once: a settled one drains on the
+/// reader's thread, which reads on only once its replies are written, and
+/// the others on the connection's drainer thread.  Returns once the input
+/// is exhausted *and* every submitted sweep has written its `done` line.
 ///
 /// The connection registers with the backend (on a single server: for
 /// per-client admission control, with its live point count in `stats` as
 /// `client_<id>=`).  A `shutdown` request stops the whole backend
 /// admitting new sweeps and, in abort mode, cancels in-flight work
 /// everywhere; this connection then stops reading further requests (its
-/// in-flight drainers still finish).
+/// in-flight sweeps still finish).
 ///
 /// # Errors
 ///
@@ -333,13 +404,13 @@ where
     serve_requests(&**backend, reader, writer, &AtomicUsize::new(0), |_| false)
 }
 
-/// The reader loop behind [`serve_connection`] and the accept loop.
-/// `acking` counts the accept loop's connections still acknowledging a
-/// `shutdown`: raised before the backend is told to stop, lowered once the
-/// ack line is written.  A settled sweep drains before the loop reads on.
+/// The reader loop behind [`serve_connection`] and the accept loop, with
+/// the connection's drainer beside it.  `acking` counts the accept loop's
+/// connections still acknowledging a `shutdown`: raised before the
+/// backend is told to stop, lowered once the ack line is written.
 /// `buffered` tells whether `reader` already holds a whole request line;
-/// while it does, the reader loop counts as busy in the connection's
-/// [`Outbox`].
+/// while it does, the reader loop holds its replies back, so a pipelined
+/// burst is answered in one `write`.
 fn serve_requests<B, R, W>(
     backend: &B,
     mut reader: R,
@@ -352,27 +423,32 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    let out = Outbox::new(writer);
+    let out = &Outbox(Mutex::new(BufWriter::new(writer)));
     let client = backend.register();
+    // The id and canceller of each sweep the drainer holds: the drainer
+    // removes an entry before it writes that sweep's `done`.
+    let active = &Mutex::new(HashMap::<String, Canceller>::new());
     let error = |id: String, message: String| Response::Error {
         id: Some(id),
         message,
     };
-    // Scoped drainer threads: every threaded sweep is joined (its `done`
-    // line written) before this call returns, even on a read error.
+    // The drainer is scoped: it has written every sweep's `done` line
+    // before this call returns, even on a read error.  It stops once the
+    // reader's end of the queue is dropped with the closure's locals and
+    // every slot is gone.
     std::thread::scope(|scope| {
-        let mut active: HashMap<String, Active> = HashMap::new();
+        let (sender, queue) = mpsc::channel();
+        scope.spawn(move || drainer(backend, &queue, out, active));
+        let queue = Arc::new(sender);
         let mut read = Ok(());
         let mut line = String::new();
-        // The reader counts as busy only while whole requests are queued
-        // in its input: it holds back the replies of the ones it already
-        // submitted until the burst is submitted.  One request at a time
-        // leaves the flush to its drainer alone.
-        let mut holding = false;
-        loop {
-            if holding && !buffered(&reader) {
-                out.idle();
-                holding = false;
+        // Whether the reader has written lines it has not sent yet.
+        let mut unsent = false;
+        for number in 0.. {
+            // Going idle: send what the handled requests wrote.
+            if unsent && !buffered(&reader) {
+                out.flush();
+                unsent = false;
             }
             line.clear();
             match reader.read_line(&mut line) {
@@ -382,10 +458,6 @@ where
                     read = Err(e);
                     break;
                 }
-            }
-            if !holding && buffered(&reader) {
-                out.busy();
-                holding = true;
             }
             // The framing of `BufRead::lines`: `\n` or `\r\n` ends a line.
             let line = match line.strip_suffix('\n') {
@@ -407,30 +479,34 @@ where
                 Ok(Request::Shutdown { mode }) => {
                     acking.fetch_add(1, Ordering::SeqCst);
                     backend.shutdown(mode);
-                    out.reply(&Response::Shutdown { mode });
+                    out.buffer_line(&Response::Shutdown { mode });
+                    out.flush();
                     acking.fetch_sub(1, Ordering::SeqCst);
                     // Stop reading: nothing this connection could send
-                    // would be admitted.  The scope still joins the
-                    // in-flight drainers, so their `done` lines land.
+                    // would be admitted.  The drainer still finishes the
+                    // sweeps in flight, so their `done` lines land.
                     break;
                 }
-                Ok(Request::Cancel { id }) => match active.get(&id) {
-                    Some(request) if !request.finished.load(Ordering::Acquire) => {
-                        (request.cancel)();
-                        Response::Cancelled { id }
+                Ok(Request::Cancel { id }) => {
+                    let cancel = lock(active).get(&id).cloned();
+                    match cancel {
+                        Some(cancel) => {
+                            cancel();
+                            Response::Cancelled { id }
+                        }
+                        None => error(id, "no such active request".to_string()),
                     }
-                    _ => error(id, "no such active request".to_string()),
-                },
+                }
                 Ok(Request::Sweep(request)) => {
-                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
-                    let submitted = if active.contains_key(&request.id) {
+                    let slot = Slot(number, Arc::clone(&queue));
+                    let submitted = if lock(active).contains_key(&request.id) {
                         Err(SubmitError::Rejected(
                             "request id already active".to_string(),
                         ))
                     } else if backend.is_shutting_down() {
                         Err(SubmitError::Rejected(SHUTTING_DOWN.to_string()))
                     } else {
-                        backend.submit_sweep(&request, &client)
+                        backend.submit_sweep(&request, &client, slot)
                     };
                     match submitted {
                         Err(SubmitError::Busy {
@@ -444,31 +520,28 @@ where
                             retry_after_ms,
                         },
                         Err(SubmitError::Rejected(message)) => error(request.id, message),
-                        Ok(events) if events.settled() => {
-                            out.busy();
-                            drain(backend, events, &request, &out);
-                            continue;
-                        }
-                        Ok(events) => {
-                            let finished = Arc::new(AtomicBool::new(false));
-                            let cancel = events.canceller();
-                            let tracked = Arc::clone(&finished);
-                            active.insert(request.id.clone(), Active { cancel, finished });
-                            let out = &out;
-                            out.busy();
-                            scope.spawn(move || {
-                                drain(backend, events, &request, out);
-                                tracked.store(true, Ordering::Release);
-                            });
+                        Ok(submitted) => {
+                            let mut drain = Drain::new(request, submitted.cancel);
+                            if submitted.settled {
+                                for event in submitted.ready {
+                                    drain.take(event, out);
+                                }
+                                drain.finish(out);
+                                unsent = true;
+                            } else {
+                                let id = drain.request.id.clone();
+                                lock(active).insert(id, Arc::clone(&drain.cancel));
+                                let begin =
+                                    Message::Begin(number, Box::new(drain), submitted.ready);
+                                let _ = queue.send(begin);
+                            }
                             continue;
                         }
                     }
                 }
             };
-            out.reply(&response);
-        }
-        if holding {
-            out.idle();
+            out.buffer_line(&response);
+            unsent = true;
         }
         read
     })

@@ -14,14 +14,15 @@
 //! bulk grids and interleaves clients round-robin within a band.
 //!
 //! The server is the local [`SweepBackend`]: connections run the shared
-//! lifecycle ([`crate::serve_connection`]), whose drainer copies each
-//! stream's results to the connection writer as tagged `point` lines
-//! (stream mode) or in grid order once complete (batch mode), followed by
-//! a `done` line.  A grid the cache answers whole is drained on the
-//! connection's reader thread; one that simulates gets a drainer thread.
-//! Because every line is tagged with its request id, a client may keep
-//! several sweeps in flight and cancel any of them mid-flight
-//! ([`CancelToken`]).
+//! lifecycle ([`crate::serve_connection`]), which writes each grid's
+//! results to the connection as tagged `point` lines (stream mode) or in
+//! grid order once complete (batch mode), followed by a `done` line.  A
+//! grid the cache answers whole is written by the connection's reader
+//! thread; the points of one that simulates are sent by the jobs that
+//! settle them, through [`SweepSession::submit`]'s sink, to the
+//! connection's one drainer thread.  Because every line is tagged with
+//! its request id, a client may keep several sweeps in flight and cancel
+//! any of them mid-flight ([`CancelToken`]).
 //!
 //! ## Fault tolerance
 //!
@@ -48,18 +49,17 @@
 //!   either drains or aborts in-flight work; the accept loops exit and the
 //!   binary terminates once the queue is empty.
 
-use crate::lifecycle::{Canceller, SweepBackend, SweepEvents, SHUTTING_DOWN};
+use crate::lifecycle::{Slot, Submitted, SweepBackend, SHUTTING_DOWN};
 use crate::protocol::{CacheAction, Response, ShutdownMode, SweepRequest};
 use crate::table::ProgramTable;
 use dae_core::{
-    CancelToken, RequestClass, StreamWait, SweepEvent, SweepSession, SweepStream, TraceId,
+    CancelToken, EventSink, RequestClass, SweepEvent, SweepSession, SweepStream, TraceId,
 };
 use dae_machines::pool_diagnostics;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
-use std::time::Instant;
 
 /// The most lowered trace instructions a [`SweepServer`] keeps pinned
 /// (about 25 MB of lowerings), plus one larger-than-budget newest program.
@@ -121,15 +121,23 @@ pub enum SubmitError {
 pub struct SweepServer {
     state: Mutex<ServerState>,
     limits: ServerLimits,
-    /// Points queued or running across all clients (admission increments
-    /// under the state lock; drainers decrement as events settle).
-    queue_depth: Arc<AtomicUsize>,
+    counters: Arc<Counters>,
     shutting_down: AtomicBool,
+    /// Monotone fault-path counters, reported by `stats`.
+    timeout_requests: AtomicU64,
+    busy_rejections: AtomicU64,
+}
+
+/// The counters that settling points update, shared with every
+/// submission's [`AdmissionGuard`].
+#[derive(Debug, Default)]
+struct Counters {
+    /// Points queued or running across all clients (admission increments
+    /// under the state lock; settled points decrement).
+    queue_depth: AtomicUsize,
     /// Monotone fault-path counters, reported by `stats`.
     aborted_points: AtomicU64,
     failed_points: AtomicU64,
-    timeout_requests: AtomicU64,
-    busy_rejections: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -144,39 +152,52 @@ struct ServerState {
     /// Registered clients: id → live in-flight point counter.
     clients: HashMap<u64, Arc<AtomicUsize>>,
     next_client: u64,
-    /// Cancellation handles of live submissions (for `shutdown
-    /// mode=abort`); entries whose liveness handle is dead are pruned
-    /// opportunistically.
-    active: Vec<(Weak<()>, CancelToken)>,
+    /// Live submissions (for `shutdown mode=abort`, which cancels their
+    /// tokens); dropped ones are pruned opportunistically.
+    active: Vec<Weak<AdmissionGuard>>,
 }
 
-/// Releases a submission's admission reservation: one point at a time as
-/// the drainer settles events, and whatever remains when the submission is
-/// dropped (so a stream abandoned mid-way cannot leak queue depth).
+/// A submission's admission reservation, and the token that cancels it,
+/// which `shutdown mode=abort` reaches through the server's registry of
+/// live guards.  Served sweeps release it one point per settled event;
+/// whatever remains is released on drop (so a submission abandoned
+/// mid-way cannot leak queue depth).
 #[derive(Debug)]
 struct AdmissionGuard {
-    global: Arc<AtomicUsize>,
+    counters: Arc<Counters>,
     client: Option<Arc<AtomicUsize>>,
-    remaining: usize,
+    remaining: AtomicUsize,
+    token: CancelToken,
 }
 
 impl AdmissionGuard {
-    fn release(&mut self, n: usize) {
-        let n = n.min(self.remaining);
-        if n == 0 {
-            return;
-        }
-        self.remaining -= n;
-        self.global.fetch_sub(n, Ordering::Relaxed);
+    /// Releases `n` points of the reservation: never more than remain,
+    /// because each point settles once.
+    fn release(&self, n: usize) {
+        self.remaining.fetch_sub(n, Ordering::Relaxed);
+        self.counters.queue_depth.fetch_sub(n, Ordering::Relaxed);
         if let Some(client) = &self.client {
             client.fetch_sub(n, Ordering::Relaxed);
         }
+    }
+
+    /// Counts one settled point: its admission, and the fault-path
+    /// counter its event bumps.
+    fn settle(&self, event: &SweepEvent) {
+        self.release(1);
+        let counter = match event {
+            SweepEvent::Aborted { .. } => &self.counters.aborted_points,
+            SweepEvent::Failed { .. } => &self.counters.failed_points,
+            SweepEvent::Point(_) | SweepEvent::Skipped { .. } => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 impl Drop for AdmissionGuard {
     fn drop(&mut self) {
-        self.release(self.remaining);
+        let remaining = *self.remaining.get_mut();
+        self.release(remaining);
     }
 }
 
@@ -188,11 +209,8 @@ pub struct Submission {
     /// Cancels this request: pending points are skipped, running points
     /// abort mid-simulation.
     pub token: CancelToken,
-    /// Admission bookkeeping (released per settled event, remainder on
-    /// drop).
-    guard: AdmissionGuard,
-    /// Liveness handle for the server's shutdown registry.
-    _live: Arc<()>,
+    /// Admission bookkeeping, released when the submission is dropped.
+    _guard: Arc<AdmissionGuard>,
 }
 
 /// One connection's registration with the server: its identity in
@@ -253,10 +271,8 @@ impl SweepServer {
                 active: Vec::new(),
             }),
             limits,
-            queue_depth: Arc::new(AtomicUsize::new(0)),
+            counters: Arc::default(),
             shutting_down: AtomicBool::new(false),
-            aborted_points: AtomicU64::new(0),
-            failed_points: AtomicU64::new(0),
             timeout_requests: AtomicU64::new(0),
             busy_rejections: AtomicU64::new(0),
         }
@@ -265,7 +281,7 @@ impl SweepServer {
     /// Points currently queued or running across all clients.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.queue_depth.load(Ordering::Relaxed)
+        self.counters.queue_depth.load(Ordering::Relaxed)
     }
 
     /// The server state, recovering from mutex poisoning.  Every mutation
@@ -310,6 +326,30 @@ impl SweepServer {
         request: &SweepRequest,
         client: Option<&ClientGuard<'_>>,
     ) -> Result<Submission, SubmitError> {
+        let (mut state, id, guard) = self.admit_and_pin(request, client)?;
+        // Jobs are tagged with the connection's client id, so the pool's
+        // fair-share rotor interleaves concurrent clients round-robin
+        // within a priority band (clientless submissions share queue 0).
+        let class = RequestClass::new(request.priority, client.map_or(0, |c| c.id()));
+        let token = guard.token.clone();
+        let stream = state
+            .session
+            .stream_classified(&request.points(id), &token, class);
+        Ok(Submission {
+            stream,
+            token,
+            _guard: guard,
+        })
+    }
+
+    /// Checks admission and resolves the trace source, pinning it on
+    /// first sight.  Returns the locked state, the pinned program and the
+    /// submission's reservation.
+    fn admit_and_pin(
+        &self,
+        request: &SweepRequest,
+        client: Option<&ClientGuard<'_>>,
+    ) -> Result<(MutexGuard<'_, ServerState>, TraceId, Arc<AdmissionGuard>), SubmitError> {
         if self.is_shutting_down() {
             return Err(SubmitError::Rejected(SHUTTING_DOWN.to_string()));
         }
@@ -317,49 +357,47 @@ impl SweepServer {
         let key = (request.source.key(), request.iterations);
         // Admission + fast-path submit under one brief lock.  Only
         // submissions (which hold the lock) increment the depth counters,
-        // so the check-then-reserve pair is exact; drainers decrementing
-        // concurrently can only make room, never take it.
-        // Jobs are tagged with the connection's client id, so the pool's
-        // fair-share rotor interleaves concurrent clients round-robin
-        // within a priority band (clientless submissions share queue 0).
-        let client_id = client.map_or(0, |c| c.id());
-        let reserved = {
-            let mut state = self.lock_state();
-            self.admit(points, client)?;
-            let guard = self.reserve(points, client);
-            if let Some(id) = state.programs.get(&key) {
-                return Ok(Self::enqueue(&mut state, request, id, client_id, guard));
-            }
-            guard
-        };
-        // First sight: trace expansion and lowering are pure and can take
-        // whole milliseconds at large iteration counts, so they run
-        // *outside* the lock — a client pinning a big program must not
-        // stall every other client's submissions.  The reservation above
-        // stays held: the points are committed capacity either way.
-        let trace = request
-            .source
-            .trace(request.iterations)
-            .map_err(SubmitError::Rejected)?;
-        let lowered = dae_core::LoweredTrace::new(&trace);
-        let weight = lowered.trace_instructions();
+        // so the check-then-reserve pair is exact; settling points
+        // decrementing concurrently can only make room, never take it.
         let mut state = self.lock_state();
+        self.admit(points, client)?;
+        let guard = self.reserve(&mut state, points, client);
         let id = match state.programs.get(&key) {
-            // Another client pinned the same source while we lowered; use
-            // theirs (and drop ours).
             Some(id) => id,
             None => {
-                // Evicted lowerings are unpinned under this same lock, so no
-                // submission can resolve a handle the session no longer
-                // holds; grids already running keep their own reference.
-                let id = state.session.pin_lowered(lowered);
-                for evicted in state.programs.insert(key, id, weight) {
-                    state.session.unpin(evicted);
+                // First sight: trace expansion and lowering are pure and
+                // can take whole milliseconds at large iteration counts,
+                // so they run *outside* the lock — a client pinning a big
+                // program must not stall every other client's
+                // submissions.  The reservation stays held: the points
+                // are committed capacity either way.
+                drop(state);
+                let trace = request
+                    .source
+                    .trace(request.iterations)
+                    .map_err(SubmitError::Rejected)?;
+                let lowered = dae_core::LoweredTrace::new(&trace);
+                let weight = lowered.trace_instructions();
+                state = self.lock_state();
+                match state.programs.get(&key) {
+                    // Another client pinned the same source while we
+                    // lowered; use theirs (and drop ours).
+                    Some(id) => id,
+                    None => {
+                        // Evicted lowerings are unpinned under this same
+                        // lock, so no submission can resolve a handle the
+                        // session no longer holds; grids already running
+                        // keep their own reference.
+                        let id = state.session.pin_lowered(lowered);
+                        for evicted in state.programs.insert(key, id, weight) {
+                            state.session.unpin(evicted);
+                        }
+                        id
+                    }
                 }
-                id
             }
         };
-        Ok(Self::enqueue(&mut state, request, id, client_id, reserved))
+        Ok((state, id, guard))
     }
 
     /// The admission check (caller holds the state lock).
@@ -372,7 +410,7 @@ impl SweepServer {
                 retry_after_ms: self.limits.retry_after_ms,
             })
         };
-        let depth = self.queue_depth.load(Ordering::Relaxed);
+        let depth = self.queue_depth();
         if depth + points > self.limits.max_queue_depth {
             return busy(depth, self.limits.max_queue_depth);
         }
@@ -386,42 +424,30 @@ impl SweepServer {
     }
 
     /// Reserves `points` of queue capacity (caller holds the state lock
-    /// and has passed [`SweepServer::admit`]).
-    fn reserve(&self, points: usize, client: Option<&ClientGuard<'_>>) -> AdmissionGuard {
-        self.queue_depth.fetch_add(points, Ordering::Relaxed);
+    /// and has passed [`SweepServer::admit`]) for a submission, registered
+    /// for `shutdown mode=abort` while it lives.
+    fn reserve(
+        &self,
+        state: &mut ServerState,
+        points: usize,
+        client: Option<&ClientGuard<'_>>,
+    ) -> Arc<AdmissionGuard> {
+        self.counters
+            .queue_depth
+            .fetch_add(points, Ordering::Relaxed);
         let client = client.map(|c| {
             c.in_flight.fetch_add(points, Ordering::Relaxed);
             Arc::clone(&c.in_flight)
         });
-        AdmissionGuard {
-            global: Arc::clone(&self.queue_depth),
+        let guard = Arc::new(AdmissionGuard {
+            counters: Arc::clone(&self.counters),
             client,
-            remaining: points,
-        }
-    }
-
-    /// Enqueues the request's grid on the locked session and registers the
-    /// submission for shutdown cancellation.
-    fn enqueue(
-        state: &mut ServerState,
-        request: &SweepRequest,
-        id: TraceId,
-        client_id: u64,
-        guard: AdmissionGuard,
-    ) -> Submission {
-        let points = request.points(id);
-        let token = CancelToken::new();
-        let class = RequestClass::new(request.priority, client_id);
-        let stream = state.session.stream_classified(&points, &token, class);
-        let live = Arc::new(());
-        state.active.retain(|(l, _)| l.upgrade().is_some());
-        state.active.push((Arc::downgrade(&live), token.clone()));
-        Submission {
-            stream,
-            token,
-            guard,
-            _live: live,
-        }
+            remaining: AtomicUsize::new(points),
+            token: CancelToken::new(),
+        });
+        state.active.retain(|live| live.strong_count() > 0);
+        state.active.push(Arc::downgrade(&guard));
+        guard
     }
 
     /// Attaches a persistent cache store rooted at `dir` to the shared
@@ -457,16 +483,31 @@ impl SweepBackend for SweepServer {
         self.register_client()
     }
 
-    fn submit_sweep<'a>(
-        &'a self,
+    /// Submits the grid with a sink that counts each point a job settles
+    /// and sends it on to the request's slot; the points settled at submit
+    /// are counted at once.
+    fn submit_sweep(
+        &self,
         request: &SweepRequest,
         client: &ClientGuard<'_>,
-    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
-        let submission = self.submit_for(request, Some(client))?;
-        Ok(Box::new(LocalEvents {
-            server: self,
-            submission,
-        }))
+        slot: Slot,
+    ) -> Result<Submitted, SubmitError> {
+        let (mut state, id, guard) = self.admit_and_pin(request, Some(client))?;
+        let class = RequestClass::new(request.priority, client.id());
+        let (settle, token) = (Arc::clone(&guard), guard.token.clone());
+        let sink: EventSink = Arc::new(move |event| {
+            settle.settle(&event);
+            slot.send(vec![event]);
+        });
+        let ready = state
+            .session
+            .submit(&request.points(id), &token, class, sink);
+        guard.release(ready.len());
+        Ok(Submitted {
+            settled: ready.len() == request.grid().len(),
+            ready: Box::new(ready.into_iter()),
+            cancel: Arc::new(move || token.cancel()),
+        })
     }
 
     /// The counters behind the `stats` reply: session activity, the
@@ -502,8 +543,8 @@ impl SweepBackend for SweepServer {
             ("template_hits".to_string(), pools.template_hits),
             ("queue_depth".to_string(), self.queue_depth() as u64),
             ("clients".to_string(), state.clients.len() as u64),
-            count("aborted_points", &self.aborted_points),
-            count("failed_points", &self.failed_points),
+            count("aborted_points", &self.counters.aborted_points),
+            count("failed_points", &self.counters.failed_points),
             count("timeout_requests", &self.timeout_requests),
             count("busy_rejections", &self.busy_rejections),
             ("worker_task_panics".to_string(), pool_stats.task_panics),
@@ -550,15 +591,10 @@ impl SweepBackend for SweepServer {
     fn shutdown(&self, mode: ShutdownMode) {
         self.shutting_down.store(true, Ordering::Release);
         if mode == ShutdownMode::Abort {
-            let mut state = self.lock_state();
-            state.active.retain(|(live, token)| {
-                if live.upgrade().is_some() {
-                    token.cancel();
-                    true
-                } else {
-                    false
-                }
-            });
+            let state = self.lock_state();
+            for guard in state.active.iter().filter_map(Weak::upgrade) {
+                guard.token.cancel();
+            }
         }
     }
 
@@ -572,47 +608,5 @@ impl SweepBackend for SweepServer {
 
     fn note_timeout(&self) {
         self.timeout_requests.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A [`Submission`] as the shared drainer sees it: the session's events
-/// pass through unchanged, each releasing one point of admission and
-/// bumping the fault counters.
-struct LocalEvents<'a> {
-    server: &'a SweepServer,
-    submission: Submission,
-}
-
-impl SweepEvents for LocalEvents<'_> {
-    fn next_event(&mut self, deadline: Option<Instant>) -> StreamWait {
-        let stream = &mut self.submission.stream;
-        let wait = match deadline {
-            Some(at) => stream.next_event_timeout(at.saturating_duration_since(Instant::now())),
-            None => stream
-                .next_event()
-                .map_or(StreamWait::Exhausted, StreamWait::Event),
-        };
-        if let StreamWait::Event(event) = &wait {
-            self.submission.guard.release(1);
-            match event {
-                SweepEvent::Aborted { .. } => {
-                    self.server.aborted_points.fetch_add(1, Ordering::Relaxed);
-                }
-                SweepEvent::Failed { .. } => {
-                    self.server.failed_points.fetch_add(1, Ordering::Relaxed);
-                }
-                SweepEvent::Point(_) | SweepEvent::Skipped { .. } => {}
-            }
-        }
-        wait
-    }
-
-    fn canceller(&self) -> Canceller {
-        let token = self.submission.token.clone();
-        Arc::new(move || token.cancel())
-    }
-
-    fn settled(&self) -> bool {
-        self.submission.stream.settled()
     }
 }

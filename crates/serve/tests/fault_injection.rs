@@ -67,10 +67,20 @@ struct Outcome {
 /// groups the responses by request id (errors without an id land under
 /// `""`).
 fn run(server: &Arc<SweepServer>, input: &str) -> HashMap<String, Outcome> {
+    outcomes(&transcript(server, input))
+}
+
+/// What a fresh stdin-shaped connection on `server` writes for `input`.
+fn transcript(server: &Arc<SweepServer>, input: &str) -> String {
     let mut output = Vec::new();
     serve_connection(server, input.as_bytes(), &mut output).expect("serve");
+    String::from_utf8(output).expect("utf8")
+}
+
+/// The responses of a transcript, grouped by request id.
+fn outcomes(transcript: &str) -> HashMap<String, Outcome> {
     let mut outcomes: HashMap<String, Outcome> = HashMap::new();
-    for line in String::from_utf8(output).expect("utf8").lines() {
+    for line in transcript.lines() {
         match parse_response(line).expect("well-formed response") {
             Response::Point {
                 id, index, cycles, ..
@@ -289,6 +299,72 @@ fn an_expired_deadline_cancels_the_sweep_mid_flight() {
     assert_still_serving(&server, "punctual");
 }
 
+/// Two sweeps on one connection share its drainer yet stay independent.
+/// One whose deadline expires ends `status=timeout` at that deadline,
+/// before the other, which ends `ok` with every point; a `cancel` of one
+/// leaves the other's points and `done` intact.  (A client that
+/// disconnects cancels both: `a_mid_stream_disconnect_cancels_the_sweep`
+/// sends two grids.)
+#[test]
+fn sweeps_sharing_a_connection_stay_independent() {
+    let _guard = faults();
+    let server = Arc::new(SweepServer::new());
+    // Every point sleeps 100 ms, so neither sweep finishes before the
+    // deadline or the cancel lands.
+    fault::slow_every_point_ms(100);
+    let cases = [
+        ("late", " deadline_ms=50", DoneStatus::Timeout),
+        ("gone", "\ncancel id=gone", DoneStatus::Cancelled),
+    ];
+    for (window, (id, extra, status)) in [32, 48].into_iter().zip(cases) {
+        let first = sweep_line(id, extra);
+        // The other sweep's points are its own: none is cached or shared
+        // with the first sweep's jobs.
+        let keep = format!("keep-{id}");
+        let other = format!(
+            "sweep id={keep} trace=TRFD iterations=120 machines=dm,swsm windows={window} \
+             mds=0,60 mode=stream"
+        );
+        let expected = oracle(&other);
+        let text = transcript(&server, &format!("{first}\n{other}\n"));
+        let done_at = |id: &str| text.find(&format!("done id={id} ")).expect("a done line");
+        assert!(done_at(id) < done_at(&keep), "{id} ends first:\n{text}");
+        let outcomes = outcomes(&text);
+        let Some(Response::Done {
+            points,
+            delivered,
+            dropped,
+            aborted,
+            failed,
+            status: ended,
+            ..
+        }) = outcomes[id].done
+        else {
+            panic!("{id} must finish");
+        };
+        assert_eq!(ended, status, "{id}:\n{text}");
+        assert!(dropped + aborted > 0, "{id} was cut short:\n{text}");
+        assert_eq!(delivered + dropped + aborted + failed, points);
+        let kept = &outcomes[&keep];
+        let Some(Response::Done {
+            delivered, status, ..
+        }) = kept.done
+        else {
+            panic!("{keep} must finish");
+        };
+        assert_eq!(
+            (delivered, status),
+            (expected.len(), DoneStatus::Ok),
+            "{keep}:\n{text}"
+        );
+        for (index, cycles) in expected.iter().enumerate() {
+            assert_eq!(kept.points[&index], *cycles, "{keep} point {index}");
+        }
+    }
+    fault::reset();
+    assert_eq!(server.queue_depth(), 0);
+}
+
 /// Admission control: a sweep exceeding the global queue cap is refused
 /// with a structured `busy` line (nothing submitted, nothing leaked), a
 /// sweep within the cap still runs, and the per-client cap binds too.
@@ -385,10 +461,10 @@ fn oversized_grids_are_rejected_outright() {
 }
 
 /// Dead-client cleanup: when a streaming client disconnects mid-sweep, the
-/// failed write cancels the request — pending points are skipped and
-/// running points abort — so the queue drains long before the grid could
-/// have finished, almost nothing is simulated, and the server keeps
-/// serving.  (That a cancelled token aborts a point *mid-simulation* is
+/// failed write cancels its requests — pending points are skipped and
+/// running points abort — so the queue drains long before either of its
+/// two grids could have finished, almost nothing is simulated, and the
+/// server keeps serving.  (That a cancelled token aborts a point *mid-simulation* is
 /// pinned deterministically by the deadline test above, whose expiry fires
 /// while workers sleep; here the cancel races worker boundaries, so the
 /// drop-vs-abort split is not asserted.)
@@ -416,10 +492,16 @@ fn a_mid_stream_disconnect_cancels_the_sweep() {
          windows=4,8,12,16,24,32,48,64 mds={} mode=stream",
         mds.join(",")
     );
+    // A second grid beside it shares the connection's drainer, and the
+    // disconnect must cancel it too.
+    let beside = wide.replace("id=wide", "id=beside").replace(
+        "windows=4,8,12,16,24,32,48,64",
+        "windows=6,10,14,20,28,40,56,72",
+    );
     {
         let mut client = TcpStream::connect(("127.0.0.1", port)).expect("connect");
         let mut reader = BufReader::new(client.try_clone().expect("clone"));
-        writeln!(client, "{wide}").unwrap();
+        writeln!(client, "{wide}\n{beside}").unwrap();
         let mut line = String::new();
         assert!(reader.read_line(&mut line).expect("first point") > 0);
         assert!(line.starts_with("point "), "unexpected line: {line}");

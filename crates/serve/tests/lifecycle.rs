@@ -18,7 +18,7 @@
 //!
 //! A grid whose every event is queued at submit (a stub's, or a
 //! `SweepServer`'s cache-hot repeat) is drained on the reader thread; any
-//! other grid on a drainer thread of its own.  So while such a grid's
+//! other grid on the connection's one drainer thread.  So while such a grid's
 //! replies cannot be written, the connection reads no further request:
 //! a client must read replies while it writes.
 //!
@@ -26,8 +26,8 @@
 //! `dae_core::fault` hooks, so every test here serializes on
 //! [`FAULT_LOCK`].
 
-use dae_core::{fault, Machine, StreamWait, StreamedPoint, SweepEvent, SweepSession, WindowSpec};
-use dae_serve::lifecycle::SweepEvents;
+use dae_core::{fault, Machine, StreamedPoint, SweepEvent, SweepSession, WindowSpec};
+use dae_serve::lifecycle::{Slot, Submitted};
 use dae_serve::{
     parse_request, parse_response, serve_connection, serve_tcp, CacheAction, Coordinator,
     DoneStatus, Partitioner, Request, Response, ShutdownMode, SubmitError, SweepBackend,
@@ -863,41 +863,35 @@ fn out_of_range_slice_replies_are_counted_not_obeyed() {
 type Takers = Arc<Mutex<Vec<ThreadId>>>;
 
 /// A backend that simulates nothing: each grid's events are cached
-/// points, handed out at once, and `settled` answers what the test says.
+/// points, all ready at submit, and `settled` answers what the test says.
 struct ThreadStub {
     settled: bool,
     takers: Takers,
 }
 
+/// A stub grid's ready events, recording the thread each is taken on.
 struct ThreadStubEvents {
-    settled: bool,
     remaining: usize,
     takers: Takers,
 }
 
-impl SweepEvents for ThreadStubEvents {
-    fn next_event(&mut self, _deadline: Option<Instant>) -> StreamWait {
+impl Iterator for ThreadStubEvents {
+    type Item = SweepEvent;
+
+    fn next(&mut self) -> Option<SweepEvent> {
         self.takers
             .lock()
             .unwrap()
             .push(std::thread::current().id());
         if self.remaining == 0 {
-            return StreamWait::Exhausted;
+            return None;
         }
         self.remaining -= 1;
-        StreamWait::Event(SweepEvent::Point(StreamedPoint {
+        Some(SweepEvent::Point(StreamedPoint {
             index: self.remaining,
             cycles: 1,
             cached: true,
         }))
-    }
-
-    fn canceller(&self) -> Arc<dyn Fn() + Send + Sync> {
-        Arc::new(|| {})
-    }
-
-    fn settled(&self) -> bool {
-        self.settled
     }
 }
 
@@ -906,16 +900,20 @@ impl SweepBackend for ThreadStub {
 
     fn register(&self) {}
 
-    fn submit_sweep<'a>(
-        &'a self,
+    fn submit_sweep(
+        &self,
         request: &SweepRequest,
         _client: &(),
-    ) -> Result<Box<dyn SweepEvents + 'a>, SubmitError> {
-        Ok(Box::new(ThreadStubEvents {
+        _slot: Slot,
+    ) -> Result<Submitted, SubmitError> {
+        Ok(Submitted {
+            ready: Box::new(ThreadStubEvents {
+                remaining: request.grid().len(),
+                takers: Arc::clone(&self.takers),
+            }),
             settled: self.settled,
-            remaining: request.grid().len(),
-            takers: Arc::clone(&self.takers),
-        }))
+            cancel: Arc::new(|| {}),
+        })
     }
 
     fn stats_fields(&self) -> Vec<(String, u64)> {
@@ -943,7 +941,8 @@ impl SweepBackend for ThreadStub {
 }
 
 /// The threads that took `line`'s events through `serve_connection` on a
-/// stub whose grids are `settled` or not, after checking the reply.
+/// stub whose grids are `settled` or not, after checking the reply: one
+/// entry per `next` call on the grid's ready events.
 fn stub_takers(settled: bool, line: &str) -> Vec<ThreadId> {
     let takers = Takers::default();
     let stub = Arc::new(ThreadStub {
@@ -963,8 +962,8 @@ fn stub_takers(settled: bool, line: &str) -> Vec<ThreadId> {
 }
 
 /// A grid whose events were all queued at submit is drained on the
-/// connection's reader thread; one that may still wait gets a drainer
-/// thread of its own.
+/// connection's reader thread; one that may still wait goes to the
+/// connection's drainer thread.
 #[test]
 fn a_settled_grid_is_drained_on_the_reader_thread() {
     let _guard = faults();
@@ -1004,7 +1003,7 @@ fn writer_threads(server: &Arc<SweepServer>, line: &str) -> Vec<ThreadId> {
     writers
 }
 
-/// The same on a `SweepServer`: a cold grid is written by a drainer
+/// The same on a `SweepServer`: a cold grid is written by the drainer
 /// thread, and its cache-hot repeat by the reader thread, which the
 /// session tells is settled at submit.
 #[test]

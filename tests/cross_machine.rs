@@ -116,12 +116,10 @@ fn more_memory_latency_never_helps() {
 fn tagged_and_automatic_partitions_agree_except_for_track() {
     for program in PerfectProgram::ALL {
         let trace = program.workload().trace(120);
-        let mut tagged_config = DmConfig::paper(32, 60);
-        tagged_config.partition_mode = PartitionMode::Tagged;
-        let mut auto_config = DmConfig::paper(32, 60);
-        auto_config.partition_mode = PartitionMode::Automatic;
-        let tagged = DecoupledMachine::new(tagged_config).run(&trace);
-        let auto = DecoupledMachine::new(auto_config).run(&trace);
+        let machine = DecoupledMachine::new(DmConfig::paper(32, 60));
+        let tagged = machine.run(&trace);
+        let automatic = partition(&trace, PartitionMode::Automatic);
+        let auto = machine.run_lowered(&automatic, trace.len());
         if program == PerfectProgram::Track {
             // TRACK computes its gate index from floating point data, so a
             // DU -> AU copy per iteration is unavoidable under either
