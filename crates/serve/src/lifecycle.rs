@@ -18,24 +18,28 @@
 //! the drainer, and its remaining events reach the drainer through the
 //! connection's one queue, tagged with the sweep's [`Slot`]: the server's
 //! jobs send each point as it settles, the coordinator each settling
-//! operation as one message.  The drainer keeps every such sweep's
-//! accounting and stream or batch order, writes its `done` once every
-//! point has settled, and waits for the next message or the earliest
-//! deadline of the sweeps it holds.  So a connection never runs more than
+//! operation as one message.  Events that settle before the reader has
+//! handed their sweep over are held in the slot and travel with the
+//! hand-over, so the drainer is never woken for a sweep it does not know.
+//! The drainer keeps every such sweep's accounting and stream or batch
+//! order, writes its `done` once every point has settled, and waits for
+//! the next message or the earliest deadline of the sweeps it holds.  So a connection never runs more than
 //! two threads, however many sweeps it keeps in flight.
 //!
-//! Both threads write into the connection's one buffer, its `Outbox`, and
-//! each sends the buffer when it goes idle: the reader once no whole
-//! request is queued in its input, the drainer once its queue is empty.
-//! So the lines a connection has ready leave in one `write`, even when
-//! several pipelined requests produced them, and no line sits in the
-//! buffer while both wait.
+//! Both threads write into the connection's one buffer, its `Outbox`,
+//! which counts them busy while they produce lines: the reader from
+//! reading a request until no whole request is queued in its input, the
+//! drainer except while it waits.  The last of the two to go idle sends
+//! the buffer.  So the lines a connection has ready leave in one `write`,
+//! even when several pipelined requests produced them, and no line sits
+//! in the buffer while both wait.
 //!
 //! Lock order: the outbox mutex is taken only inside `Outbox` methods,
-//! and the mutex over the connection's active requests only to read or
-//! change the map; neither is held while another lock is taken, so
-//! neither is ever held together with a backend lock (the server's state,
-//! the coordinator's routing core).
+//! the mutex over the connection's active requests only to read or
+//! change the map, and a slot's mutex only to hold or hand over its
+//! events; none is held while another lock is taken, so none is ever
+//! held together with a backend lock (the server's state, the
+//! coordinator's routing core).
 
 use crate::protocol::{
     parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
@@ -79,23 +83,46 @@ pub struct Submitted {
 
 impl std::fmt::Debug for Submitted {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let settled = self.settled;
         f.debug_struct("Submitted")
-            .field("settled", &settled)
+            .field("settled", &self.settled)
             .finish_non_exhaustive()
     }
 }
 
 /// Where one sweep's events go: the sweep's number on its connection,
-/// and that connection's drainer queue.  Equal only to its own clones.
+/// that connection's drainer queue, and whether the reader has handed the
+/// sweep to the drainer yet, with the events held back until it does.
+/// Equal only to its own clones.
 #[derive(Debug, Clone)]
-pub struct Slot(u64, Arc<Sender<Message>>);
+pub struct Slot(u64, Arc<Sender<Message>>, Arc<Handover>);
+
+/// Whether a sweep has been handed to the drainer, and the events held
+/// back until it is.
+type Handover = Mutex<(bool, Vec<SweepEvent>)>;
 
 impl Slot {
     /// Sends events that settled together to the connection's drainer, as
-    /// one message.  Events for a connection that has gone are dropped.
+    /// one message, or holds them for the hand-over if it has not happened
+    /// yet, so the drainer is not woken for a sweep it does not know.
+    /// Events for a connection that has gone are dropped.
     pub fn send(&self, events: Vec<SweepEvent>) {
-        let _ = self.1.send(Message::Events(self.0, events));
+        let (begun, held) = &mut *lock(&self.2);
+        if *begun {
+            let events = Box::new(events.into_iter());
+            let _ = self.1.send(Message(self.0, None, events));
+        } else {
+            held.extend(events);
+        }
+    }
+
+    /// Hands the sweep to the drainer with the events that settled at
+    /// submit and those held since.  Sent under the slot's lock, the
+    /// hand-over is queued ahead of every later event.
+    fn begin(&self, drain: Drain, ready: Ready) {
+        let (begun, held) = &mut *lock(&self.2);
+        *begun = true;
+        let events = Box::new(ready.chain(std::mem::take(held)));
+        let _ = self.1.send(Message(self.0, Some(Box::new(drain)), events));
     }
 }
 
@@ -105,14 +132,10 @@ impl PartialEq for Slot {
     }
 }
 
-/// One message on a connection's drainer queue.
-enum Message {
-    /// A sweep the drainer drains from now on, with its events settled at
-    /// submit.
-    Begin(u64, Box<Drain>, Ready),
-    /// Events of one slot's sweep that settled together.
-    Events(u64, Vec<SweepEvent>),
-}
+/// One message on a connection's drainer queue: a sweep's number, the
+/// sweep itself when the reader hands it over (the first message with
+/// that number), and events of the sweep that settled together.
+struct Message(u64, Option<Box<Drain>>, Ready);
 
 /// What serves sweeps behind the shared lifecycle: a local session
 /// ([`crate::SweepServer`]) or a fleet ([`crate::Coordinator`]).
@@ -174,8 +197,11 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One connection's outgoing side: a response buffer that the reader loop
-/// and the drainer add lines to and each sends when it goes idle.
-struct Outbox<W: Write>(Mutex<BufWriter<W>>);
+/// and the drainer add lines to, and how many of the two are producing
+/// lines right now.  The last of them to go idle sends the buffer.
+/// The count is kept outside the mutex, so that going busy or idle takes
+/// the lock only to send.
+struct Outbox<W: Write>(Mutex<BufWriter<W>>, AtomicUsize);
 
 impl<W: Write> Outbox<W> {
     /// Adds one response line to the buffer.  A client that went away is
@@ -187,6 +213,18 @@ impl<W: Write> Outbox<W> {
     /// Sends the buffer.  `false` means the client went away.
     fn flush(&self) -> bool {
         lock(&self.0).flush().is_ok()
+    }
+
+    /// One party starts producing lines.
+    fn busy(&self) {
+        self.1.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// One party goes idle; the last one sends the buffer, which holds
+    /// every line written before either party's `idle`.  `false` means
+    /// the client went away.
+    fn idle(&self) -> bool {
+        self.1.fetch_sub(1, Ordering::AcqRel) > 1 || self.flush()
     }
 }
 
@@ -326,19 +364,19 @@ fn drainer<B: SweepBackend, W: Write>(
     active: &Mutex<HashMap<String, Canceller>>,
 ) {
     let mut live: HashMap<u64, Drain> = HashMap::new();
-    // Events that overtook their sweep's `Begin`: a job or a backend can
-    // settle a point before the reader has handed the sweep over.
-    let mut early: HashMap<u64, Vec<SweepEvent>> = HashMap::new();
+    // Busy in the outbox except while it waits; it sends what it wrote
+    // before each wait, the last one included.
+    out.busy();
     loop {
         // Take what is ready without waiting; only when nothing is does
-        // the drainer expire deadlines, send the buffer and wait.
+        // the drainer expire deadlines, go idle in the outbox and wait.
         let message = match queue.try_recv() {
             Ok(message) => message,
             Err(_) => {
                 let now = Instant::now();
                 live.values_mut()
                     .for_each(|drain| drain.expire(now, backend));
-                if !out.flush() {
+                if !out.idle() {
                     live.values().for_each(|drain| (drain.cancel)());
                 }
                 let earliest = live.values().filter_map(|drain| drain.deadline).min();
@@ -346,6 +384,7 @@ fn drainer<B: SweepBackend, W: Write>(
                     Some(at) => queue.recv_timeout(at.saturating_duration_since(now)),
                     None => queue.recv().map_err(RecvTimeoutError::from),
                 };
+                out.busy();
                 match received {
                     Ok(message) => message,
                     Err(RecvTimeoutError::Timeout) => continue,
@@ -353,19 +392,13 @@ fn drainer<B: SweepBackend, W: Write>(
                 }
             }
         };
-        let (number, drain, events): (_, _, Ready) = match message {
-            Message::Begin(number, drain, ready) => {
-                let overtaken = early.remove(&number).unwrap_or_default();
-                let drain = live.entry(number).or_insert(*drain);
-                (number, drain, Box::new(ready.chain(overtaken)))
-            }
-            Message::Events(number, events) => match live.get_mut(&number) {
-                Some(drain) => (number, drain, Box::new(events.into_iter())),
-                None => {
-                    early.entry(number).or_default().extend(events);
-                    continue;
-                }
-            },
+        let Message(number, handed_over, events) = message;
+        if let Some(drain) = handed_over {
+            live.insert(number, *drain);
+        }
+        // Every message follows its sweep's hand-over (`Slot::begin`).
+        let Some(drain) = live.get_mut(&number) else {
+            continue;
         };
         events.for_each(|event| drain.take(event, out));
         if drain.tally.taken == drain.request.grid().len() {
@@ -423,7 +456,7 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    let out = &Outbox(Mutex::new(BufWriter::new(writer)));
+    let out = &Outbox(Mutex::new(BufWriter::new(writer)), AtomicUsize::new(0));
     let client = backend.register();
     // The id and canceller of each sweep the drainer holds: the drainer
     // removes an entry before it writes that sweep's `done`.
@@ -442,13 +475,15 @@ where
         let queue = Arc::new(sender);
         let mut read = Ok(());
         let mut line = String::new();
-        // Whether the reader has written lines it has not sent yet.
-        let mut unsent = false;
+        // The reader counts as busy in the outbox from reading a request
+        // until no whole request is queued in its input, so the replies
+        // to a pipelined burst, and the drainer's lines written meanwhile,
+        // leave together.
+        let mut busy = false;
         for number in 0.. {
-            // Going idle: send what the handled requests wrote.
-            if unsent && !buffered(&reader) {
-                out.flush();
-                unsent = false;
+            if busy && !buffered(&reader) {
+                out.idle();
+                busy = false;
             }
             line.clear();
             match reader.read_line(&mut line) {
@@ -458,6 +493,10 @@ where
                     read = Err(e);
                     break;
                 }
+            }
+            if !busy {
+                out.busy();
+                busy = true;
             }
             // The framing of `BufRead::lines`: `\n` or `\r\n` ends a line.
             let line = match line.strip_suffix('\n') {
@@ -498,7 +537,7 @@ where
                     }
                 }
                 Ok(Request::Sweep(request)) => {
-                    let slot = Slot(number, Arc::clone(&queue));
+                    let slot = Slot(number, Arc::clone(&queue), Arc::default());
                     let submitted = if lock(active).contains_key(&request.id) {
                         Err(SubmitError::Rejected(
                             "request id already active".to_string(),
@@ -506,7 +545,7 @@ where
                     } else if backend.is_shutting_down() {
                         Err(SubmitError::Rejected(SHUTTING_DOWN.to_string()))
                     } else {
-                        backend.submit_sweep(&request, &client, slot)
+                        backend.submit_sweep(&request, &client, slot.clone())
                     };
                     match submitted {
                         Err(SubmitError::Busy {
@@ -527,13 +566,10 @@ where
                                     drain.take(event, out);
                                 }
                                 drain.finish(out);
-                                unsent = true;
                             } else {
                                 let id = drain.request.id.clone();
                                 lock(active).insert(id, Arc::clone(&drain.cancel));
-                                let begin =
-                                    Message::Begin(number, Box::new(drain), submitted.ready);
-                                let _ = queue.send(begin);
+                                slot.begin(drain, submitted.ready);
                             }
                             continue;
                         }
@@ -541,7 +577,9 @@ where
                 }
             };
             out.buffer_line(&response);
-            unsent = true;
+        }
+        if busy {
+            out.idle();
         }
         read
     })
@@ -647,4 +685,45 @@ pub fn await_drained<B: SweepBackend>(backend: &Arc<B>, timeout: Duration) -> bo
         std::thread::sleep(Duration::from_millis(10));
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn indices(events: Ready) -> Vec<usize> {
+        events
+            .map(|event| match event {
+                SweepEvent::Skipped { index } => index,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Events that settle before the reader hands their sweep over reach
+    /// the queue only with the hand-over, behind the events settled at
+    /// submit; later events follow it.
+    #[test]
+    fn events_settled_before_the_hand_over_travel_with_it() {
+        let skipped = |index| SweepEvent::Skipped { index };
+        let (sender, queue) = mpsc::channel();
+        let slot = Slot(3, Arc::new(sender), Arc::default());
+        slot.send(vec![skipped(1)]);
+        assert!(queue.try_recv().is_err(), "no message before the hand-over");
+
+        let line = "sweep id=a trace=TRFD iterations=2 machines=dm windows=8 mds=0,1,2";
+        let Ok(Request::Sweep(request)) = parse_request(line) else {
+            panic!("{line} is a valid sweep");
+        };
+        let ready = Box::new(std::iter::once(skipped(0)));
+        slot.begin(Drain::new(request, Arc::new(|| {})), ready);
+        slot.send(vec![skipped(2)]);
+
+        let Message(number, handed_over, events) = queue.try_recv().expect("the hand-over");
+        assert_eq!((number, handed_over.is_some()), (3, true));
+        assert_eq!(indices(events), [0, 1]);
+        let Message(number, handed_over, events) = queue.try_recv().expect("the later event");
+        assert_eq!((number, handed_over.is_some()), (3, false));
+        assert_eq!(indices(events), [2]);
+    }
 }

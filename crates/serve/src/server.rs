@@ -223,14 +223,6 @@ pub struct ClientGuard<'a> {
     in_flight: Arc<AtomicUsize>,
 }
 
-impl ClientGuard<'_> {
-    /// The server-assigned client id.
-    #[must_use]
-    pub(crate) fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Drop for ClientGuard<'_> {
     fn drop(&mut self) {
         self.server.lock_state().clients.remove(&self.id);
@@ -330,11 +322,10 @@ impl SweepServer {
         // Jobs are tagged with the connection's client id, so the pool's
         // fair-share rotor interleaves concurrent clients round-robin
         // within a priority band (clientless submissions share queue 0).
-        let class = RequestClass::new(request.priority, client.map_or(0, |c| c.id()));
+        let class = RequestClass::new(request.priority, client.map_or(0, |c| c.id));
         let token = guard.token.clone();
-        let stream = state
-            .session
-            .stream_classified(&request.points(id), &token, class);
+        let points = request.points(id);
+        let stream = state.session.stream_classified(&points, &token, class);
         Ok(Submission {
             stream,
             token,
@@ -493,15 +484,14 @@ impl SweepBackend for SweepServer {
         slot: Slot,
     ) -> Result<Submitted, SubmitError> {
         let (mut state, id, guard) = self.admit_and_pin(request, Some(client))?;
-        let class = RequestClass::new(request.priority, client.id());
+        let class = RequestClass::new(request.priority, client.id);
         let (settle, token) = (Arc::clone(&guard), guard.token.clone());
         let sink: EventSink = Arc::new(move |event| {
             settle.settle(&event);
             slot.send(vec![event]);
         });
-        let ready = state
-            .session
-            .submit(&request.points(id), &token, class, sink);
+        let points = request.points(id);
+        let ready = state.session.submit(&points, &token, class, sink);
         guard.release(ready.len());
         Ok(Submitted {
             settled: ready.len() == request.grid().len(),
